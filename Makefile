@@ -5,14 +5,14 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test lint analyze slow bench-hotpaths bench-engine-reuse bench-batch-walks bench-serve bench-churn bench-faults bench-tenants bench-obs
+.PHONY: test lint analyze slow bench-hotpaths bench-engine-reuse bench-batch-walks bench-serve bench-churn bench-faults bench-tenants bench-obs bench-e2e test-e2e
 
 test:
 	$(PY) -m pytest -x -q
 
 # AST invariant analyzer (repro.analysis): phase registry, bulk-only token
 # paths, seeded RNG, fast-path pairing, capture balance, dead imports,
-# observer passivity.
+# observer passivity, bare asserts.
 analyze:
 	$(PY) -m repro.analysis src
 
@@ -50,3 +50,11 @@ bench-tenants:
 
 bench-obs:
 	$(PY) benchmarks/bench_obs.py
+
+# The end-to-end serving benchmark declared in BENCHMARK.json (run.py finds
+# src/ itself, so no PYTHONPATH), and the benchmark's own tests.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+test-e2e:
+	$(PY) -m pytest benchmarks/e2e -q

@@ -17,6 +17,7 @@ from repro.analysis.core import (
     iter_python_files,
 )
 from repro.analysis.rules import (
+    BareAssertRule,
     BulkOnlyRule,
     CaptureBalanceRule,
     DeadImportRule,
@@ -35,6 +36,7 @@ __all__ = [
     "analyze_paths",
     "attr_chain",
     "iter_python_files",
+    "BareAssertRule",
     "BulkOnlyRule",
     "CaptureBalanceRule",
     "DeadImportRule",

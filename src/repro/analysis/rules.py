@@ -35,6 +35,10 @@ protocol's accounting discipline becomes a checkable property of the
     calls simulation mutators (``charge``, ``add_batch``, eviction,
     topology refresh, ...) or draws randomness — either would change
     golden ledgers or replay streams the moment tracing is switched on.
+``bare-assert``
+    No ``assert`` statement inside ``src/repro``: ``python -O`` strips
+    them, so an invariant guarded by one silently stops being checked.
+    Raise a :class:`~repro.errors.ReproError` subclass instead.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from repro.analysis.core import Finding, Rule, SourceFile, attr_chain
 from repro.congest.phases import is_registered
 
 __all__ = [
+    "BareAssertRule",
     "BulkOnlyRule",
     "CaptureBalanceRule",
     "DeadImportRule",
@@ -667,6 +672,25 @@ class ObsPassivityRule(Rule):
         return findings
 
 
+class BareAssertRule(Rule):
+    """Library invariants raise; they never rest on ``assert``."""
+
+    name = "bare-assert"
+    description = (
+        "no assert statements in src/repro — python -O strips them; raise a "
+        "ReproError subclass (e.g. WalkError) instead"
+    )
+
+    def check(self, src: SourceFile, *, root: Path) -> list[Finding]:
+        if not _in_production_tree(src.path):
+            return []  # tests and benchmarks assert by design
+        return [
+            self.finding(src, node, "assert is stripped under python -O: raise WalkError instead")
+            for node in ast.walk(src.tree)
+            if isinstance(node, ast.Assert)
+        ]
+
+
 def default_rules() -> list[Rule]:
     """Fresh instances of every rule, in reporting order."""
     return [
@@ -677,4 +701,5 @@ def default_rules() -> list[Rule]:
         CaptureBalanceRule(),
         DeadImportRule(),
         ObsPassivityRule(),
+        BareAssertRule(),
     ]

@@ -34,7 +34,7 @@ from repro.congest.phases import (
 )
 from repro.congest.primitives import BfsTree, build_bfs_tree, charged_convergecast
 from repro.engine.model import ResultBase
-from repro.errors import ConvergenceError, GraphError
+from repro.errors import ConvergenceError, GraphError, WalkError
 from repro.graphs.graph import Graph
 from repro.graphs.spanning import TreeKey, canonical_tree
 from repro.util.rng import make_rng
@@ -149,7 +149,8 @@ def random_spanning_tree(
             report_to_source=False,
             network=net,
         )
-        assert result.positions is not None
+        if result.positions is None:
+            raise WalkError("many_random_walks(record_paths=True) returned no trajectories")
         with net.phase(RST_COVER_CHECK):
             winner = _cover_check(net, bfs, result.positions, graph.n)
         phases.append(
@@ -166,7 +167,8 @@ def random_spanning_tree(
 
         trajectory = result.positions[winner]
         cover_time = cover_time_of(trajectory, graph.n)
-        assert cover_time is not None
+        if cover_time is None:
+            raise WalkError("the covering walk's trajectory misses a node")
         truncated = trajectory[: cover_time + 1]
 
         with net.phase(RST_REGENERATE):

@@ -266,7 +266,7 @@ def _cmd_walks(args: argparse.Namespace) -> int:
     sources = [(args.source + i * args.stride) % graph.n for i in range(args.k)]
     engine = WalkEngine(graph, seed=args.seed, record_paths=False)
     tracer, metrics, heatmap, _slo = _attach_obs(engine, args)
-    res = engine.walks(sources, args.length, batch=not args.serial)
+    res = engine.walks(sources, args.length)
     stats = engine.stats()
     _write_obs(args, tracer, metrics, heatmap)
     if args.json:
@@ -603,11 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stride", type=int, default=37, help="source spacing: source + i*stride mod n"
     )
     walks.add_argument("--seed", type=int, default=0)
-    walks.add_argument(
-        "--serial",
-        action="store_true",
-        help="use the serial per-source stitching loop instead of batch sweeps",
-    )
     walks.add_argument(
         "--json",
         action="store_true",

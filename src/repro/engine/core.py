@@ -43,6 +43,7 @@ from repro.congest.network import Network
 from repro.congest.phases import (
     BATCH_SAMPLE,
     NAIVE,
+    NAIVE_TAIL,
     POOL_REFILL,
     REPORT,
     SERVE_RECOVERY,
@@ -115,8 +116,8 @@ class Phase1Pool:
 class _WalkSlot:
     """One in-flight walk inside an interleaved stitching sweep.
 
-    The unit of work both the engine's batch path and the serving
-    scheduler's merged cohorts advance: ``current``/``completed`` track the
+    The unit of work :meth:`WalkEngine._stitch_interleaved` advances for
+    ``engine.walks()`` and scheduler cohorts: ``current``/``completed`` track the
     walk frontier, ``chunks`` accumulates trajectory fragments when
     ``record`` is set, and ``draws`` counts the pool tokens this walk
     consumed (how the caller knows whether the walk ever touched the pool).
@@ -599,14 +600,14 @@ class WalkEngine:
         report_to_source: bool = True,
         lam: int | None = None,
         eta: float | None = None,
-        batch: bool | None = None,
         params: WalkParams | None = None,
     ) -> ManyWalksResult:
         """Sample ``k = len(sources)`` independent ℓ-step walks; see :meth:`run`.
 
-        ``batch`` picks the pooled stitching regime: ``None``/``True`` —
-        interleaved batch sweeps (mode ``"batch-stitched"``); ``False`` —
-        the serial per-source loop (mode ``"stitched"``).
+        Pooled requests advance all k walks together in interleaved sweeps
+        (mode ``"batch-stitched"``, see :meth:`_stitch_interleaved`).  The
+        paper's serial §2.3 loop — stitch for s₁, then s₂, … — is the
+        one-shot body ``pooled=False`` runs.
         """
         request = WalkRequest(
             sources=tuple(sources) if sources else (),
@@ -618,7 +619,6 @@ class WalkEngine:
             report_to_source=report_to_source,
             lam=lam,
             eta=eta,
-            batch=batch,
         )
         return self.run(request, params=params)
 
@@ -754,47 +754,6 @@ class WalkEngine:
             )
         return rp
 
-    def _stitch_pooled(
-        self,
-        pool: Phase1Pool,
-        source: int,
-        length: int,
-        *,
-        record_paths: bool,
-        defer_tail: bool,
-    ) -> tuple:
-        """One pooled stitching sweep; refills charge to ``"pool-refill"``.
-
-        Trajectory assembly follows the *request* (``record_paths``) while
-        refill tokens follow the *pool's* policy, keeping the pool
-        homogeneous: an endpoint-only query on a path-recording pool
-        neither builds trajectories it will drop nor injects pathless
-        tokens a later trajectory query would choke on.
-        """
-        out = stitch_walk(
-            self.network,
-            pool.store,
-            source,
-            length,
-            pool.lam,
-            self.rng,
-            loop_margin=2 * pool.lam,
-            gmw_count=max(1, length // pool.lam),
-            randomized_lengths=True,
-            record_paths=record_paths,
-            tree_cache=self._tree_cache,
-            defer_tail=defer_tail,
-            gmw_phase=POOL_REFILL,
-            refill_record_paths=pool.record_paths,
-            allow_unreached=self._faults is not None,
-        )
-        gmw_calls = out[4]
-        pool.refills += gmw_calls
-        if self._pool_manager is not None:
-            for record in out[2]:
-                self._pool_manager.record_served(record.source)
-        return out
-
     def _serve_pooled_single(self, request: WalkRequest) -> WalkResult:
         source, length = request.source, request.length
         self._validate_query(source, length)
@@ -831,10 +790,32 @@ class WalkEngine:
                 positions=np.asarray(positions_list, dtype=np.int64) if rp else None,
             )
         else:
+            # Trajectory assembly follows the *request* (``rp``) while refill
+            # tokens (charged to "pool-refill") follow the *pool's* policy,
+            # keeping the pool homogeneous: an endpoint-only query on a
+            # path-recording pool neither builds trajectories it will drop
+            # nor injects pathless tokens a later trajectory query would
+            # choke on.
             rp = self._resolve_record_paths(pool, request.record_paths, pool.record_paths)
-            destination, positions, segments, connectors, gmw_calls, _remaining = (
-                self._stitch_pooled(pool, source, length, record_paths=rp, defer_tail=False)
+            destination, positions, segments, connectors, gmw_calls, _remaining = stitch_walk(
+                net,
+                pool.store,
+                source,
+                length,
+                pool.lam,
+                self.rng,
+                loop_margin=2 * pool.lam,
+                gmw_count=max(1, length // pool.lam),
+                randomized_lengths=True,
+                record_paths=rp,
+                tree_cache=self._tree_cache,
+                gmw_phase=POOL_REFILL,
+                refill_record_paths=pool.record_paths,
+                allow_unreached=self._faults is not None,
             )
+            pool.refills += gmw_calls
+            for record in segments:
+                self._pool_manager.record_served(record.source)
             served = _SingleServed(
                 destination=destination,
                 mode="stitched",
@@ -933,44 +914,17 @@ class WalkEngine:
             )
             total_gmw = 0
             mode = "naive-parallel"
-            served_from_pool = False
         else:
             rp = self._resolve_record_paths(pool, request.record_paths, default=False)
-            use_batch = True if request.batch is None else request.batch
-            if use_batch:
-                destinations, trajectories, total_gmw = self._serve_batch_stitched(
-                    pool, sources, length, record_paths=rp, base_tree=base_tree
-                )
-                mode = "batch-stitched"
-            else:
-                pre_tails: list[tuple[int, int]] = []
-                stitched_chunks: list[np.ndarray | None] = []
-                total_gmw = 0
-                for source in sources:
-                    current, positions, _segments, _connectors, gmw_calls, remaining = (
-                        self._stitch_pooled(pool, source, length, record_paths=rp, defer_tail=True)
-                    )
-                    total_gmw += gmw_calls
-                    pre_tails.append((current, remaining))
-                    stitched_chunks.append(positions)
-                destinations, tail_paths = _parallel_tails(
-                    net, pre_tails, self.rng, record_paths=rp
-                )
-                trajectories = None
-                if rp:
-                    trajectories = []
-                    for stitched, tail in zip(stitched_chunks, tail_paths):
-                        assert stitched is not None and tail is not None
-                        trajectories.append(np.concatenate([stitched, tail]))
-                        if len(trajectories[-1]) != length + 1:
-                            raise WalkError("stitched + tail trajectory has wrong length")
-                mode = "stitched"
-            served_from_pool = True
+            _slots, destinations, trajectories, total_gmw = self._stitch_interleaved(
+                pool, [(sources, length, rp)], base_tree
+            )
+            mode = "batch-stitched"
 
         if request.report_to_source:
             self._report_convergecast(base_tree, [k])
 
-        if pool is not None and served_from_pool:
+        if mode == "batch-stitched":
             pool.queries += 1
         delta = net.ledger.delta_since(snapshot)
         result = ManyWalksResult(
@@ -988,23 +942,32 @@ class WalkEngine:
             self.maintain()
         return result
 
-    def _serve_batch_stitched(
+    def _stitch_interleaved(
         self,
-        pool: Phase1Pool,
-        sources: list[int],
-        length: int,
+        pool: Phase1Pool | None,
+        batch: list[tuple[list[int], int, bool]],
+        tree: BfsTree,
         *,
-        record_paths: bool,
-        base_tree: BfsTree,
-    ) -> tuple[list[int], list[np.ndarray] | None, int]:
-        """Advance all k walks in interleaved sweeps over one shared tree.
+        sample_phase: str = BATCH_SAMPLE,
+        route_phase: str = STITCH_ROUTE,
+        refill_phase: str = POOL_REFILL,
+        tail_phase: str = NAIVE_TAIL,
+    ) -> tuple[list[_WalkSlot], list[int], list[np.ndarray | None], int]:
+        """Serve ``batch`` — ``(sources, length, record)`` groups — as one interleaved batch.
+
+        The one stitching core of pooled k-walk serving: ``engine.walks()``
+        passes its single request with the default phase names, the
+        :mod:`repro.serve` scheduler passes every request of a cohort
+        (billed to ``"serve/..."`` phases).  One slot per walk, in batch
+        order, advanced by :meth:`_advance_interleaved` on ``tree``; then
+        every tail completes in one merged parallel phase.  With no pool
+        (the scheduler's naive regime) the whole walk is tail.
 
         The serial loop (§2.3: "stitch ... for s₁ then s₂, s₃, and so on")
         pays a full SAMPLE-DESTINATION round trip *per segment per walk*.
         The batch regime of arXiv:1201.1363 interleaves instead — per
         sweep, every active walk advances one segment, and all sampling
-        traffic shares **one** BFS tree (rooted at ``sources[0]``, the tree
-        the setup BFS already built) with classic CONGEST pipelining:
+        traffic shares **one** BFS tree with classic CONGEST pipelining:
 
         * one tree (re-)flood per sweep (not per walk);
         * the ``S`` sample draws of a sweep are ``S`` convergecast streams
@@ -1021,42 +984,55 @@ class WalkEngine:
         walk still consumes fresh independent short walks and the
         concatenated law stays exactly ``P^ℓ``.  Connectors short of
         tokens are refilled *batched* — one multi-source GET-MORE-WALKS
-        sweep per stitching sweep, charged to ``"pool-refill"``.
+        sweep per stitching sweep, charged to ``refill_phase``.
 
-        Returns ``(destinations, trajectories, gmw_calls)`` where
-        ``gmw_calls`` counts per-connector refill invocations (batched into
-        sweeps on the wire).
+        Returns ``(slots, destinations, trajectories, gmw_calls)``:
+        ``trajectories[i]`` is slot ``i``'s full path when its group set
+        ``record`` (else ``None``), and ``gmw_calls`` counts per-connector
+        refill invocations (batched into sweeps on the wire).
         """
-        net = self.network
         # Under a fault controller, a path-recording pool tracks every
         # slot's trajectory even for endpoint-only requests: crash recovery
         # truncates in-flight walks to their longest still-valid prefix,
         # which needs the prefix.  ``record`` still governs output assembly.
-        track = record_paths or (self._faults is not None and pool.record_paths)
+        track_all = self._faults is not None and pool is not None and pool.record_paths
         slots = [
             _WalkSlot(
                 source=int(s),
                 length=length,
-                record=record_paths,
+                record=record,
                 current=int(s),
-                chunks=[np.array([s], dtype=np.int64)] if track else None,
+                chunks=[np.array([s], dtype=np.int64)] if record or track_all else None,
             )
+            for sources, length, record in batch
             for s in sources
         ]
-        total_gmw = self._advance_interleaved(pool, slots, base_tree=base_tree)
+        gmw_calls = 0
+        if pool is not None:
+            gmw_calls = self._advance_interleaved(
+                pool,
+                slots,
+                base_tree=tree,
+                sample_phase=sample_phase,
+                route_phase=route_phase,
+                refill_phase=refill_phase,
+            )
 
-        # All tails run concurrently, exactly as the serial path does.
         pre_tails = [(slot.current, slot.remaining) for slot in slots]
-        destinations, tail_paths = _parallel_tails(net, pre_tails, self.rng, record_paths=record_paths)
-        trajectories: list[np.ndarray] | None = None
-        if record_paths:
-            trajectories = []
-            for slot, tail in zip(slots, tail_paths):
-                assert tail is not None and slot.chunks is not None
-                trajectories.append(np.concatenate(slot.chunks + [tail]))
-                if len(trajectories[-1]) != length + 1:
-                    raise WalkError("batch-stitched trajectory has wrong length")
-        return destinations, trajectories, total_gmw
+        destinations, tail_paths = _parallel_tails(
+            self.network,
+            pre_tails,
+            self.rng,
+            record_paths=any(slot.record for slot in slots),
+            phase=tail_phase,
+        )
+        trajectories: list[np.ndarray | None] = []
+        for slot, tail in zip(slots, tail_paths):
+            path = np.concatenate(slot.chunks + [tail]) if slot.record else None
+            if path is not None and len(path) != slot.length + 1:
+                raise WalkError("stitched trajectory has wrong length")
+            trajectories.append(path)
+        return slots, destinations, trajectories, gmw_calls
 
     def _advance_interleaved(
         self,
@@ -1064,17 +1040,17 @@ class WalkEngine:
         slots: list[_WalkSlot],
         *,
         base_tree: BfsTree,
-        sample_phase: str = BATCH_SAMPLE,
-        route_phase: str = STITCH_ROUTE,
-        refill_phase: str = POOL_REFILL,
+        sample_phase: str,
+        route_phase: str,
+        refill_phase: str,
     ) -> int:
         """Advance every slot to its pre-tail frontier in interleaved sweeps.
 
-        The sweep engine shared by :meth:`_serve_batch_stitched` (one k-walk
-        request, default phase names — behavior and charges identical to the
-        PR-3 loop) and the :mod:`repro.serve` scheduler (many concurrent
-        requests merged into one slot list, billed to ``"serve/..."``
-        phases).  Per sweep every active slot advances one token; slots
+        The sweep loop of :meth:`_stitch_interleaved`, which serves both
+        one k-walk ``engine.walks()`` request (default phase names) and
+        every :mod:`repro.serve` scheduler cohort (many concurrent requests
+        merged into one slot list, billed to ``"serve/..."`` phases).  Per
+        sweep every active slot advances one token; slots
         parked at the same connector share one SAMPLE-DESTINATION round trip
         on ``base_tree`` with classic CONGEST pipelining, dry connectors are
         refilled in one batched GET-MORE-WALKS charged to ``refill_phase``,

@@ -104,13 +104,6 @@ class WalkRequest:
     lam / eta:
         Parameter overrides; ``None`` defers to the engine/algorithm
         defaults (for ``"podc09"``, ``eta=None`` means Θ((ℓ/D)^{1/3})).
-    batch:
-        Batch-stitching knob for pooled ``many`` requests: ``None`` (the
-        default) lets the engine pick (interleaved batch stitching — all k
-        walks advance per sweep, one SAMPLE-DESTINATION round serving every
-        walk parked at a connector); ``False`` forces the serial per-source
-        stitching loop (the PR-2 shape, kept as the comparison baseline);
-        ``True`` forces batch.  Ignored by one-shot and single-walk paths.
     """
 
     sources: tuple[int, ...]
@@ -122,7 +115,6 @@ class WalkRequest:
     report_to_source: bool = True
     lam: int | None = None
     eta: float | None = None
-    batch: bool | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sources", tuple(int(s) for s in self.sources))

@@ -29,8 +29,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.engine.model import WalkRequest, _jsonify
 from repro.serve.tenants import DEFAULT_TENANT
 
@@ -193,12 +191,6 @@ class TickReport:
     refill_calls: int = 0
     maintain_rounds: int = 0
     deferred_shards: tuple[int, ...] = ()
-
-
-def _percentile(values: list[int], q: float) -> float:
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
 @dataclass(frozen=True)

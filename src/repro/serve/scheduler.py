@@ -34,12 +34,13 @@ schedule against.  Concretely:
   seed are bit-reproducible across tenants (tested in
   ``tests/test_tenants.py``).
 * **Concurrent interleaved servicing with walk-count packing.**  Each
-  scheduling round merges the popped work into one slot list for the
-  engine's interleaved sweep engine
-  (:meth:`~repro.engine.core.WalkEngine._advance_interleaved`): one BFS
-  (re-)flood per sweep for the whole cohort, every walk parked at a
-  connector sharing one pipelined SAMPLE-DESTINATION round trip, all
-  cross-request tails completing in one parallel phase.  By default the
+  scheduling round hands the popped work as one batch to the engine's
+  interleaved stitching core
+  (:meth:`~repro.engine.core.WalkEngine._stitch_interleaved`, the same
+  code ``engine.walks()`` runs): one BFS (re-)flood per sweep for the
+  whole cohort, every walk parked at a connector sharing one pipelined
+  SAMPLE-DESTINATION round trip, all cross-request tails completing in
+  one parallel phase.  By default the
   cohort is ``max_batch_requests`` whole tickets (PR 4); with
   ``max_batch_walks`` set the cohort instead packs **walks** up to a Σk
   budget — the quantity sweep cost actually scales with — *splitting*
@@ -97,7 +98,7 @@ from repro.congest.phases import (
     SERVE_TAIL,
 )
 from repro.congest.primitives import build_bfs_tree
-from repro.engine.core import WalkEngine, _WalkSlot
+from repro.engine.core import WalkEngine
 from repro.engine.model import WalkRequest
 from repro.errors import WalkError
 from repro.serve.model import (
@@ -107,10 +108,10 @@ from repro.serve.model import (
     ServePolicy,
     TickReport,
     WalkTicket,
-    _percentile,
 )
 from repro.serve.tenants import DEFAULT_TENANT, TenantRegistry
-from repro.walks.many_walks import ManyWalksResult, _parallel_tails
+from repro.util.stats import sample_quantiles
+from repro.walks.many_walks import ManyWalksResult
 from repro.walks.params import many_walks_params
 
 __all__ = ["WalkScheduler"]
@@ -688,8 +689,9 @@ class WalkScheduler:
         """
         if self.engine.pool is not None:
             return
+        if self.root is None:
+            raise WalkError("_ensure_pool needs the cohort root pinned first (scheduler bug)")
         net = self.engine.network
-        assert self.root is not None  # _service_cohort pins it before calling
         with net.phase(SERVE_SETUP):
             tree = build_bfs_tree(
                 net,
@@ -744,65 +746,35 @@ class WalkScheduler:
                 allow_unreached=engine._faults is not None,
             )
 
-        # One slot per walk across every entry of the cohort (an entry is a
-        # whole ticket, or one chunk of a walk-count-split one).  With no
-        # pool (naive regime) nothing is ever active in the sweep loop and
-        # all walks complete as one merged parallel-tail phase.
-        slots: list[_WalkSlot] = []
-        entry_slots: list[tuple[_CohortEntry, slice, bool]] = []
+        # Every entry of the cohort (a whole ticket, or one chunk of a
+        # walk-count-split one) joins ONE interleaved batch.  With no pool
+        # (naive regime) all walks complete as one merged parallel-tail phase.
+        batch = []
         for entry in cohort:
-            ticket = entry.ticket
-            req = ticket.request
+            req = entry.ticket.request
             # submit() rejects trajectory requests a pathless pool cannot
             # serve, and a cold-engine trajectory wish makes _ensure_pool
             # prepare path-capable — but the engine owner can still swap in
             # a pathless pool (engine.prepare / a pooled query) between
             # submit and service, so re-enforce the contract here rather
-            # than silently downgrade.  With NO pool (naive regime)
-            # trajectories come straight from the merged tail phase.
+            # than silently downgrade.
             rp = bool(req.record_paths)
             if rp and pool is not None and not pool.record_paths:
                 raise WalkError(
-                    f"ticket {ticket.ticket_id} requested trajectories but the pool "
+                    f"ticket {entry.ticket.ticket_id} requested trajectories but the pool "
                     "was re-prepared with record_paths=False while it was queued"
                 )
-            # Under a fault controller, a path-recording pool tracks every
-            # slot's trajectory even for endpoint-only tickets — crash
-            # recovery truncates in-flight walks to their longest valid
-            # prefix, which needs the prefix recorded.
-            track = rp or (
-                engine._faults is not None and pool is not None and pool.record_paths
-            )
-            start = len(slots)
-            for s in req.sources[entry.start : entry.start + entry.k]:
-                slots.append(
-                    _WalkSlot(
-                        source=int(s),
-                        length=req.length,
-                        record=rp,
-                        current=int(s),
-                        chunks=[np.array([s], dtype=np.int64)] if track else None,
-                    )
-                )
-            entry_slots.append((entry, slice(start, len(slots)), rp))
-
-        refill_calls = 0
-        if pool is not None:
-            refill_calls = engine._advance_interleaved(
-                pool,
-                slots,
-                base_tree=tree,
-                sample_phase=SERVE_SAMPLE,
-                route_phase=SERVE_STITCH_ROUTE,
-                refill_phase=POOL_REFILL_SERVE,
-            )
-            self._refill_calls += refill_calls
-
-        pre_tails = [(slot.current, slot.remaining) for slot in slots]
-        any_rp = any(slot.record for slot in slots)
-        destinations, tail_paths = _parallel_tails(
-            net, pre_tails, engine.rng, record_paths=any_rp, phase=SERVE_TAIL
+            batch.append((req.sources[entry.start : entry.start + entry.k], req.length, rp))
+        slots, destinations, trajectories, refill_calls = engine._stitch_interleaved(
+            pool,
+            batch,
+            tree,
+            sample_phase=SERVE_SAMPLE,
+            route_phase=SERVE_STITCH_ROUTE,
+            refill_phase=POOL_REFILL_SERVE,
+            tail_phase=SERVE_TAIL,
         )
+        self._refill_calls += refill_calls
 
         pipelined = self.policy.pipelined_report
         if pipelined:
@@ -813,7 +785,7 @@ class WalkScheduler:
             # A lone reporting entry has no pipelining partner: the helper
             # then bills the PR-3 height + k formula — the identical
             # charge, just on the shared phase instead of a private delta.
-            report_ks = [e.k for e, _, _ in entry_slots if e.ticket.request.report_to_source]
+            report_ks = [e.k for e in cohort if e.ticket.request.report_to_source]
             engine._report_convergecast(tree, report_ks, phase=SERVE_REPORT)
 
         # Per-entry private work + capture/delta accumulation into tickets;
@@ -821,9 +793,12 @@ class WalkScheduler:
         private_total = 0
         entry_private: list[int] = []
         finished: list[_CohortEntry] = []
-        for entry, span, rp in entry_slots:
+        offset = 0
+        for entry, (_, _, rp) in zip(cohort, batch):
             ticket = entry.ticket
             req = ticket.request
+            span = slice(offset, offset + entry.k)
+            offset += entry.k
             with engine.obs.annotate(
                 scope="ticket", ticket=ticket.ticket_id, tenant=ticket.tenant
             ):
@@ -836,16 +811,11 @@ class WalkScheduler:
             private_total += delta.rounds
             entry_private.append(delta.rounds)
 
-            my_slots = slots[span]
             part = self._partials.setdefault(ticket.ticket_id, _Partial())
             part.destinations.extend(destinations[span])
             if rp:
-                for slot, tail in zip(my_slots, tail_paths[span]):
-                    assert tail is not None and slot.chunks is not None
-                    part.trajectories.append(np.concatenate(slot.chunks + [tail]))
-                    if len(part.trajectories[-1]) != req.length + 1:
-                        raise WalkError("scheduled trajectory has wrong length")
-            part.drew = part.drew or any(slot.draws for slot in my_slots)
+                part.trajectories.extend(trajectories[span])
+            part.drew = part.drew or any(slot.draws for slot in slots[span])
             for name, rounds in delta.phase_rounds.items():
                 part.phase_rounds[name] = part.phase_rounds.get(name, 0) + rounds
 
@@ -893,7 +863,7 @@ class WalkScheduler:
         cohort_recovery = cohort_delta.phase_rounds.get(SERVE_RECOVERY, 0)
         shared = cohort_delta.rounds - private_total - cohort_recovery
         total_walks = len(slots)
-        shares = [shared * e.k // total_walks for e, _, _ in entry_slots]
+        shares = [shared * e.k // total_walks for e in cohort]
         remainder = shared - sum(shares)
         order = sorted(range(len(cohort)), key=lambda i: (-cohort[i].k, i))
         for j in range(remainder):
@@ -902,7 +872,7 @@ class WalkScheduler:
         done_now = {e.ticket.ticket_id for e in finished}
         metrics = engine.obs.metrics
         tracer = engine.obs.tracer
-        for (entry, _, _), share, private in zip(entry_slots, shares, entry_private):
+        for entry, share, private in zip(cohort, shares, entry_private):
             ticket = entry.ticket
             attributed = private + share
             ticket.rounds_attributed += attributed
@@ -987,6 +957,8 @@ class WalkScheduler:
         done = [t for t in self._tickets.values() if t.status == DONE]
         attributed = [t.rounds_attributed for t in done]
         latencies = [t.latency_rounds for t in done if t.latency_rounds is not None]
+        rounds_p50, rounds_p99 = sample_quantiles(attributed, [0.5, 0.99]) if attributed else (0.0, 0.0)
+        latency_p50, latency_p99 = sample_quantiles(latencies, [0.5, 0.99]) if latencies else (0.0, 0.0)
         faults = self.engine._faults
         return SchedulerStats(
             submitted=self._tenant_total("submitted"),
@@ -999,10 +971,10 @@ class WalkScheduler:
             cohorts=self._cohorts,
             walks_served=self._tenant_total("walks_served"),
             refill_calls=self._refill_calls,
-            p50_rounds_per_request=_percentile(attributed, 50),
-            p99_rounds_per_request=_percentile(attributed, 99),
-            p50_latency_rounds=_percentile(latencies, 50),
-            p99_latency_rounds=_percentile(latencies, 99),
+            p50_rounds_per_request=rounds_p50,
+            p99_rounds_per_request=rounds_p99,
+            p50_latency_rounds=latency_p50,
+            p99_latency_rounds=latency_p99,
             serve_rounds=ledger.phase_total(SERVE_FAMILY),
             serve_refill_rounds=ledger.phase_rounds(POOL_REFILL_SERVE),
             maintain_rounds=ledger.phase_rounds(POOL_REFILL_MAINTAIN),

@@ -98,7 +98,8 @@ class Tenant:
     @property
     def burst_cap(self) -> float:
         """Bucket ceiling: explicit ``burst``, else ``4·quota``."""
-        assert self.quota is not None
+        if self.quota is None:
+            raise WalkError(f"tenant {self.name!r} has no quota, hence no bucket")
         return float(self.burst if self.burst is not None else 4 * self.quota)
 
     @property

@@ -88,7 +88,8 @@ def get_more_walks(
                     # column store beats an index scatter.
                     paths[:, lam + 1 + i] = positions
             # Step i = λ−1 has stop probability 1, so nothing survives.
-            assert not np.any(alive), "reservoir extension must retire every token"
+            if np.any(alive):
+                raise WalkError("reservoir extension must retire every token")
 
     # Columnar handover, same as Phase 1: one add_batch call, path matrix
     # transferred wholesale, records materialized lazily on pop.
@@ -179,7 +180,8 @@ def get_more_walks_batch(
                 positions[idx] = graph.csr_target[slots]
                 if paths is not None:
                     paths[:, lam + 1 + i] = positions
-            assert not np.any(alive), "reservoir extension must retire every token"
+            if np.any(alive):
+                raise WalkError("reservoir extension must retire every token")
 
     store.add_batch(origins, final_length, positions, paths=paths)
     return network.rounds - rounds_before

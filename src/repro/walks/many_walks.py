@@ -247,7 +247,8 @@ def _run_many_walks(
     trajectories: list[np.ndarray] | None = [] if record_paths else None
     if trajectories is not None:
         for stitched, tail in zip(stitched_chunks, tail_paths):
-            assert stitched is not None and tail is not None
+            if stitched is None or tail is None:
+                raise WalkError("record_paths=True left a trajectory fragment unrecorded")
             trajectories.append(np.concatenate([stitched, tail]))
             if len(trajectories[-1]) != length + 1:
                 raise WalkError("stitched + tail trajectory has wrong length")

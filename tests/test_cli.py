@@ -138,15 +138,6 @@ class TestCommands:
         assert "shards below watermark" in out
         assert len(out.split("Destinations:")[1].split()) == 6
 
-    def test_walks_serial_flag(self, capsys):
-        code = main(
-            ["walks", "--graph", "torus:8x8", "--k", "4", "--length", "256", "--serial"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "batch-stitched" not in out
-        assert "stitched" in out
-
     def test_serve_open_loop(self, capsys):
         code = main(
             [

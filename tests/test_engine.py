@@ -212,14 +212,6 @@ class TestPooledBatch:
         engine.walks([5, 6], 256)
         assert engine.stats().full_preparations == 1
 
-    def test_serial_knob_keeps_per_source_loop(self, torus_8x8):
-        # batch=False pins the PR-2 serial per-source stitching loop (the
-        # comparison baseline the benches measure against).
-        engine = WalkEngine(torus_8x8, seed=21, record_paths=False)
-        res = engine.walks([0, 9, 33], 256, batch=False)
-        assert res.mode == "stitched"
-        assert len(res.destinations) == 3
-
     def test_batch_trajectories(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=22, record_paths=True)
         res = engine.walks([0, 1], 200, record_paths=True)
@@ -237,7 +229,8 @@ class TestAccountingFixes:
     """Regression tests for the PR-3 ledger/telemetry bugfixes."""
 
     def test_report_formula_identical_across_batch_branches(self, torus_8x8):
-        # Both _serve_pooled_many branches must charge the pipelined
+        # Both _serve_pooled_many branches (interleaved stitching and
+        # naive-parallel) must charge the pipelined
         # O(height + k) report convergecast.  The stitched path used to
         # charge deliver_sequential(depth[dest]) per destination — Σ depths,
         # measured 43 rounds for k=16 where naive-parallel charged
@@ -250,11 +243,6 @@ class TestAccountingFixes:
         assert res_stitched.mode == "batch-stitched"
         height_s = stitched._tree_cache[sources[0]].height
         assert res_stitched.phase_rounds["report"] == height_s + k
-
-        serial = WalkEngine(torus_8x8, seed=41, record_paths=False)
-        res_serial = serial.walks(sources, 256, batch=False)
-        assert res_serial.mode == "stitched"
-        assert res_serial.phase_rounds["report"] == height_s + k
 
         naive = WalkEngine(torus_8x8, seed=41, record_paths=False)
         res_naive = naive.walks(sources, 2)  # λ ≥ ℓ → naive-parallel branch

@@ -7,13 +7,21 @@ the sampled walks themselves — must be **bit-identical** to the seed
 implementation at fixed seeds.  These totals were captured by running the
 seed (pre-optimization) code; any drift here means an optimization changed
 the model, not just the speed.
+
+The pooled-batch and scheduled-drain pins freeze the session-serving
+paths the same way: one pooled ``engine.walks()`` session and one
+three-tenant scheduler drain with churn and a crash/recover step.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.congest import Network
+from repro.congest.faults import FaultSchedule, FaultStep
+from repro.dynamic import sample_churn_delta
+from repro.engine import WalkEngine
 from repro.graphs import (
     barbell_graph,
     grid_graph,
@@ -21,6 +29,7 @@ from repro.graphs import (
     random_regular_graph,
     torus_graph,
 )
+from repro.serve import TenantRegistry
 from repro.walks import many_random_walks, single_random_walk
 
 SINGLE_CASES = {
@@ -320,6 +329,49 @@ GOLDEN_MANY = {
     }
 }
 
+# Pooled and scheduled serving pins: the interleaved stitching path both
+# ``engine.walks()`` and every scheduler cohort run.  Per phase:
+# [rounds, messages, max_congestion].
+GOLDEN_POOLED_BATCH = {
+    "modes": ["batch-stitched", "batch-stitched"],
+    "gmw": [1, 6],
+    "destinations": [[52, 7, 49, 39], [7, 42, 55]],
+    "path_sums": [4039, 6767, 6262],
+    "phases": {
+        "setup": [27, 579, 1],
+        "phase1": [43, 2211, 6],
+        "batch-sample": [1585, 24020, 1],
+        "stitch-route": [702, 1480, 1],
+        "pool-refill": [77, 1335, 1],
+        "naive-tail": [21, 50, 2],
+        "report": [23, 14, 4],
+        "pool-refill/maintain": [30, 321, 2],
+    },
+}
+
+GOLDEN_SCHEDULED_DRAIN = {
+    "statuses": ["done"] * 9,
+    "destinations": [
+        [52], [20, 60], [26, 57, 38], [51, 19, 54, 44], [38],
+        [17, 32], [56, 20, 6], [9, 25, 7, 58], [50],
+    ],
+    "rounds_attributed": [200, 404, 719, 803, 202, 517, 602, 808, 258],
+    "faults": [1, 0, 3],
+    "phases": {
+        "setup": [9, 193, 1],
+        "phase1": [33, 1776, 5],
+        "serve/setup": [23, 579, 1],
+        "serve/sample": [2771, 56881, 1],
+        "serve/stitch-route": [1371, 3857, 1],
+        "pool-refill/serve": [285, 5525, 2],
+        "serve/tail": [25, 111, 2],
+        "serve/report": [38, 42, 8],
+        "pool-refill/maintain": [14, 256, 2],
+        "pool-refill/churn": [30, 1103, 5],
+        "serve/recovery": [66, 1034, 3],
+    },
+}
+
 
 
 def _snapshot(net: Network) -> dict:
@@ -329,6 +381,73 @@ def _snapshot(net: Network) -> dict:
         "max_congestion": net.ledger.max_congestion,
         "phase_rounds": {k: v.rounds for k, v in net.ledger.phases.items()},
         "phase_messages": {k: v.messages for k, v in net.ledger.phases.items()},
+    }
+
+
+def _phase_ledger(net: Network) -> dict:
+    """Per-phase ``[rounds, messages, max_congestion]`` of the session ledger."""
+    return {k: [v.rounds, v.messages, v.max_congestion] for k, v in net.ledger.phases.items()}
+
+
+def _pooled_batch_pin() -> dict:
+    """Two pooled k-walk requests on one engine: endpoint-only, then trajectories."""
+    engine = WalkEngine(torus_graph(8, 8), seed=7, record_paths=True)
+    engine.prepare(lam=6)
+    ends = engine.walks([0, 5, 17, 33], 256)
+    paths = engine.walks([3, 3, 40], 200, record_paths=True)
+    assert all(int(p[-1]) == d for p, d in zip(paths.positions, paths.destinations))
+    return {
+        "modes": [ends.mode, paths.mode],
+        "gmw": [ends.get_more_walks_calls, paths.get_more_walks_calls],
+        "destinations": [
+            [int(d) for d in ends.destinations],
+            [int(d) for d in paths.destinations],
+        ],
+        # Cheap fingerprint of the assembled trajectories.
+        "path_sums": [int(p.sum()) for p in paths.positions],
+        "phases": _phase_ledger(engine.network),
+    }
+
+
+def _scheduled_drain_pin() -> dict:
+    """A three-tenant scheduler drain on torus 8x8 with churn and one crash/recover."""
+    graph = torus_graph(8, 8)
+    engine = WalkEngine(graph, seed=11, record_paths=True, auto_maintain=False)
+    engine.prepare(lam=5)
+    tenants = TenantRegistry()
+    for name, weight in (("bronze", 1.0), ("silver", 2.0), ("gold", 4.0)):
+        tenants.register(name, weight=weight)
+    sched = engine.scheduler(
+        tenants=tenants, max_batch_walks=8, pipelined_report=True, maintain_round_budget=40
+    )
+    tickets = []
+    for i in range(9):
+        tenant = tenants.order[i % 3]
+        sources = [(7 * i + 3 * j) % graph.n for j in range(1 + i % 4)]
+        tickets.append(
+            sched.submit(sources, 96 + 16 * i, tenant=tenant, record_paths=(i % 3 == 1))
+        )
+    sched.tick()
+    engine.apply_churn(
+        sample_churn_delta(engine.graph, np.random.default_rng(5), deletes=3, inserts=3)
+    )
+    base = engine.network.rounds
+    engine.attach_faults(
+        FaultSchedule(
+            steps=(
+                FaultStep(at_round=base + 40, crash=(22,)),
+                FaultStep(at_round=base + 440, recover=(22,)),
+            )
+        )
+    )
+    sched.drain()
+    stats = sched.stats()
+    return {
+        "statuses": [t.status for t in tickets],
+        "destinations": [[int(d) for d in t.result.destinations] for t in tickets],
+        "rounds_attributed": [t.rounds_attributed for t in tickets],
+        "faults": [stats.crashes_seen, stats.walks_recovered, stats.walks_restarted],
+        "phases": _phase_ledger(engine.network),
     }
 
 
@@ -364,3 +483,9 @@ class TestGoldenLedger:
             **_snapshot(net),
         }
         assert got == want
+
+    def test_pooled_batch_matches_seed(self):
+        assert _pooled_batch_pin() == GOLDEN_POOLED_BATCH
+
+    def test_scheduled_drain_matches_seed(self):
+        assert _scheduled_drain_pin() == GOLDEN_SCHEDULED_DRAIN

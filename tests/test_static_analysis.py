@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
+    BareAssertRule,
     BulkOnlyRule,
     CaptureBalanceRule,
     DeadImportRule,
@@ -501,6 +502,38 @@ class TestObsPassivityRule:
         report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/engine/z.py", src)
         assert not report.findings
         assert len(report.suppressed) == 1
+
+
+# ----------------------------------------------------------------------
+# Rule 8: bare-assert
+# ----------------------------------------------------------------------
+class TestBareAssertRule:
+    run_at = staticmethod(TestObsPassivityRule.run_at)
+
+    def test_true_positive_assert_in_production(self, tmp_path):
+        src = (
+            "def f(x):\n"
+            "    assert x is not None\n"
+            "    assert x, 'message'\n"
+            "    return x\n"
+        )
+        report = self.run_at(BareAssertRule(), tmp_path, "src/repro/walks/x.py", src)
+        assert [f.lineno for f in report.findings] == [2, 3]
+        assert all("python -O" in f.message for f in report.findings)
+
+    def test_true_negative_raise_and_outside_production(self, tmp_path):
+        src = (
+            "from repro.errors import WalkError\n"
+            "def f(x):\n"
+            "    if x is None:\n"
+            "        raise WalkError('x missing')\n"
+            "    return x\n"
+        )
+        report = self.run_at(BareAssertRule(), tmp_path, "src/repro/walks/y.py", src)
+        assert not report.findings
+        # Tests and benchmarks assert by design.
+        report = run_rule(BareAssertRule(), tmp_path, "def test_f():\n    assert 1 + 1 == 2\n")
+        assert not report.findings
 
 
 # ----------------------------------------------------------------------
