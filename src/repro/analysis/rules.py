@@ -35,6 +35,8 @@ protocol's accounting discipline becomes a checkable property of the
     calls simulation mutators (``charge``, ``add_batch``, eviction,
     topology refresh, ...) or draws randomness — either would change
     golden ledgers or replay streams the moment tracing is switched on.
+    Nor does code outside ``src/repro/obs/`` open metric families: the
+    registry derives them from the ``stats()`` counters at read time.
 ``bare-assert``
     No ``assert`` statement inside ``src/repro``: ``python -O`` strips
     them, so an invariant guarded by one silently stops being checked.
@@ -525,9 +527,10 @@ class ObsPassivityRule(Rule):
 
     name = "obs-passivity"
     description = (
-        "wall-clock reads in src/repro go through repro.obs.clock only, and "
+        "wall-clock reads in src/repro go through repro.obs.clock only, "
         "src/repro/obs/ never calls simulation mutators, draws randomness, "
-        "stages heatmap attribution, or settles charges outside the probe"
+        "stages heatmap attribution, or settles charges outside the probe, "
+        "and metric families are registered only inside src/repro/obs/"
     )
 
     #: The perf-timer family (``time.time`` is ``seeded-rng``'s beat).
@@ -615,6 +618,21 @@ class ObsPassivityRule(Rule):
                         node,
                         f"{chain}() reads the wall clock inside src/repro: route "
                         "timing through repro.obs.clock, the audited wrapper",
+                    )
+                )
+            elif (
+                not in_obs
+                and parts[-1] in ("counter", "gauge", "histogram")
+                # the receiver names a registry (np.histogram does not)
+                and any("metrics" in p or "registry" in p for p in parts[:-1])
+            ):
+                findings.append(
+                    self.finding(
+                        src,
+                        node,
+                        f"{chain}() counts into the metrics registry outside repro.obs: "
+                        "keep the count in its stats() counter, which the probe "
+                        "derives the registry families from at read time",
                     )
                 )
             elif in_obs and len(parts) >= 2 and (

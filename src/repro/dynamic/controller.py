@@ -109,8 +109,7 @@ class ChurnController:
         self.tokens_regenerated = 0
 
     def apply(self, delta: GraphDelta, *, round_budget: int | None = None) -> ChurnReport:
-        # Churn-event context rides the regeneration sweep's spans; the
-        # report's telemetry lands on the metrics registry afterwards.
+        # Churn-event context rides the regeneration sweep's spans.
         probe = self.engine.obs
         with probe.annotate(churn_event=self.events + 1):
             report = self._apply_impl(delta, round_budget=round_budget)
@@ -121,16 +120,6 @@ class ChurnController:
             edges_inserted=report.edges_inserted,
             event=self.events,
         )
-        metrics = probe.metrics
-        if metrics is not None:
-            if report.tokens_evicted:
-                metrics.counter(
-                    "repro_tokens_evicted_total", "Pool tokens evicted, by cause."
-                ).inc(report.tokens_evicted, cause="churn")
-            if report.tokens_regenerated:
-                metrics.counter(
-                    "repro_tokens_added_total", "Pool tokens created by refills, by kind."
-                ).inc(report.tokens_regenerated, kind="churn")
         return report
 
     def _apply_impl(self, delta: GraphDelta, *, round_budget: int | None = None) -> ChurnReport:

@@ -272,8 +272,6 @@ class WalkEngine:
             self.network, self.rng, round_budget=round_budget, exclude_shards=exclude_shards
         )
         self._background_refill_tokens += report.tokens_added
-        if self.obs.metrics is not None and report.swept:
-            self._emit_pool_metrics(report)
         return report
 
     def apply_churn(self, delta, *, round_budget: int | None = None):
@@ -350,6 +348,8 @@ class WalkEngine:
         charge path so deliver/charge call sites stage per-edge
         attribution for it (congestion cartography); churn and crash
         remaps are forwarded to it so accumulators survive slot renames.
+        A metrics registry reads its ``repro_*`` families from this
+        engine's :meth:`stats` at export time; nothing counts into it.
         Passing no sinks installs an *inert* probe: every hook fires and
         early-returns, which is exactly the "disabled" configuration the
         ``obs_overhead`` bench prices.  Engines that never call this keep
@@ -362,6 +362,7 @@ class WalkEngine:
         Returns the installed probe.
         """
         probe = Probe(tracer=tracer, metrics=metrics, heatmap=heatmap, slo=slo)
+        probe.engine = self
         self.obs = probe
         self.network.ledger.observer = probe
         self.network.heatmap = heatmap
@@ -370,51 +371,6 @@ class WalkEngine:
             heatmap.bind_topology(graph.n, graph.csr_source, graph.csr_target)
         probe.attached(self.network.ledger)
         return probe
-
-    def _emit_pool_metrics(self, report: MaintenanceReport | None = None) -> None:
-        """Refresh pool occupancy gauges on the metrics registry (no-op when off)."""
-        metrics = self.obs.metrics
-        manager = self._pool_manager
-        pool = self._pool
-        if metrics is None or manager is None or pool is None:
-            return
-        if report is not None:
-            metrics.counter(
-                "repro_maintenance_sweeps_total", "Background watermark sweeps run."
-            ).inc(1)
-            metrics.counter(
-                "repro_tokens_added_total", "Pool tokens created by refills, by kind."
-            ).inc(report.tokens_added, kind="maintain")
-        store = pool.store
-        metrics.gauge("repro_pool_tokens_unused", "Unused tokens in the live pool.").set(
-            pool.unused
-        )
-        metrics.gauge(
-            "repro_pool_tokens_created", "Tokens created into the live pool (cumulative)."
-        ).set(store.tokens_created)
-        metrics.gauge(
-            "repro_pool_tokens_consumed", "Tokens consumed from the live pool (cumulative)."
-        ).set(store.tokens_consumed)
-        shard_unused = manager.shard_unused()
-        if shard_unused is not None:
-            below = sum(
-                1
-                for shard in manager.shards
-                if shard_unused[shard.shard_id] < shard.low_watermark
-            )
-            metrics.gauge(
-                "repro_shards_below_watermark", "Shards currently under their watermark."
-            ).set(below)
-            metrics.gauge(
-                "repro_shard_unused_min", "Occupancy of the emptiest shard."
-            ).set(int(shard_unused.min()))
-            metrics.gauge(
-                "repro_shard_unused_max", "Occupancy of the fullest shard."
-            ).set(int(shard_unused.max()))
-        metrics.gauge(
-            "repro_pool_outstanding_deficit",
-            "Tokens still owed to deferred/below-watermark shards.",
-        ).set(manager.outstanding_deficit())
 
     def scheduler(self, *, tenants=None, **policy):
         """Attach a :class:`~repro.serve.WalkScheduler` to this session.
@@ -1380,13 +1336,6 @@ class WalkEngine:
         pool = self._pool
         manager = self._pool_manager
         shard_unused = manager.shard_unused() if manager is not None else None
-        below = 0
-        if manager is not None and shard_unused is not None:
-            below = sum(
-                1
-                for shard in manager.shards
-                if shard_unused[shard.shard_id] < shard.low_watermark
-            )
         return EngineStats(
             queries=self._queries,
             full_preparations=self._full_preparations,
@@ -1402,7 +1351,7 @@ class WalkEngine:
             num_shards=manager.num_shards if manager is not None else None,
             shard_unused_min=int(shard_unused.min()) if shard_unused is not None else None,
             shard_unused_max=int(shard_unused.max()) if shard_unused is not None else None,
-            shards_below_watermark=below,
+            shards_below_watermark=len(manager.depleted_shards()) if manager is not None else 0,
             maintenance_sweeps=manager.maintenance_sweeps if manager is not None else 0,
             background_refill_tokens=self._background_refill_tokens,
             shard_refill_counts=(
@@ -1422,6 +1371,8 @@ class WalkEngine:
             retransmissions=int(getattr(self.network, "retransmissions_seen", 0)),
             fault_events=self._faults.events if self._faults is not None else 0,
             crashed_nodes=self._faults.crashed_count if self._faults is not None else 0,
+            fault_crashes=self._faults.crashes_seen if self._faults is not None else 0,
+            fault_recoveries=self._faults.recoveries_seen if self._faults is not None else 0,
             fault_tokens_evicted=(
                 self._faults.tokens_evicted if self._faults is not None else 0
             ),

@@ -212,23 +212,6 @@ class FaultController:
             probe.event("crash", ledger, nodes=len(report.crashed), episode=self.events)
         if report.recovered:
             probe.event("recover", ledger, nodes=len(report.recovered), episode=self.events)
-        metrics = probe.metrics
-        if metrics is not None:
-            nodes = metrics.counter(
-                "repro_fault_nodes_total", "Nodes crashed/recovered by fault cascades."
-            )
-            if report.crashed:
-                nodes.inc(len(report.crashed), kind="crash")
-            if report.recovered:
-                nodes.inc(len(report.recovered), kind="recover")
-            if report.tokens_evicted:
-                metrics.counter(
-                    "repro_tokens_evicted_total", "Pool tokens evicted, by cause."
-                ).inc(report.tokens_evicted, cause="fault")
-            if report.tokens_regenerated:
-                metrics.counter(
-                    "repro_tokens_added_total", "Pool tokens created by refills, by kind."
-                ).inc(report.tokens_regenerated, kind="recovery")
         return report, mutated_mask
 
     def _apply_impl(

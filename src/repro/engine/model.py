@@ -180,9 +180,10 @@ class EngineStats:
 
     The fault block (:mod:`repro.engine.faults`) mirrors it for crash
     events: ``fault_events`` applied steps, ``crashed_nodes`` currently
-    down, ``fault_tokens_evicted`` pooled tokens lost to invalidation or
-    crashed-resident memory loss, ``fault_tokens_regenerated`` their
-    charged replacements, ``fault_walks_recovered`` /
+    down, ``fault_crashes`` / ``fault_recoveries`` node crashes and
+    recoveries so far, ``fault_tokens_evicted`` pooled tokens lost to
+    invalidation or crashed-resident memory loss, ``fault_tokens_regenerated``
+    their charged replacements, ``fault_walks_recovered`` /
     ``fault_walks_restarted`` in-flight walks resumed from a surviving
     prefix vs. restarted from source, and ``fault_recovery_rounds`` the
     cumulative ``"serve/recovery"`` bill.  ``messages_dropped`` /
@@ -220,6 +221,8 @@ class EngineStats:
     retransmissions: int = 0
     fault_events: int = 0
     crashed_nodes: int = 0
+    fault_crashes: int = 0
+    fault_recoveries: int = 0
     fault_tokens_evicted: int = 0
     fault_tokens_regenerated: int = 0
     fault_walks_recovered: int = 0

@@ -203,9 +203,8 @@ class PoolManager:
         ).astype(np.int64)
 
     def depleted_shards(self) -> list[int]:
-        """Shards currently below their low watermark."""
+        """Shards below their low watermark; a pure read (only sweeps refresh the scan cache)."""
         unused = self.shard_unused()
-        self._note_scan(unused)
         return [s.shard_id for s in self.shards if unused[s.shard_id] < s.low_watermark]
 
     def _retired_tokens(self) -> int:

@@ -5,11 +5,16 @@ tuples.  Every observed quantity is *simulated* (rounds, tokens, queue
 depths) and bucket edges are fixed powers of two, so a fixed seed
 reproduces the exposition byte-for-byte — no wall clock, no process
 state, no float accumulation ordering dependence.
+
+Nothing in the simulator counts into a registry: the ``repro_*`` families
+are rebuilt on every read by the attached probe's collector from the
+counters ``engine.stats()`` reports (see :meth:`repro.obs.Probe.collect`).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from pathlib import Path
 
 __all__ = [
@@ -21,7 +26,8 @@ __all__ = [
 ]
 
 # Fixed power-of-two edges (1 .. 65536): deterministic, scale-free enough
-# for round counts from single hops to full cohort sweeps.
+# for round counts from single hops to full cohort sweeps.  The SLO
+# latency digests share them (obs/window.DEFAULT_LATENCY_BUCKETS).
 DEFAULT_BUCKETS: tuple[int, ...] = tuple(2**i for i in range(17))
 
 LabelKey = tuple  # tuple[tuple[str, str], ...] — sorted (name, value) pairs
@@ -115,10 +121,6 @@ class Gauge(_Metric):
         if value > self.values.get(key, value - 1):
             self.values[key] = value
 
-    def add(self, value: float, **labels: object) -> None:
-        key = _labelkey(labels)
-        self.values[key] = self.values.get(key, 0) + value
-
     def value(self, **labels: object) -> float:
         return self.values.get(_labelkey(labels), 0)
 
@@ -149,17 +151,13 @@ class Histogram(_Metric):
                 "sum": 0,
                 "count": 0,
             }
-        for i, le in enumerate(self.buckets):
-            if value <= le:
-                cell["counts"][i] += 1
-                break
-        # values beyond the last edge only land in the implicit +Inf bucket
+        # The smallest edge >= value; beyond the last edge a value lands
+        # only in the implicit +Inf bucket (the count).
+        i = bisect_left(self.buckets, value)
+        if i < len(self.buckets):
+            cell["counts"][i] += 1
         cell["sum"] += value
         cell["count"] += 1
-
-    def count(self, **labels: object) -> int:
-        cell = self.values.get(_labelkey(labels))
-        return cell["count"] if cell else 0
 
     def exposition_lines(self) -> list[str]:
         lines: list[str] = []
@@ -203,10 +201,21 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """Get-or-create registry over named metrics, with snapshot + exposition."""
+    """Get-or-create registry over named metrics, with snapshot + exposition.
+
+    Every read rebuilds the derived families of the bound collector (the
+    attached probe's :meth:`~repro.obs.probe.Probe.collect`) and lays them
+    over the families registered here, which survive.
+    """
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
+        self._collector = None
+
+    def _families(self) -> dict[str, _Metric]:
+        if self._collector is None:
+            return self._metrics
+        return {**self._metrics, **{m.name: m for m in self._collector()}}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> _Metric:
         metric = self._metrics.get(name)
@@ -216,10 +225,6 @@ class MetricsRegistry:
             raise ValueError(
                 f"metric {name!r} already registered as {metric.kind}, not {cls.kind}"
             )
-        elif help and not metric.help:
-            # Help backfill: a hot-path call site may register the family
-            # first without text; the first documented registration wins.
-            metric.help = help
         return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
@@ -234,10 +239,10 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, buckets=buckets)
 
     def get(self, name: str) -> _Metric | None:
-        return self._metrics.get(name)
+        return self._families().get(name)
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._families())
 
     def snapshot(self) -> dict:
         """JSON-able view: ``{name: {type, help, values, series}}``, sorted.
@@ -254,14 +259,13 @@ class MetricsRegistry:
                 "values": metric.snapshot_values(),
                 "series": metric.snapshot_series(),
             }
-            for name, metric in sorted(self._metrics.items())
+            for name, metric in sorted(self._families().items())
         }
 
     def to_prometheus_text(self) -> str:
         """Prometheus text exposition format 0.0.4, sorted by metric name."""
         lines: list[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
+        for _name, metric in sorted(self._families().items()):
             lines.extend(metric.header_lines())
             lines.extend(metric.exposition_lines())
         return "\n".join(lines) + "\n" if lines else ""

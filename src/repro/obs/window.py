@@ -23,6 +23,8 @@ import math
 from bisect import bisect_left
 from collections import deque
 
+from repro.obs.metrics import DEFAULT_BUCKETS
+
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "LatencyDigest",
@@ -31,10 +33,9 @@ __all__ = [
     "WindowTotals",
 ]
 
-#: Power-of-two bucket upper edges in simulated rounds (1 … 65536);
-#: observations beyond the last edge land in an overflow bucket whose
-#: percentile reads as ``inf``.
-DEFAULT_LATENCY_BUCKETS: tuple[int, ...] = tuple(2**i for i in range(17))
+#: The metrics histograms' edges (1 … 65536 rounds); observations beyond the
+#: last edge land in an overflow bucket whose percentile reads as ``inf``.
+DEFAULT_LATENCY_BUCKETS = DEFAULT_BUCKETS
 
 #: Event kinds a frame accumulates, in storage order.
 EVENT_KINDS = ("admit", "reject", "throttle", "complete", "deadline_miss")

@@ -216,14 +216,13 @@ class WalkScheduler:
         self._next_id = 0
         self._ticks = 0
         self._cohorts = 0
-        # Submission/completion totals live on the per-tenant counters
-        # only (every ticket has an owner, the default tenant included);
-        # stats() derives the session totals via _tenant_total so the same
-        # quantity is never maintained in two places.
+        # Submission/completion totals and reject reasons live on the
+        # per-tenant counters only (every ticket has an owner, the default
+        # tenant included); stats() derives the session totals from them so
+        # the same quantity is never maintained in two places.
         self._refill_calls = 0
         self._prefetch_noted = 0
         self._cohort_splits = 0
-        self._rejects_by_reason: dict[str, int] = {}
         # Crash-fault serving state: tickets parked on a crashed source
         # (ticket_id -> heap key, re-queued when the source recovers), and
         # the exponential-backoff schedule for shards whose maintenance
@@ -303,29 +302,16 @@ class WalkScheduler:
         self._next_id += 1
         reason = self._admission_reason(request, budget)
         obs = self.engine.obs
-        metrics = obs.metrics
         if reason is not None:
             ticket.status = REJECTED
             ticket.reject_reason = reason
             owner.rejected += 1
+            owner.rejects_by_reason[reason] = owner.rejects_by_reason.get(reason, 0) + 1
             obs.slo_record("reject", tenant_name)
-            self._rejects_by_reason[reason] = self._rejects_by_reason.get(reason, 0) + 1
             self._tickets[ticket.ticket_id] = ticket
-            if metrics is not None:
-                metrics.counter(
-                    "repro_admission_rejects_total",
-                    "Requests rejected at admission, by tenant and reason.",
-                ).inc(1, tenant=tenant_name, reason=reason)
-                metrics.counter(
-                    "repro_requests_total", "Submitted requests, by tenant and outcome."
-                ).inc(1, tenant=tenant_name, outcome="rejected")
             return ticket
         owner.admitted += 1
         obs.slo_record("admit", tenant_name)
-        if metrics is not None:
-            metrics.counter(
-                "repro_requests_total", "Submitted requests, by tenant and outcome."
-            ).inc(1, tenant=tenant_name, outcome="admitted")
         if record_paths and pool is None:
             # Cold engine and the request was ADMITTED: remember the wish
             # so whichever cohort installs the pool prepares it
@@ -435,8 +421,6 @@ class WalkScheduler:
             exclude_shards=self._excluded_shards() or None,
         )
         self._note_shard_backoff(maintain)
-        if self.engine.obs.metrics is not None:
-            self._emit_tick_metrics()
         self.engine.obs.slo_tick(self._ticks, net.rounds, self.queue_depth, net.ledger)
         return TickReport(
             tick=self._ticks,
@@ -825,11 +809,6 @@ class WalkScheduler:
             ticket.cohorts += 1
             ticket.serviced_tick = self._ticks
             owner.walks_served += entry.k
-            metrics = engine.obs.metrics
-            if metrics is not None:
-                metrics.counter("repro_walks_served_total", "Walks served, by tenant.").inc(
-                    entry.k, tenant=ticket.tenant
-                )
             if ticket.walks_served == req.k:
                 part = self._partials.pop(ticket.ticket_id)
                 ticket.result = ManyWalksResult(
@@ -870,7 +849,6 @@ class WalkScheduler:
             shares[order[j % len(shares)]] += 1
         now = net.rounds
         done_now = {e.ticket.ticket_id for e in finished}
-        metrics = engine.obs.metrics
         tracer = engine.obs.tracer
         for entry, share, private in zip(cohort, shares, entry_private):
             ticket = entry.ticket
@@ -889,10 +867,6 @@ class WalkScheduler:
                     net.ledger,
                     {"tenant": ticket.tenant, "ticket": ticket.ticket_id, "rounds": attributed},
                 )
-            if metrics is not None:
-                metrics.counter(
-                    "repro_rounds_attributed_total", "Cohort rounds attributed, by tenant."
-                ).inc(attributed, tenant=ticket.tenant)
             if ticket.ticket_id in done_now:
                 ticket.completed_round = now
                 ticket.latency_rounds = now - ticket.submitted_round
@@ -901,18 +875,6 @@ class WalkScheduler:
                     ticket.deadline_missed = True
                     owner.deadline_misses += 1
                     engine.obs.slo_record("deadline_miss", ticket.tenant)
-                if metrics is not None:
-                    metrics.counter(
-                        "repro_tickets_completed_total", "Tickets completed, by tenant."
-                    ).inc(1, tenant=ticket.tenant)
-                    metrics.histogram(
-                        "repro_ticket_latency_rounds",
-                        "Submit-to-complete latency in simulated rounds, by tenant.",
-                    ).observe(ticket.latency_rounds, tenant=ticket.tenant)
-                    metrics.histogram(
-                        "repro_ticket_service_rounds",
-                        "Attributed service rounds per completed ticket, by tenant.",
-                    ).observe(ticket.rounds_attributed, tenant=ticket.tenant)
         return refill_calls
 
     # ------------------------------------------------------------------
@@ -923,43 +885,28 @@ class WalkScheduler:
 
         Every ticket has an owner (the default tenant included), so the
         per-tenant counters ARE the session counters; deriving the totals
-        here instead of double-incrementing scalars removes the telemetry
-        duplication the obs layer cross-checks against.
+        here instead of double-incrementing scalars keeps one home for each
+        quantity (the metrics registry derives its families from them too).
         """
         return sum(getattr(t, field) for t in self.tenants.tenants.values())
 
-    def _emit_tick_metrics(self) -> None:
-        """Per-tick gauges: queue depth and tenant fairness deviation."""
-        metrics = self.engine.obs.metrics
-        if metrics is None:
-            return
-        metrics.counter("repro_ticks_total", "Scheduler ticks run.").inc(1)
-        metrics.gauge(
-            "repro_queue_depth", "Queued + parked tickets (admission-bound depth)."
-        ).set(self.queue_depth)
-        tenants = self.tenants.tenants
-        total = sum(t.rounds_attributed for t in tenants.values())
-        weight_sum = sum(t.weight for t in tenants.values())
-        if total > 0 and weight_sum > 0:
-            gauge = metrics.gauge(
-                "repro_tenant_fairness_dev",
-                "Relative deviation of a tenant's attributed-rounds share "
-                "from its weight share (signed).",
-            )
-            for name, t in tenants.items():
-                target = t.weight / weight_sum
-                if target > 0:
-                    gauge.set(t.rounds_attributed / total / target - 1.0, tenant=name)
+    def completed(self) -> list[WalkTicket]:
+        """Tickets served to completion, in submission order."""
+        return [t for t in self._tickets.values() if t.status == DONE]
 
     def stats(self) -> SchedulerStats:
         """Scheduler telemetry; also surfaced via ``engine.stats().serve``."""
         ledger = self.engine.network.ledger
-        done = [t for t in self._tickets.values() if t.status == DONE]
+        done = self.completed()
         attributed = [t.rounds_attributed for t in done]
         latencies = [t.latency_rounds for t in done if t.latency_rounds is not None]
         rounds_p50, rounds_p99 = sample_quantiles(attributed, [0.5, 0.99]) if attributed else (0.0, 0.0)
         latency_p50, latency_p99 = sample_quantiles(latencies, [0.5, 0.99]) if latencies else (0.0, 0.0)
         faults = self.engine._faults
+        rejects: dict[str, int] = {}
+        for t in self.tenants.tenants.values():
+            for reason, count in t.rejects_by_reason.items():
+                rejects[reason] = rejects.get(reason, 0) + count
         return SchedulerStats(
             submitted=self._tenant_total("submitted"),
             admitted=self._tenant_total("admitted"),
@@ -978,7 +925,7 @@ class WalkScheduler:
             serve_rounds=ledger.phase_total(SERVE_FAMILY),
             serve_refill_rounds=ledger.phase_rounds(POOL_REFILL_SERVE),
             maintain_rounds=ledger.phase_rounds(POOL_REFILL_MAINTAIN),
-            rejects_by_reason=dict(self._rejects_by_reason),
+            rejects_by_reason=rejects,
             prefetch_shards_noted=self._prefetch_noted,
             crashes_seen=faults.crashes_seen if faults is not None else 0,
             recoveries_seen=faults.recoveries_seen if faults is not None else 0,

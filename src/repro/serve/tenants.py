@@ -74,6 +74,8 @@ class Tenant:
     submitted: int = 0
     admitted: int = 0
     rejected: int = 0
+    #: ``rejected`` split by admission reason (``"queue-full"``, ...).
+    rejects_by_reason: dict[str, int] = field(default_factory=dict)
     completed: int = 0
     walks_served: int = 0
     #: This tenant's share of the session ledger: private report rounds

@@ -33,7 +33,16 @@ from repro.congest.faults import FaultSchedule, FaultStep
 from repro.dynamic import sample_churn_delta
 from repro.markov import WalkSpectrum
 from repro.graphs import complete_graph, torus_graph
-from repro.obs import MetricsRegistry, Probe, Tracer, load_spans, summarize
+from repro.obs import (
+    DEFAULT_BUCKETS,
+    DEFAULT_LATENCY_BUCKETS,
+    LatencyDigest,
+    MetricsRegistry,
+    Probe,
+    Tracer,
+    load_spans,
+    summarize,
+)
 from repro.serve import TenantRegistry, TrafficSpec, run_tenant_loop
 from repro.util.stats import chi_square_goodness_of_fit
 from repro.walks import single_random_walk
@@ -321,6 +330,188 @@ PROM_LINE = re.compile(
 )
 
 
+#: Every sample ``traced_session`` exported from the push-side registry,
+#: frozen before the families became read-time derivations of the
+#: engine/scheduler counters.  Never regenerate it: it is the proof that
+#: the derivation reproduces the old exposition sample for sample.
+PINNED_SAMPLES = """\
+repro_congestion_max 32
+repro_events_total{kind="churn"} 1
+repro_events_total{kind="crash"} 1
+repro_events_total{kind="recover"} 1
+repro_fault_nodes_total{kind="crash"} 1
+repro_fault_nodes_total{kind="recover"} 1
+repro_messages_total{phase="phase1"} 71242
+repro_messages_total{phase="pool-refill/churn"} 70150
+repro_messages_total{phase="pool-refill/serve"} 163
+repro_messages_total{phase="serve/recovery"} 139424
+repro_messages_total{phase="serve/report"} 256
+repro_messages_total{phase="serve/sample"} 571815
+repro_messages_total{phase="serve/setup"} 19779
+repro_messages_total{phase="serve/stitch-route"} 7214
+repro_messages_total{phase="serve/tail"} 2996
+repro_messages_total{phase="setup"} 1801
+repro_queue_depth 0
+repro_requests_total{outcome="admitted",tenant="batch"} 13
+repro_requests_total{outcome="admitted",tenant="free"} 15
+repro_requests_total{outcome="admitted",tenant="pro"} 15
+repro_rounds_attributed_total{tenant="batch"} 1456
+repro_rounds_attributed_total{tenant="free"} 1883
+repro_rounds_attributed_total{tenant="pro"} 2044
+repro_rounds_total{phase="phase1"} 196
+repro_rounds_total{phase="pool-refill/churn"} 192
+repro_rounds_total{phase="pool-refill/serve"} 37
+repro_rounds_total{phase="serve/recovery"} 475
+repro_rounds_total{phase="serve/report"} 203
+repro_rounds_total{phase="serve/sample"} 3090
+repro_rounds_total{phase="serve/setup"} 94
+repro_rounds_total{phase="serve/stitch-route"} 1560
+repro_rounds_total{phase="serve/tail"} 399
+repro_rounds_total{phase="setup"} 8
+repro_tenant_fairness_dev{tenant="batch"} -0.0533159947984394
+repro_tenant_fairness_dev{tenant="free"} 1.4486345903771132
+repro_tenant_fairness_dev{tenant="pro"} -0.3355006501950585
+repro_ticket_latency_rounds_bucket{tenant="batch",le="1"} 0
+repro_ticket_latency_rounds_bucket{tenant="batch",le="2"} 0
+repro_ticket_latency_rounds_bucket{tenant="batch",le="4"} 0
+repro_ticket_latency_rounds_bucket{tenant="batch",le="8"} 0
+repro_ticket_latency_rounds_bucket{tenant="batch",le="16"} 0
+repro_ticket_latency_rounds_bucket{tenant="batch",le="32"} 0
+repro_ticket_latency_rounds_bucket{tenant="batch",le="64"} 0
+repro_ticket_latency_rounds_bucket{tenant="batch",le="128"} 0
+repro_ticket_latency_rounds_bucket{tenant="batch",le="256"} 0
+repro_ticket_latency_rounds_bucket{tenant="batch",le="512"} 2
+repro_ticket_latency_rounds_bucket{tenant="batch",le="1024"} 10
+repro_ticket_latency_rounds_bucket{tenant="batch",le="2048"} 10
+repro_ticket_latency_rounds_bucket{tenant="batch",le="4096"} 13
+repro_ticket_latency_rounds_bucket{tenant="batch",le="8192"} 13
+repro_ticket_latency_rounds_bucket{tenant="batch",le="16384"} 13
+repro_ticket_latency_rounds_bucket{tenant="batch",le="32768"} 13
+repro_ticket_latency_rounds_bucket{tenant="batch",le="65536"} 13
+repro_ticket_latency_rounds_bucket{tenant="batch",le="+Inf"} 13
+repro_ticket_latency_rounds_sum{tenant="batch"} 14257
+repro_ticket_latency_rounds_count{tenant="batch"} 13
+repro_ticket_latency_rounds_bucket{tenant="free",le="1"} 0
+repro_ticket_latency_rounds_bucket{tenant="free",le="2"} 0
+repro_ticket_latency_rounds_bucket{tenant="free",le="4"} 0
+repro_ticket_latency_rounds_bucket{tenant="free",le="8"} 0
+repro_ticket_latency_rounds_bucket{tenant="free",le="16"} 0
+repro_ticket_latency_rounds_bucket{tenant="free",le="32"} 0
+repro_ticket_latency_rounds_bucket{tenant="free",le="64"} 0
+repro_ticket_latency_rounds_bucket{tenant="free",le="128"} 0
+repro_ticket_latency_rounds_bucket{tenant="free",le="256"} 0
+repro_ticket_latency_rounds_bucket{tenant="free",le="512"} 7
+repro_ticket_latency_rounds_bucket{tenant="free",le="1024"} 14
+repro_ticket_latency_rounds_bucket{tenant="free",le="2048"} 14
+repro_ticket_latency_rounds_bucket{tenant="free",le="4096"} 15
+repro_ticket_latency_rounds_bucket{tenant="free",le="8192"} 15
+repro_ticket_latency_rounds_bucket{tenant="free",le="16384"} 15
+repro_ticket_latency_rounds_bucket{tenant="free",le="32768"} 15
+repro_ticket_latency_rounds_bucket{tenant="free",le="65536"} 15
+repro_ticket_latency_rounds_bucket{tenant="free",le="+Inf"} 15
+repro_ticket_latency_rounds_sum{tenant="free"} 11744
+repro_ticket_latency_rounds_count{tenant="free"} 15
+repro_ticket_latency_rounds_bucket{tenant="pro",le="1"} 0
+repro_ticket_latency_rounds_bucket{tenant="pro",le="2"} 0
+repro_ticket_latency_rounds_bucket{tenant="pro",le="4"} 0
+repro_ticket_latency_rounds_bucket{tenant="pro",le="8"} 0
+repro_ticket_latency_rounds_bucket{tenant="pro",le="16"} 0
+repro_ticket_latency_rounds_bucket{tenant="pro",le="32"} 0
+repro_ticket_latency_rounds_bucket{tenant="pro",le="64"} 0
+repro_ticket_latency_rounds_bucket{tenant="pro",le="128"} 0
+repro_ticket_latency_rounds_bucket{tenant="pro",le="256"} 0
+repro_ticket_latency_rounds_bucket{tenant="pro",le="512"} 8
+repro_ticket_latency_rounds_bucket{tenant="pro",le="1024"} 14
+repro_ticket_latency_rounds_bucket{tenant="pro",le="2048"} 14
+repro_ticket_latency_rounds_bucket{tenant="pro",le="4096"} 15
+repro_ticket_latency_rounds_bucket{tenant="pro",le="8192"} 15
+repro_ticket_latency_rounds_bucket{tenant="pro",le="16384"} 15
+repro_ticket_latency_rounds_bucket{tenant="pro",le="32768"} 15
+repro_ticket_latency_rounds_bucket{tenant="pro",le="65536"} 15
+repro_ticket_latency_rounds_bucket{tenant="pro",le="+Inf"} 15
+repro_ticket_latency_rounds_sum{tenant="pro"} 10764
+repro_ticket_latency_rounds_count{tenant="pro"} 15
+repro_ticket_service_rounds_bucket{tenant="batch",le="1"} 0
+repro_ticket_service_rounds_bucket{tenant="batch",le="2"} 0
+repro_ticket_service_rounds_bucket{tenant="batch",le="4"} 0
+repro_ticket_service_rounds_bucket{tenant="batch",le="8"} 0
+repro_ticket_service_rounds_bucket{tenant="batch",le="16"} 0
+repro_ticket_service_rounds_bucket{tenant="batch",le="32"} 0
+repro_ticket_service_rounds_bucket{tenant="batch",le="64"} 1
+repro_ticket_service_rounds_bucket{tenant="batch",le="128"} 8
+repro_ticket_service_rounds_bucket{tenant="batch",le="256"} 13
+repro_ticket_service_rounds_bucket{tenant="batch",le="512"} 13
+repro_ticket_service_rounds_bucket{tenant="batch",le="1024"} 13
+repro_ticket_service_rounds_bucket{tenant="batch",le="2048"} 13
+repro_ticket_service_rounds_bucket{tenant="batch",le="4096"} 13
+repro_ticket_service_rounds_bucket{tenant="batch",le="8192"} 13
+repro_ticket_service_rounds_bucket{tenant="batch",le="16384"} 13
+repro_ticket_service_rounds_bucket{tenant="batch",le="32768"} 13
+repro_ticket_service_rounds_bucket{tenant="batch",le="65536"} 13
+repro_ticket_service_rounds_bucket{tenant="batch",le="+Inf"} 13
+repro_ticket_service_rounds_sum{tenant="batch"} 1456
+repro_ticket_service_rounds_count{tenant="batch"} 13
+repro_ticket_service_rounds_bucket{tenant="free",le="1"} 0
+repro_ticket_service_rounds_bucket{tenant="free",le="2"} 0
+repro_ticket_service_rounds_bucket{tenant="free",le="4"} 0
+repro_ticket_service_rounds_bucket{tenant="free",le="8"} 0
+repro_ticket_service_rounds_bucket{tenant="free",le="16"} 0
+repro_ticket_service_rounds_bucket{tenant="free",le="32"} 0
+repro_ticket_service_rounds_bucket{tenant="free",le="64"} 1
+repro_ticket_service_rounds_bucket{tenant="free",le="128"} 11
+repro_ticket_service_rounds_bucket{tenant="free",le="256"} 14
+repro_ticket_service_rounds_bucket{tenant="free",le="512"} 15
+repro_ticket_service_rounds_bucket{tenant="free",le="1024"} 15
+repro_ticket_service_rounds_bucket{tenant="free",le="2048"} 15
+repro_ticket_service_rounds_bucket{tenant="free",le="4096"} 15
+repro_ticket_service_rounds_bucket{tenant="free",le="8192"} 15
+repro_ticket_service_rounds_bucket{tenant="free",le="16384"} 15
+repro_ticket_service_rounds_bucket{tenant="free",le="32768"} 15
+repro_ticket_service_rounds_bucket{tenant="free",le="65536"} 15
+repro_ticket_service_rounds_bucket{tenant="free",le="+Inf"} 15
+repro_ticket_service_rounds_sum{tenant="free"} 1883
+repro_ticket_service_rounds_count{tenant="free"} 15
+repro_ticket_service_rounds_bucket{tenant="pro",le="1"} 0
+repro_ticket_service_rounds_bucket{tenant="pro",le="2"} 0
+repro_ticket_service_rounds_bucket{tenant="pro",le="4"} 0
+repro_ticket_service_rounds_bucket{tenant="pro",le="8"} 0
+repro_ticket_service_rounds_bucket{tenant="pro",le="16"} 0
+repro_ticket_service_rounds_bucket{tenant="pro",le="32"} 0
+repro_ticket_service_rounds_bucket{tenant="pro",le="64"} 0
+repro_ticket_service_rounds_bucket{tenant="pro",le="128"} 9
+repro_ticket_service_rounds_bucket{tenant="pro",le="256"} 14
+repro_ticket_service_rounds_bucket{tenant="pro",le="512"} 15
+repro_ticket_service_rounds_bucket{tenant="pro",le="1024"} 15
+repro_ticket_service_rounds_bucket{tenant="pro",le="2048"} 15
+repro_ticket_service_rounds_bucket{tenant="pro",le="4096"} 15
+repro_ticket_service_rounds_bucket{tenant="pro",le="8192"} 15
+repro_ticket_service_rounds_bucket{tenant="pro",le="16384"} 15
+repro_ticket_service_rounds_bucket{tenant="pro",le="32768"} 15
+repro_ticket_service_rounds_bucket{tenant="pro",le="65536"} 15
+repro_ticket_service_rounds_bucket{tenant="pro",le="+Inf"} 15
+repro_ticket_service_rounds_sum{tenant="pro"} 2044
+repro_ticket_service_rounds_count{tenant="pro"} 15
+repro_tickets_completed_total{tenant="batch"} 13
+repro_tickets_completed_total{tenant="free"} 15
+repro_tickets_completed_total{tenant="pro"} 15
+repro_ticks_total 18
+repro_tokens_added_total{kind="churn"} 2400
+repro_tokens_added_total{kind="recovery"} 4792
+repro_tokens_evicted_total{cause="churn"} 1950
+repro_tokens_evicted_total{cause="fault"} 4560
+repro_trace_spans_dropped 0
+repro_walks_served_total{tenant="batch"} 40
+repro_walks_served_total{tenant="free"} 42
+repro_walks_served_total{tenant="pro"} 46
+"""
+
+
+def _family(sample: str) -> str:
+    """Metric family of one exposition sample line (histogram suffixes off)."""
+    name = re.split(r"[{ ]", sample, maxsplit=1)[0]
+    return re.sub(r"_(bucket|sum|count)$", "", name)
+
+
 class TestMetrics:
     def test_exposition_format(self, traced_session, tmp_path):
         *_, metrics = traced_session
@@ -351,21 +542,53 @@ class TestMetrics:
             )
             assert buckets[-1] == count  # +Inf bucket == observation count
 
-    def test_metrics_crosscheck_scheduler_and_engine_stats(self, traced_session):
-        engine, sched, _, _, metrics = traced_session
-        stats = sched.stats()
-        assert metrics.get("repro_walks_served_total").total() == stats.walks_served
-        assert metrics.get("repro_tickets_completed_total").total() == stats.completed
-        attributed = sum(t["rounds_attributed"] for t in stats.tenants.values())
-        assert metrics.get("repro_rounds_attributed_total").total() == attributed
-        events = metrics.get("repro_events_total")
-        assert events.value(kind="crash") == 1
-        assert events.value(kind="recover") == 1
-        assert events.value(kind="churn") == engine.stats().churn_events == 1
-        evicted = metrics.get("repro_tokens_evicted_total")
-        est = engine.stats()
-        if est.churn_tokens_evicted:
-            assert evicted.value(cause="churn") == est.churn_tokens_evicted
+    def test_exposition_pinned_sample_for_sample(self, traced_session):
+        *_, metrics = traced_session
+        pinned = PINNED_SAMPLES.splitlines()
+        families = {_family(line) for line in pinned}
+        assert len(families) == 17 and len(pinned) == 168
+        got = [
+            line
+            for line in metrics.to_prometheus_text().splitlines()
+            if not line.startswith("#") and _family(line) in families
+        ]
+        assert got == pinned
+
+    def test_pool_families_read_engine_stats(self, traced_session):
+        # Not in the pin above: these families read the pool through
+        # engine.stats() at export time.
+        engine, *_, metrics = traced_session
+        st = engine.stats()
+        want = {
+            "repro_pool_tokens_unused": st.pool_unused,
+            "repro_pool_tokens_created": st.tokens_prepared,
+            "repro_pool_tokens_consumed": st.tokens_consumed,
+            "repro_shards_below_watermark": st.shards_below_watermark,
+            "repro_shard_unused_min": st.shard_unused_min,
+            "repro_shard_unused_max": st.shard_unused_max,
+            "repro_pool_outstanding_deficit": st.outstanding_deficit,
+            "repro_maintenance_sweeps_total": st.maintenance_sweeps,
+        }
+        assert {name: metrics.get(name).value() for name in want} == want
+
+    def test_derived_families_are_rebuilt_on_read(self):
+        engine = WalkEngine(torus_graph(8, 8), seed=2, record_paths=False)
+        engine.walks([0, 5], 128)  # before attach: not counted
+        before = engine.network.rounds
+        metrics = MetricsRegistry()
+        mine = metrics.counter("app_hits_total", "Application hits.")
+        mine.inc(3)
+        engine.attach_observability(metrics=metrics)
+        engine.walks([7], 128)
+        rounds = metrics.get("repro_rounds_total")
+        assert rounds.total() == engine.network.rounds - before > 0
+        engine.walks([9], 128)
+        text = metrics.to_prometheus_text()
+        assert metrics.get("repro_rounds_total").total() == engine.network.rounds - before
+        # Registered families survive every read alongside the derived ones.
+        assert "app_hits_total 3" in text.splitlines()
+        assert metrics.get("app_hits_total") is mine and len(metrics) == text.count("# TYPE")
+        assert text == metrics.to_prometheus_text()  # reading changes nothing
 
     def test_registry_basics(self):
         reg = MetricsRegistry()
@@ -393,6 +616,19 @@ class TestMetrics:
         c2.inc(1, a="1", b="2")
         c2.inc(1, b="2", a="1")
         assert c2.value(a="1", b="2") == 2
+
+    def test_histogram_edges_match_latency_digest(self):
+        # One edge tuple, one rule: the smallest edge >= value, and past
+        # the last edge only the count (the +Inf bucket) moves.
+        assert DEFAULT_LATENCY_BUCKETS is DEFAULT_BUCKETS
+        hist, digest = MetricsRegistry().histogram("lat", "Latency."), LatencyDigest()
+        values = (0, 1, 3, 4, 5, 65_536, 65_537, 10**9)
+        for value in values:
+            hist.observe(value)
+            digest.note(value)
+        (cell,) = hist.values.values()
+        assert cell["counts"] == digest.counts[:-1]
+        assert cell["count"] == len(values) and sum(cell["counts"]) == len(values) - 2
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,24 @@ class TestBackgroundRefills:
         assert stats.maintenance_sweeps == 1
         assert stats.background_refill_tokens == report.tokens_added
 
+    def test_stats_is_a_pure_read(self, torus_8x8):
+        # Every metrics read goes through engine.stats(): reading telemetry
+        # must not rewrite maintain()'s early-out cache, even while a shard
+        # sits below its watermark.
+        engine = WalkEngine(torus_8x8, seed=7, record_paths=False, auto_maintain=False)
+        engine.prepare(length_hint=256)
+        manager = engine.pool_manager
+        watermarks = np.array([s.low_watermark for s in manager.shards])
+        i = 0
+        while (manager.shard_unused() >= watermarks).all():
+            engine.walk(i % torus_8x8.n, 256)
+            i += 1
+            assert i < 200, "stream never depleted any shard"
+        cache = (manager._consumed_at_scan, manager._min_margin_at_scan)
+        stats = engine.stats()
+        assert stats.shards_below_watermark > 0 and stats.outstanding_deficit > 0
+        assert (manager._consumed_at_scan, manager._min_margin_at_scan) == cache
+
     def test_request_deltas_plus_maintenance_balance_ledger(self):
         # Background sweeps are charged *between* requests: no request delta
         # contains them, and requests + maintenance = the session total.

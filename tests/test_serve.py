@@ -29,7 +29,9 @@ from repro.engine import WalkEngine
 from repro.errors import WalkError
 from repro.graphs import complete_graph, random_regular_graph
 from repro.markov import WalkSpectrum
+from repro.obs import MetricsRegistry
 from repro.serve import (
+    DEFAULT_TENANT,
     REASON_QUEUE_FULL,
     REASON_SHARD_BUDGET,
     ServePolicy,
@@ -56,6 +58,8 @@ def _drain_until_depleted(engine, graph, length=256, limit=200):
 class TestSubmitAndAdmission:
     def test_rejected_requests_charge_zero_rounds(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=3, record_paths=False, auto_maintain=False)
+        metrics = MetricsRegistry()
+        engine.attach_observability(metrics=metrics)
         engine.prepare(length_hint=256)
         sched = engine.scheduler()
         _drain_until_depleted(engine, torus_8x8)
@@ -75,6 +79,20 @@ class TestSubmitAndAdmission:
         # The same request with budget >= the estimate is admitted.
         ok = sched.submit(shard, 256, deadline=est + 10_000)
         assert ok.status == "queued"
+        # Each tenant keeps its own reject reasons; the registry's
+        # {tenant, reason} series and the session split derive from them.
+        assert sched.submit(shard, 256, deadline=1, tenant="pro").status == "rejected"
+        stats = sched.stats()
+        assert stats.rejects_by_reason == {REASON_SHARD_BUDGET: 2}
+        assert stats.tenants["pro"]["rejects_by_reason"] == {REASON_SHARD_BUDGET: 1}
+        rejects = metrics.get("repro_admission_rejects_total").snapshot_series()
+        assert rejects == [
+            {"labels": {"reason": REASON_SHARD_BUDGET, "tenant": DEFAULT_TENANT}, "value": 1},
+            {"labels": {"reason": REASON_SHARD_BUDGET, "tenant": "pro"}, "value": 1},
+        ]
+        requests = metrics.get("repro_requests_total")
+        assert requests.value(tenant=DEFAULT_TENANT, outcome="admitted") == 1
+        assert requests.value(tenant="pro", outcome="rejected") == 1
 
     def test_healthy_shard_admits_under_tight_budget(self, torus_8x8):
         # The rule is about *refillability*, not service cost: with every

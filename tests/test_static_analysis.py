@@ -485,6 +485,32 @@ class TestObsPassivityRule:
         report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/obs/probe.py", src)
         assert not report.findings
 
+    def test_true_positive_registry_family_outside_obs(self, tmp_path):
+        src = (
+            "def submit(self, metrics, registry, tenant):\n"
+            '    self.engine.obs.metrics.counter("x_total").inc(1, tenant=tenant)\n'
+            '    metrics.gauge("depth").set(3)\n'
+            '    registry.histogram("lat").observe(4)\n'
+        )
+        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/serve/x.py", src)
+        messages = [f.message for f in report.findings]
+        assert len(messages) == 3
+        assert all("counts into the metrics registry" in m for m in messages)
+
+    def test_true_negative_registry_families_inside_obs_and_lookalikes(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "def collect(self, metrics, values):\n"
+            '    metrics.counter("x_total").inc(1)\n'
+            "    return np.histogram(values, bins=4), self.counter(values)\n"
+        )
+        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/obs/collect.py", src)
+        assert not report.findings
+        # Outside obs/, only the registry call is a finding, not the
+        # numpy histogram or a method that happens to be named counter.
+        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/engine/w.py", src)
+        assert [f.lineno for f in report.findings] == [3]
+
     def test_outside_production_tree_is_ignored(self, tmp_path):
         report = run_rule(
             ObsPassivityRule(),
