@@ -28,17 +28,15 @@ small-n guard plus a static ≥2× check on the committed 1%-churn row::
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
 
 from repro.dynamic import sample_churn_delta
 from repro.engine import WalkEngine
 from repro.graphs import random_regular_graph
 from repro.util.rng import make_rng
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_HOTPATHS.json"
+from hotpaths import RESULT_PATH, write_sections
+
 
 CHURN_N = 10_000
 CHURN_DEGREE = 4
@@ -117,9 +115,7 @@ def bench_churn(
 
 def main(argv: list[str]) -> int:
     section = bench_churn(**QUICK_CHURN) if "--quick" in argv else bench_churn()
-    results = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    results["graph_churn"] = section
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_sections({"graph_churn": section})
     print(
         f"incremental churn vs full re-prepare, n={section['n']} "
         f"regular({section['degree']}), λ={section['lam']}, η={section['eta']:g}:"

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -36,8 +35,8 @@ from repro.engine import WalkEngine
 from repro.graphs import torus_graph
 from repro.walks import single_random_walk
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_HOTPATHS.json"
+from hotpaths import RESULT_PATH, write_sections
+
 
 QUERIES = 100
 ROWS, COLS = 16, 16
@@ -111,9 +110,7 @@ def test_quick_config_schema():
 
 def main(argv: list[str]) -> int:
     row = bench_engine_reuse(**QUICK) if "--quick" in argv else bench_engine_reuse()
-    results = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    results["engine_reuse"] = row
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_sections({"engine_reuse": row})
     print(
         f"{row['queries']} queries of length {row['length']} on n={row['n']}:\n"
         f"  fresh calls : {row['fresh_seconds']:8.2f} s   {row['fresh_rounds']:>9} rounds\n"

@@ -30,17 +30,15 @@ Deterministic at fixed seeds; measured in simulated rounds::
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from pathlib import Path
 
 from repro.congest.faults import FaultSchedule
 from repro.engine import WalkEngine
 from repro.graphs import random_regular_graph
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_HOTPATHS.json"
+from hotpaths import RESULT_PATH, write_sections
+
 
 FAULT_N = 10_000
 FAULT_DEGREE = 4
@@ -187,9 +185,7 @@ def bench_faults(
 
 def main(argv: list[str]) -> int:
     section = bench_faults(**QUICK_FAULTS) if "--quick" in argv else bench_faults()
-    results = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    results["fault_recovery"] = section
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_sections({"fault_recovery": section})
     print(
         f"crash-fault serving, n={section['n']} regular({section['degree']}), "
         f"λ={section['lam']}, η={section['eta']:g}, "

@@ -22,18 +22,16 @@ serial at k=64) plus a static check on the committed section in tier-1.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from pathlib import Path
 
 from repro.engine import WalkEngine
 from repro.graphs import diameter, hypercube_graph, random_regular_graph
 from repro.util.tables import render_table
 from repro.walks import many_random_walks, single_random_walk
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_HOTPATHS.json"
+from hotpaths import RESULT_PATH, write_sections
+
 
 LENGTH = 24000
 KS = [1, 2, 4, 8]
@@ -240,10 +238,7 @@ def main(argv: list[str]) -> int:
     quick = "--quick" in argv
     section = bench_batch_k_walks(**QUICK_BATCH) if quick else bench_batch_k_walks()
     retune = bench_lambda_retune(**QUICK_BATCH) if quick else bench_lambda_retune()
-    results = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    results["batch_k_walks"] = section
-    results["batch_lambda_retune"] = retune
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_sections({"batch_k_walks": section, "batch_lambda_retune": retune})
     print(f"batch vs serial k-walk serving on n={section['n']} regular({section['degree']}):")
     for r in section["rows"]:
         print(

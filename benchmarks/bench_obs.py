@@ -28,17 +28,15 @@ schema smoke at quick scale::
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
 
 from repro.engine import WalkEngine
 from repro.graphs import random_regular_graph
 from repro.obs import DEFAULT_RING_SIZE, HeatmapSink, MetricsRegistry, SloMonitor, SloSpec, Tracer
 from repro.obs.clock import perf_counter
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_HOTPATHS.json"
+from hotpaths import RESULT_PATH, write_sections
+
 
 OBS_N = 2_000
 OBS_DEGREE = 4
@@ -277,11 +275,7 @@ def main(argv: list[str]) -> int:
     section = bench_obs_overhead(**kwargs)
     heat = bench_congestion_heatmap(**kwargs)
     slo = bench_slo_window(**kwargs)
-    results = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    results["obs_overhead"] = section
-    results["congestion_heatmap"] = heat
-    results["slo_window"] = slo
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_sections({"obs_overhead": section, "congestion_heatmap": heat, "slo_window": slo})
     print(
         f"observability overhead, n={section['n']} regular({section['degree']}), "
         f"{section['requests']} requests x k={section['k']} "

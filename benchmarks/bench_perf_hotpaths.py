@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,8 +39,8 @@ from repro.util.rng import make_rng
 from repro.walks.short_walks import perform_short_walks, token_counts
 from repro.walks.store import TokenRecord, WalkStore
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_HOTPATHS.json"
+from hotpaths import RESULT_PATH, write_sections
+
 
 SIZES = (1_000, 10_000, 50_000)
 QUICK_SIZES = (256, 1_024)
@@ -207,11 +206,7 @@ def test_suite_emits_json(tmp_path):
 def main(argv: list[str]) -> int:
     sizes = QUICK_SIZES if "--quick" in argv else SIZES
     results = run_suite(sizes=sizes)
-    # Preserve sections other benches own (e.g. bench_engine_reuse.py's
-    # "engine_reuse") — this file is the shared perf trajectory record.
-    merged = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    merged.update(results)
-    RESULT_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+    write_sections(results)
     for row in results["phase1_token_creation"]:
         print(
             f"phase1 n={row['n']:>6}: columnar {row['columnar_seconds']*1e3:8.1f} ms  "

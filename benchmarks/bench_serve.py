@@ -25,9 +25,7 @@ section::
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -35,8 +33,8 @@ from repro.engine import WalkEngine
 from repro.graphs import pseudo_diameter, random_regular_graph
 from repro.walks.params import many_walks_params
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_HOTPATHS.json"
+from hotpaths import RESULT_PATH, write_sections
+
 
 SERVE_N = 10_000
 SERVE_DEGREE = 4
@@ -122,9 +120,7 @@ def bench_serve(
 
 def main(argv: list[str]) -> int:
     section = bench_serve(**QUICK_SERVE) if "--quick" in argv else bench_serve()
-    results = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    results["serve_scheduler"] = section
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_sections({"serve_scheduler": section})
     print(
         f"scheduled vs serial serving, {section['rows'][0]['requests']} requests, "
         f"n={section['n']} regular({section['degree']}):"

@@ -30,17 +30,15 @@ tenant's attributed-rounds share from its ``weight / Σ weights`` target.
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
 
 from repro.engine import WalkEngine
 from repro.graphs import pseudo_diameter, random_regular_graph
 from repro.serve import TenantRegistry
 from repro.walks.params import many_walks_params
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_HOTPATHS.json"
+from hotpaths import RESULT_PATH, write_sections
+
 
 TENANT_N = 10_000
 TENANT_DEGREE = 4
@@ -169,9 +167,7 @@ def bench_tenants(
 
 def main(argv: list[str]) -> int:
     section = bench_tenants(**QUICK_TENANTS) if "--quick" in argv else bench_tenants()
-    results = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    results["multi_tenant"] = section
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_sections({"multi_tenant": section})
     print(
         f"packed+pipelined vs per-request serving, 3 tenants ({section['tenants']}), "
         f"n={section['n']} regular({section['degree']}):"

@@ -560,6 +560,7 @@ class ObsPassivityRule(Rule):
             "refresh_topology",
             "restore_shards",
             "rebuild_quotas",
+            "invalidate",
         }
     )
     #: RNG draws and seeded-generator factories — an observer consuming

@@ -1,7 +1,11 @@
 """``ChurnController`` — the invalidation cascade behind ``apply_churn``.
 
 A :class:`~repro.dynamic.delta.GraphDelta` applied to a live session must
-leave *every* layer consistent — this module owns that cascade, in order:
+leave *every* layer consistent.  The cascade below is the one crash/recover
+shares (:mod:`repro.engine.faults`): steps 1–2 are
+:meth:`~repro.engine.core.WalkEngine._apply_delta`, steps 3–5 are
+:meth:`~repro.engine.pool.PoolManager.invalidate`, and this module keeps
+only the churn report and telemetry.  In order:
 
 1. **Topology** — :meth:`~repro.graphs.graph.Graph.apply_delta` rebuilds
    the CSR arrays in place and reports the slot remap and mutated nodes;
@@ -52,11 +56,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.dynamic.delta import GraphDelta
 from repro.engine.model import _jsonify
-from repro.engine.pool import CHURN_PHASE
+from repro.engine.pool import CHURN_PHASE, NO_INVALIDATION
 
 __all__ = ["ChurnController", "ChurnReport"]
 
@@ -126,71 +128,25 @@ class ChurnController:
         engine = self.engine
         net = engine.network
         rounds_before = net.rounds
-        remap = engine.graph.apply_delta(delta)
-        net.refresh_topology()
-        heatmap = engine.obs.heatmap
-        if heatmap is not None:
-            # Forward the slot rename so per-edge accumulators survive the
-            # CSR rebuild (deleted slots retire into per-phase buckets).
-            heatmap.apply_remap(
-                remap,
-                n=engine.graph.n,
-                edge_src=engine.graph.csr_source,
-                edge_dst=engine.graph.csr_target,
-            )
-        engine._tree_cache.clear()
+        remap = engine._apply_delta(delta)
         self.events += 1
-
         pool = engine.pool
-        manager = engine.pool_manager
-        evicted = 0
-        scanned = 0
-        full_eviction = False
-        affected: set[int] = set()
-        regen = None
-        if pool is not None and manager is not None:
-            store = pool.store
-            scanned = store.total_unused()
-            if pool.record_paths:
-                mutated = np.zeros(engine.graph.n, dtype=bool)
-                mutated[remap.mutated_nodes] = True
-                rows = store.find_invalid_rows(mutated, remap.deleted_edge_keys, engine.graph.n)
-            else:
-                # No recorded hops to scan: evict everything (correct but
-                # not incremental; prepare with record_paths=True to get
-                # selective invalidation).
-                rows = store.live_rows()
-                full_eviction = True
-            sources = store.evict_rows(rows)
-            evicted = int(sources.size)
-            self.tokens_evicted += evicted
-            manager.rebuild_quotas()
-            # Affected shards: lost a token to eviction, or contain a
-            # mutated node (whose base allocation just changed).
-            if evicted:
-                affected.update(
-                    int(s) for s in np.unique(sources % manager.num_shards)
-                )
-            if remap.num_mutated:
-                affected.update(
-                    int(s) for s in np.unique(remap.mutated_nodes % manager.num_shards)
-                )
-            regen = manager.restore_shards(
-                net, engine.rng, sorted(affected), round_budget=round_budget, phase=CHURN_PHASE
-            )
-            self.tokens_regenerated += regen.tokens_added
-
+        inv = NO_INVALIDATION
+        if pool is not None:
+            inv = pool.invalidate(net, engine.rng, remap, phase=CHURN_PHASE, round_budget=round_budget)
+            self.tokens_evicted += inv.tokens_evicted
+            self.tokens_regenerated += inv.regen.tokens_added
         return ChurnReport(
             edges_inserted=remap.edges_inserted,
             edges_deleted=remap.edges_deleted,
             mutated_nodes=remap.num_mutated,
-            tokens_scanned=scanned,
-            tokens_evicted=evicted,
-            full_eviction=full_eviction,
-            shards_affected=tuple(sorted(affected)),
-            sources_regenerated=regen.sources_refilled if regen is not None else 0,
-            tokens_regenerated=regen.tokens_added if regen is not None else 0,
-            regen_rounds=regen.rounds if regen is not None else 0,
+            tokens_scanned=inv.tokens_scanned,
+            tokens_evicted=inv.tokens_evicted,
+            full_eviction=inv.full_eviction,
+            shards_affected=inv.shards_affected,
+            sources_regenerated=inv.regen.sources_refilled,
+            tokens_regenerated=inv.regen.tokens_added,
+            regen_rounds=inv.regen.rounds,
             rounds=net.rounds - rounds_before,
-            deferred_shards=regen.deferred_shards if regen is not None else (),
+            deferred_shards=inv.regen.deferred_shards,
         )

@@ -36,10 +36,9 @@ __all__ = [
     "ResultBase",
     "WalkRequest",
     "WalkEngine",
-    "Phase1Pool",
 ]
 
-_LAZY = {"WalkEngine", "Phase1Pool"}
+_LAZY = {"WalkEngine"}
 _LAZY_FAULTS = {"FaultController", "FaultReport", "RECOVERY_PHASE"}
 
 

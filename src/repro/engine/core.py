@@ -56,7 +56,7 @@ from repro.congest.primitives import (
     stage_tree_funnel,
 )
 from repro.engine.model import EngineStats, WalkRequest
-from repro.engine.pool import MaintenanceReport, PoolManager
+from repro.engine.pool import EMPTY_REPORT, MaintenanceReport, PoolManager
 from repro.errors import WalkError
 from repro.graphs.graph import Graph
 from repro.obs.probe import Probe
@@ -74,42 +74,15 @@ from repro.walks.naive import _run_naive_walk
 from repro.walks.params import WalkParams, many_walks_params, single_walk_params
 from repro.walks.podc09 import _run_podc09_walk
 from repro.walks.regenerate import RegenerationResult, regenerate_walk, replay_segments
-from repro.walks.short_walks import perform_short_walks, token_counts
+from repro.walks.short_walks import perform_short_walks
 from repro.walks.single_walk import (
     WalkResult,
     _run_single_walk,
     estimate_diameter,
     stitch_walk,
 )
-from repro.walks.store import WalkStore
 
-__all__ = ["Phase1Pool", "PoolManager", "WalkEngine"]
-
-
-@dataclass
-class Phase1Pool:
-    """The persistent short-walk pool one engine session serves from.
-
-    ``store`` holds every unused token (columnar); ``lam``/``eta`` are the
-    parameters Phase 1 ran with (all refills reuse them so the pool stays
-    homogeneous — every token length uniform on ``[λ, 2λ−1]``);
-    ``record_paths`` is fixed at preparation time for the same reason.
-    ``diameter_estimate`` is the Θ(D) estimate captured during the warm-up
-    BFS.
-    """
-
-    store: WalkStore
-    lam: int
-    eta: float
-    record_paths: bool
-    diameter_estimate: int
-    refills: int = 0
-    queries: int = 0
-
-    @property
-    def unused(self) -> int:
-        """Current pool occupancy (tokens not yet consumed)."""
-        return self.store.total_unused()
+__all__ = ["PoolManager", "WalkEngine"]
 
 
 @dataclass
@@ -210,14 +183,13 @@ class WalkEngine:
         self._watermark_fraction = watermark_fraction
         self.auto_maintain = auto_maintain
         self._tree_cache: dict[int, BfsTree] = {}
-        self._pool: Phase1Pool | None = None
-        self._pool_manager: PoolManager | None = None
+        self._pool: PoolManager | None = None
+        # Session totals live here, not on the pool: a re-preparation
+        # replaces the pool, and a counter must never go backwards.
         self._queries = 0
         self._full_preparations = 0
-        # Reactive GET-MORE-WALKS calls of *retired* pools: the live count
-        # stays on ``pool.refills`` (single home), this bucket preserves
-        # the session total across pool re-preparations.
-        self._refills_retired = 0
+        self._refills = 0  # reactive GET-MORE-WALKS invocations
+        self._maintenance_sweeps = 0
         self._background_refill_tokens = 0
         self.obs = Probe()  # inert until attach_observability()
         self._scheduler = None  # attached repro.serve.WalkScheduler, if any
@@ -228,14 +200,9 @@ class WalkEngine:
     # Pool lifecycle
     # ------------------------------------------------------------------
     @property
-    def pool(self) -> Phase1Pool | None:
+    def pool(self) -> PoolManager | None:
         """The current persistent pool (``None`` before any pooled work)."""
         return self._pool
-
-    @property
-    def pool_manager(self) -> PoolManager | None:
-        """Shard/watermark manager of the current pool (``None`` when cold)."""
-        return self._pool_manager
 
     def maintain(
         self,
@@ -263,14 +230,13 @@ class WalkEngine:
         backs off from shards whose refills stall on crashed nodes while
         the rest of the pool keeps its watermarks.
         """
-        manager = self._pool_manager
-        if manager is None:
-            return MaintenanceReport(
-                swept=False, shards_refilled=(), sources_refilled=0, tokens_added=0, rounds=0
-            )
-        report = manager.maintain(
+        pool = self._pool
+        if pool is None:
+            return EMPTY_REPORT
+        report = pool.maintain(
             self.network, self.rng, round_budget=round_budget, exclude_shards=exclude_shards
         )
+        self._maintenance_sweeps += int(report.swept)
         self._background_refill_tokens += report.tokens_added
         return report
 
@@ -296,6 +262,26 @@ class WalkEngine:
         if self._churn is None:
             self._churn = ChurnController(self)
         return self._churn.apply(delta, round_budget=round_budget)
+
+    def _apply_delta(self, delta):
+        """The topology half of the invalidation cascade churn and crash/recover share.
+
+        The graph's CSR arrays rebuild in place, the network re-derives its
+        adjacency tables, an attached heatmap re-keys its per-edge
+        accumulators through the slot remap (deleted slots retire into
+        per-phase buckets), and the BFS-tree cache drops — tree shape,
+        heights and charged flood costs are all topology functions.
+        Returns the :class:`~repro.dynamic.delta.DeltaRemap` the pool half,
+        :meth:`~repro.engine.pool.PoolManager.invalidate`, consumes.
+        """
+        graph = self.graph
+        remap = graph.apply_delta(delta)
+        self.network.refresh_topology()
+        heatmap = self.obs.heatmap
+        if heatmap is not None:
+            heatmap.apply_remap(remap, n=graph.n, edge_src=graph.csr_source, edge_dst=graph.csr_target)
+        self._tree_cache.clear()
+        return remap
 
     @property
     def faults(self):
@@ -400,7 +386,7 @@ class WalkEngine:
         length_hint: int | None = None,
         source_hint: int | None = None,
         record_paths: bool | None = None,
-    ) -> Phase1Pool:
+    ) -> PoolManager:
         """Explicit warm-up: run Phase 1 once and install the pool.
 
         ``lam`` may be given directly, or derived from ``length_hint`` via
@@ -424,38 +410,30 @@ class WalkEngine:
             lam = single_walk_params(
                 length_hint, d_est, constant=self.lambda_constant, eta=eta_val, n=self.graph.n
             ).lam
-        return self._install_pool(int(lam), eta_val, rp, d_est)
+        return self._install_pool(int(lam), eta_val, rp)
 
-    def _install_pool(
-        self, lam: int, eta: float, record_paths: bool, d_est: int
-    ) -> Phase1Pool:
-        """Run Phase 1 and make its token pool the session's live pool."""
-        if lam < 1:
-            raise WalkError(f"lambda must be >= 1, got {lam}")
-        if self._pool is not None:
-            self._refills_retired += self._pool.refills
-        store = WalkStore()
-        counts = token_counts(self.graph.degrees, eta, degree_proportional=True)
-        perform_short_walks(
-            self.network,
-            store,
-            lam,
-            self.rng,
-            counts=counts,
-            randomized_lengths=True,
-            record_paths=record_paths,
-        )
-        self._pool = Phase1Pool(
-            store=store, lam=lam, eta=eta, record_paths=record_paths, diameter_estimate=d_est
-        )
-        self._pool_manager = PoolManager(
-            self._pool,
+    def _install_pool(self, lam: int, eta: float, record_paths: bool) -> PoolManager:
+        """Run Phase 1 into a fresh pool and make it the session's live pool."""
+        pool = PoolManager(
             self.graph,
+            lam=lam,
+            eta=eta,
+            record_paths=record_paths,
             num_shards=self._num_shards,
             watermark_fraction=self._watermark_fraction,
         )
+        perform_short_walks(
+            self.network,
+            pool.store,
+            lam,
+            self.rng,
+            counts=pool.base_counts,
+            randomized_lengths=True,
+            record_paths=record_paths,
+        )
+        self._pool = pool
         self._full_preparations += 1
-        return self._pool
+        return pool
 
     def _pool_for_request(
         self,
@@ -465,7 +443,7 @@ class WalkEngine:
         record_paths: bool | None,
         d_est: int,
         k: int = 1,
-    ) -> tuple[Phase1Pool | None, int]:
+    ) -> tuple[PoolManager | None, int]:
         """Resolve the pool a query serves from; returns ``(pool, λ)``.
 
         Returns the live pool when it is compatible; re-prepares when the
@@ -512,7 +490,7 @@ class WalkEngine:
             if candidate.use_naive or candidate.lam >= length:
                 return None, candidate.lam
             lam = candidate.lam
-        return self._install_pool(int(lam), eta_val, rp, d_est), int(lam)
+        return self._install_pool(int(lam), eta_val, rp), int(lam)
 
     # ------------------------------------------------------------------
     # Public query surface
@@ -701,7 +679,7 @@ class WalkEngine:
         if length < 1:
             raise WalkError(f"walk length must be >= 1, got {length}")
 
-    def _resolve_record_paths(self, pool: Phase1Pool, requested: bool | None, default: bool) -> bool:
+    def _resolve_record_paths(self, pool: PoolManager, requested: bool | None, default: bool) -> bool:
         rp = default if requested is None else requested
         if rp and not pool.record_paths:
             raise WalkError(
@@ -769,9 +747,9 @@ class WalkEngine:
                 refill_record_paths=pool.record_paths,
                 allow_unreached=self._faults is not None,
             )
-            pool.refills += gmw_calls
+            self._refills += gmw_calls
             for record in segments:
-                self._pool_manager.record_served(record.source)
+                pool.record_served(record.source)
             served = _SingleServed(
                 destination=destination,
                 mode="stitched",
@@ -900,7 +878,7 @@ class WalkEngine:
 
     def _stitch_interleaved(
         self,
-        pool: Phase1Pool | None,
+        pool: PoolManager | None,
         batch: list[tuple[list[int], int, bool]],
         tree: BfsTree,
         *,
@@ -992,7 +970,7 @@ class WalkEngine:
 
     def _advance_interleaved(
         self,
-        pool: Phase1Pool,
+        pool: PoolManager,
         slots: list[_WalkSlot],
         *,
         base_tree: BfsTree,
@@ -1034,7 +1012,6 @@ class WalkEngine:
         lam = pool.lam
         loop_margin = 2 * lam
         k = len(slots)
-        manager = self._pool_manager
         total_gmw = 0
         root = base_tree.root
         depth = base_tree.depth
@@ -1115,7 +1092,7 @@ class WalkEngine:
                     phase=refill_phase,
                 )
                 total_gmw += len(deficits)
-                pool.refills += len(deficits)
+                self._refills += len(deficits)
 
             # One shared-tree flood per sweep (the protocol's Sweep 1,
             # amortized over every group instead of run per draw).
@@ -1178,8 +1155,7 @@ class WalkEngine:
                     record = store.sample_uniform_token(c, self.rng)
                     if record is None:
                         raise WalkError("batched GET-MORE-WALKS produced no walks (engine bug)")
-                    if manager is not None:
-                        manager.record_served(record.source)
+                    pool.record_served(record.source)
                     slot = slots[i]
                     slot.draws += 1
                     if slot.chunks is not None:
@@ -1325,21 +1301,19 @@ class WalkEngine:
     def stats(self) -> EngineStats:
         """Session telemetry: pool occupancy, amortization counters, ledger.
 
-        ``refills`` counts *reactive* GET-MORE-WALKS invocations across the
-        whole session (surviving pool re-preparations); the token counters
-        describe the *current* pool's store.  The shard block
-        (``num_shards`` / ``shard_unused_*`` / ``shards_below_watermark`` /
-        ``maintenance_sweeps`` / ``background_refill_tokens``) comes from
-        the :class:`~repro.engine.pool.PoolManager`; background sweep
-        rounds appear in ``phase_rounds["pool-refill/maintain"]``.
+        ``refills``, ``maintenance_sweeps`` and ``background_refill_tokens``
+        are session totals that survive pool re-preparations; the token
+        counters and the shard block (``num_shards`` / ``shard_unused_*`` /
+        ``shards_below_watermark`` / ``shard_refill_*``) describe the
+        *current* pool.  Background sweep rounds appear in
+        ``phase_rounds["pool-refill/maintain"]``.
         """
         pool = self._pool
-        manager = self._pool_manager
-        shard_unused = manager.shard_unused() if manager is not None else None
+        shard_unused = pool.shard_unused() if pool is not None else None
         return EngineStats(
             queries=self._queries,
             full_preparations=self._full_preparations,
-            refills=self._refills_retired + (pool.refills if pool is not None else 0),
+            refills=self._refills,
             tokens_prepared=pool.store.tokens_created if pool is not None else 0,
             tokens_consumed=pool.store.tokens_consumed if pool is not None else 0,
             pool_unused=pool.unused if pool is not None else 0,
@@ -1348,19 +1322,17 @@ class WalkEngine:
             rounds=self.network.rounds,
             messages=self.network.messages_sent,
             phase_rounds={k: v.rounds for k, v in self.network.ledger.phases.items()},
-            num_shards=manager.num_shards if manager is not None else None,
+            num_shards=pool.num_shards if pool is not None else None,
             shard_unused_min=int(shard_unused.min()) if shard_unused is not None else None,
             shard_unused_max=int(shard_unused.max()) if shard_unused is not None else None,
-            shards_below_watermark=len(manager.depleted_shards()) if manager is not None else 0,
-            maintenance_sweeps=manager.maintenance_sweeps if manager is not None else 0,
+            shards_below_watermark=len(pool.depleted_shards()) if pool is not None else 0,
+            maintenance_sweeps=self._maintenance_sweeps,
             background_refill_tokens=self._background_refill_tokens,
-            shard_refill_counts=(
-                [s.refills for s in manager.shards] if manager is not None else None
-            ),
+            shard_refill_counts=[s.refills for s in pool.shards] if pool is not None else None,
             shard_refill_tokens=(
-                [s.tokens_added for s in manager.shards] if manager is not None else None
+                [s.tokens_added for s in pool.shards] if pool is not None else None
             ),
-            outstanding_deficit=manager.outstanding_deficit() if manager is not None else 0,
+            outstanding_deficit=pool.outstanding_deficit() if pool is not None else 0,
             serve=self._scheduler.stats().to_dict() if self._scheduler is not None else None,
             churn_events=self._churn.events if self._churn is not None else 0,
             churn_tokens_evicted=self._churn.tokens_evicted if self._churn is not None else 0,

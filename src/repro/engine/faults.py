@@ -5,9 +5,11 @@ as the graph's own sanctioned degenerate case — *"model an absent node as
 an isolated one"* (:meth:`~repro.graphs.graph.Graph.apply_delta`): the
 crash deletes every incident edge, recovery re-inserts the saved edges
 with their saved weights.  Both directions are therefore ordinary
-:class:`~repro.dynamic.delta.GraphDelta` events driving the PR-5
-invalidation cascade (topology → caches → pool scan → quotas → charged
-regeneration), with three crash-specific additions:
+:class:`~repro.dynamic.delta.GraphDelta` events driving the invalidation
+cascade churn uses — :meth:`~repro.engine.core.WalkEngine._apply_delta`
+(topology → caches), then :meth:`~repro.engine.pool.PoolManager.invalidate`
+(pool scan → quotas → charged regeneration) — with three crash-specific
+additions:
 
 1. **Memory loss** — a crash destroys walk state *resident at* the node:
    pooled tokens stored there are evicted by a vectorized destination
@@ -50,6 +52,7 @@ from repro.congest.faults import FaultSchedule, FaultStep, FaultyNetwork
 from repro.congest.phases import SERVE_RECOVERY
 from repro.dynamic.delta import GraphDelta
 from repro.engine.model import _jsonify
+from repro.engine.pool import NO_INVALIDATION
 from repro.errors import WalkError
 
 __all__ = ["FaultController", "FaultReport", "RECOVERY_PHASE"]
@@ -281,74 +284,29 @@ class FaultController:
         )
 
         mutated_mask = np.zeros(n, dtype=bool)
-        scanned = evicted = lost_at_crashed = 0
-        full_eviction = False
-        affected: set[int] = set()
-        regen = None
+        remap = None
         if not delta.is_empty:
-            remap = graph.apply_delta(delta)
-            net.refresh_topology()
-            heatmap = engine.obs.heatmap
-            if heatmap is not None:
-                # Crash/recover rebuilds the CSR too: forward the slot
-                # rename so heatmap accumulators survive (same contract as
-                # the churn controller).
-                heatmap.apply_remap(
-                    remap, n=graph.n, edge_src=graph.csr_source, edge_dst=graph.csr_target
-                )
-            engine._tree_cache.clear()
+            remap = engine._apply_delta(delta)
             mutated_mask[remap.mutated_nodes] = True
-        else:
-            remap = None
 
         # Every crashing node's resident memory is lost even when it had no
         # edges left to delete (e.g. its whole neighborhood crashed first).
         crashed_mask = np.zeros(n, dtype=bool)
-        if crashing:
-            crashed_mask[crashing] = True
+        crashed_mask[crashing] = True
 
         pool = engine.pool
-        manager = engine.pool_manager
-        if pool is not None and manager is not None and (crashing or recovering):
-            store = pool.store
-            scanned = store.total_unused()
-            held = store.rows_held_at(crashed_mask)
-            lost_at_crashed = int(held.size)
-            if pool.record_paths:
-                rows = (
-                    store.find_invalid_rows(
-                        mutated_mask, remap.deleted_edge_keys, n
-                    )
-                    if remap is not None
-                    else np.empty(0, dtype=np.int64)
-                )
-                rows = np.union1d(rows, held)
-            else:
-                # No recorded hops to scan: evict everything (correct but
-                # not incremental), matching the churn fallback.
-                rows = store.live_rows()
-                full_eviction = True
-            sources = store.evict_rows(rows)
-            evicted = int(sources.size)
-            self.tokens_evicted += evicted
-            # Quotas re-derive from the post-step degree profile: a crashed
-            # (isolated) source's ⌈η·0⌉ = 0 base allocation drops it out of
-            # every refill plan automatically; recovery restores it.
-            manager.rebuild_quotas()
-            if evicted:
-                affected.update(int(s) for s in np.unique(sources % manager.num_shards))
-            if remap is not None and remap.num_mutated:
-                affected.update(
-                    int(s) for s in np.unique(remap.mutated_nodes % manager.num_shards)
-                )
-            regen = manager.restore_shards(
+        inv = NO_INVALIDATION
+        if pool is not None and (crashing or recovering):
+            inv = pool.invalidate(
                 net,
                 engine.rng,
-                sorted(affected),
-                round_budget=round_budget,
+                remap,
+                crashed=crashed_mask,
                 phase=RECOVERY_PHASE,
+                round_budget=round_budget,
             )
-            self.tokens_regenerated += regen.tokens_added
+            self.tokens_evicted += inv.tokens_evicted
+            self.tokens_regenerated += inv.regen.tokens_added
 
         if isinstance(net, FaultyNetwork):
             net.mark_crashed(crashing)
@@ -362,15 +320,15 @@ class FaultController:
             edges_deleted=remap.edges_deleted if remap is not None else 0,
             edges_restored=remap.edges_inserted if remap is not None else 0,
             mutated_nodes=remap.num_mutated if remap is not None else 0,
-            tokens_scanned=scanned,
-            tokens_evicted=evicted,
-            tokens_lost_at_crashed=lost_at_crashed,
-            full_eviction=full_eviction,
-            shards_affected=tuple(sorted(affected)),
-            tokens_regenerated=regen.tokens_added if regen is not None else 0,
-            regen_rounds=regen.rounds if regen is not None else 0,
+            tokens_scanned=inv.tokens_scanned,
+            tokens_evicted=inv.tokens_evicted,
+            tokens_lost_at_crashed=inv.tokens_lost_at_crashed,
+            full_eviction=inv.full_eviction,
+            shards_affected=inv.shards_affected,
+            tokens_regenerated=inv.regen.tokens_added,
+            regen_rounds=inv.regen.rounds,
             rounds=net.rounds - rounds_before,
-            deferred_shards=regen.deferred_shards if regen is not None else (),
+            deferred_shards=inv.regen.deferred_shards,
         )
         self.reports.append(report)
         return report, mutated_mask

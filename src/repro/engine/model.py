@@ -155,7 +155,8 @@ class EngineStats:
     occupancy spread; ``shards_below_watermark`` how many shards currently
     await a background sweep (0 right after auto-maintenance);
     ``maintenance_sweeps`` / ``background_refill_tokens`` what the
-    background loop has done so far — its rounds appear in ``phase_rounds``
+    background loop has done so far this session (like ``refills``, they
+    survive re-preparations) — its rounds appear in ``phase_rounds``
     under ``"pool-refill/maintain"``, separate from reactive
     ``"pool-refill"`` charges.  All shard fields are ``None``/0 before the
     first pool is installed.

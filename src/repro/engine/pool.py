@@ -1,10 +1,13 @@
-"""Sharded occupancy management for the persistent Phase-1 pool.
+"""The persistent Phase-1 pool: its tokens, its shards, and its refill loops.
 
-The :class:`~repro.engine.core.WalkEngine`'s pool (PR 2) refilled purely
-*reactively*: a query stitching through a dry connector paid a GET-MORE-WALKS
-round trip mid-request, and one hot query source could drain the whole
-Θ(η·m) token population before quieter sources ever queried.  This module
-adds the two control loops arXiv:1201.1363's k-walk serving regime assumes:
+:class:`PoolManager` *is* the pool one :class:`~repro.engine.core.WalkEngine`
+session serves from (``engine.pool``): it owns the columnar
+:class:`~repro.walks.store.WalkStore` of unused tokens and the ``λ``/``η``/
+``record_paths`` policy Phase 1 ran with.  Refilling purely *reactively*
+(a query stitching through a dry connector pays a GET-MORE-WALKS round trip
+mid-request) would let one hot query source drain the whole Θ(η·m) token
+population before quieter sources ever queried, so the pool also runs the
+two control loops arXiv:1201.1363's k-walk serving regime assumes:
 
 * **Shards** — the per-source token buckets are partitioned into
   ``num_shards`` shards (source ``v`` belongs to shard ``v mod num_shards``).
@@ -32,6 +35,12 @@ ordered emptiest/most-demanded first and refilled only as far as the
 budget's price allows (:meth:`PoolManager.estimate_refill_rounds`, the same
 estimator admission control uses to reject requests whose source shard
 cannot be restored in time).
+
+Churn (:mod:`repro.dynamic`) and crash/recover (:mod:`repro.engine.faults`)
+share one invalidation cascade: the engine applies the topology change
+(:meth:`~repro.engine.core.WalkEngine._apply_delta`), then
+:meth:`PoolManager.invalidate` evicts the tokens it broke and restores the
+shards they came from.
 """
 
 from __future__ import annotations
@@ -47,8 +56,12 @@ from repro.congest.phases import POOL_REFILL_CHURN, POOL_REFILL_MAINTAIN
 from repro.errors import WalkError
 from repro.walks.get_more_walks import get_more_walks_batch
 from repro.walks.short_walks import token_counts
+from repro.walks.store import WalkStore
 
-__all__ = ["CHURN_PHASE", "MAINTAIN_PHASE", "MaintenanceReport", "PoolManager", "PoolShard"]
+__all__ = [
+    "CHURN_PHASE", "EMPTY_REPORT", "Invalidation", "MAINTAIN_PHASE", "MaintenanceReport",
+    "NO_INVALIDATION", "PoolManager", "PoolShard",
+]
 
 #: Ledger sub-phase background refill sweeps charge to (reactive mid-request
 #: refills keep charging plain ``"pool-refill"``; ``RoundLedger.phase_total
@@ -113,32 +126,72 @@ class MaintenanceReport:
     estimated_rounds: int = 0
 
 
+#: The report of a call that refilled nothing (zero rounds).
+EMPTY_REPORT = MaintenanceReport(
+    swept=False, shards_refilled=(), sources_refilled=0, tokens_added=0, rounds=0
+)
+
+
+@dataclass(frozen=True)
+class Invalidation:
+    """Outcome of one :meth:`PoolManager.invalidate` — the pool half of a churn or fault report.
+
+    ``tokens_scanned`` live tokens were inspected and ``tokens_evicted`` of
+    them invalidated (``full_eviction`` marks the pathless-pool fallback
+    where the whole pool goes); ``tokens_lost_at_crashed`` of those were
+    stored at a crashed node.  ``regen`` is the restoring sweep over
+    ``shards_affected``.
+    """
+
+    tokens_scanned: int
+    tokens_evicted: int
+    tokens_lost_at_crashed: int
+    full_eviction: bool
+    shards_affected: tuple[int, ...]
+    regen: MaintenanceReport
+
+
+#: What a cascade reports when there is no pool to invalidate.
+NO_INVALIDATION = Invalidation(0, 0, 0, False, (), EMPTY_REPORT)
+
+
 class PoolManager:
-    """Per-shard quotas, watermarks, and batched background refills.
+    """The persistent Phase-1 pool: tokens, shard quotas, watermarks, and refills.
 
     Parameters
     ----------
-    pool:
-        The engine's live :class:`~repro.engine.core.Phase1Pool`; the
-        manager reads occupancy through its columnar store's per-source
-        counts and refills with the pool's own ``lam``/``record_paths``
-        policy (pools stay parameter-homogeneous).
     graph:
         Topology, for degrees (base allocations) and the shard map.
+    lam / eta:
+        The parameters Phase 1 runs with.  Every refill reuses them, so the
+        pool stays homogeneous: every token length is uniform on
+        ``[λ, 2λ−1]``.
+    record_paths:
+        Whether tokens carry their hop paths; fixed for the pool's lifetime
+        for the same reason.
     num_shards:
         Shard count; default :func:`default_num_shards`.
     watermark_fraction:
         ``low_watermark = max(1, ⌈fraction · quota⌉)`` per shard.
+
+    The pool starts empty: ``store`` is a fresh
+    :class:`~repro.walks.store.WalkStore` that Phase 1 fills with each
+    node's base allocation (``base_counts``).  ``queries`` counts the
+    requests served from its tokens.
     """
 
     def __init__(
         self,
-        pool,
         graph,
         *,
+        lam: int,
+        eta: float,
+        record_paths: bool,
         num_shards: int | None = None,
         watermark_fraction: float = 0.5,
     ) -> None:
+        if lam < 1:
+            raise WalkError(f"lambda must be >= 1, got {lam}")
         n = graph.n
         if num_shards is None:
             num_shards = default_num_shards(n)
@@ -148,7 +201,11 @@ class PoolManager:
             raise WalkError(
                 f"watermark_fraction must be in (0, 1], got {watermark_fraction}"
             )
-        self.pool = pool
+        self.store = WalkStore()
+        self.lam = int(lam)
+        self.eta = float(eta)
+        self.record_paths = bool(record_paths)
+        self.queries = 0
         self.graph = graph
         self.num_shards = int(min(num_shards, n))
         self.watermark_fraction = float(watermark_fraction)
@@ -161,8 +218,6 @@ class PoolManager:
             PoolShard(shard_id=s, num_sources=int(members[s]), quota=0, low_watermark=1)
             for s in range(self.num_shards)
         ]
-        self.maintenance_sweeps = 0
-        self.churn_sweeps = 0
         # Speculative prefetch: transient per-shard demand fed by the
         # serving scheduler from queued-but-unserviced tickets, consumed by
         # the next maintenance ordering (see :meth:`note_demand`).
@@ -190,12 +245,17 @@ class PoolManager:
     # ------------------------------------------------------------------
     # Occupancy views
     # ------------------------------------------------------------------
+    @property
+    def unused(self) -> int:
+        """Current pool occupancy (tokens not yet consumed)."""
+        return self.store.total_unused()
+
     def shard_of(self, source: int) -> int:
         return int(source) % self.num_shards
 
     def shard_unused(self) -> np.ndarray:
         """Unused-token count per shard, from the store's columnar counts."""
-        sources, counts = self.pool.store.source_count_arrays()
+        sources, counts = self.store.source_count_arrays()
         return np.bincount(
             sources % self.num_shards,
             weights=counts.astype(np.float64),
@@ -209,7 +269,7 @@ class PoolManager:
 
     def _retired_tokens(self) -> int:
         """Tokens gone from the pool by any means (consumed or churn-evicted)."""
-        return self.pool.store.tokens_consumed + self.pool.store.tokens_evicted
+        return self.store.tokens_consumed + self.store.tokens_evicted
 
     def _note_scan(self, unused: np.ndarray) -> None:
         """Refresh the retired-token early-out after an occupancy scan."""
@@ -238,20 +298,20 @@ class PoolManager:
         The single home of the allocation math — Phase-1 allocations are
         ``⌈η·deg(v)⌉`` (the shape Lemma 2.6's hitting argument sizes the
         pool for), binned into shard quotas with watermarks at
-        ``⌈fraction·quota⌉``.  Construction calls this once; the churn
-        cascade calls it again after
-        :meth:`~repro.graphs.graph.Graph.apply_delta` changed the degree
-        profile, so quotas and watermarks track the *new* degrees.  Shard
+        ``⌈fraction·quota⌉``.  Construction calls this once;
+        :meth:`invalidate` calls it again after a churn or crash/recover
+        step changed the degree profile, so quotas and watermarks track
+        the *new* degrees.  Shard
         membership, the refill/served counters, and the congestion price
         EMA all survive — only the occupancy targets move.  The
         retired-token early-out is reset: watermarks just changed, so the
         cached margins are stale.
         """
         n = self.graph.n
-        self._base_counts = token_counts(self.graph.degrees, self.pool.eta, degree_proportional=True)
+        self.base_counts = token_counts(self.graph.degrees, self.eta, degree_proportional=True)
         shard_ids = np.arange(n, dtype=np.int64) % self.num_shards
         quotas = np.bincount(
-            shard_ids, weights=self._base_counts.astype(np.float64), minlength=self.num_shards
+            shard_ids, weights=self.base_counts.astype(np.float64), minlength=self.num_shards
         ).astype(np.int64)
         for shard in self.shards:
             shard.quota = int(quotas[shard.shard_id])
@@ -293,7 +353,7 @@ class PoolManager:
         """Model rounds for one batched sweep launching ``tokens`` tokens."""
         if tokens <= 0:
             return 0
-        base = 2 * self.pool.lam - 1
+        base = 2 * self.lam - 1
         return max(1, int(math.ceil(base * (1.0 + self._congestion_per_token * tokens))))
 
     def record_served(self, token_source: int) -> None:
@@ -315,10 +375,10 @@ class PoolManager:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         n = self.graph.n
         current = np.zeros(n, dtype=np.int64)
-        src, cnt = self.pool.store.source_count_arrays()
+        src, cnt = self.store.source_count_arrays()
         current[src] = cnt
         member = np.isin(np.arange(n, dtype=np.int64) % self.num_shards, shard_ids)
-        deficit = np.where(member, self._base_counts - current, 0)
+        deficit = np.where(member, self.base_counts - current, 0)
         needy = np.nonzero(deficit > 0)[0]
         return needy, deficit[needy]
 
@@ -404,28 +464,17 @@ class PoolManager:
         excluded = frozenset(int(s) for s in exclude_shards) if exclude_shards else frozenset()
         try:
             if not self._possibly_depleted():
-                return self._empty_report()
+                return EMPTY_REPORT
             unused = self.shard_unused()
             self._note_scan(unused)
             depleted = [s.shard_id for s in self.shards if unused[s.shard_id] < s.low_watermark]
             skipped = tuple(s for s in depleted if s in excluded)
             depleted = [s for s in depleted if s not in excluded]
             if not depleted:
-                if skipped:
-                    return MaintenanceReport(
-                        swept=False,
-                        shards_refilled=(),
-                        sources_refilled=0,
-                        tokens_added=0,
-                        rounds=0,
-                        deferred_shards=skipped,
-                    )
-                return self._empty_report()
+                return dataclasses.replace(EMPTY_REPORT, deferred_shards=skipped)
             report = self._sweep(
                 network, rng, depleted, unused, phase=phase, round_budget=round_budget
             )
-            if report.swept:
-                self.maintenance_sweeps += 1
             if skipped:
                 report = dataclasses.replace(
                     report, deferred_shards=report.deferred_shards + skipped
@@ -447,12 +496,13 @@ class PoolManager:
     ) -> MaintenanceReport:
         """Charged regeneration: top the given shards back up to quota.
 
-        The churn cascade's refill entry point: after invalidated tokens
+        The refill step of :meth:`invalidate`: after invalidated tokens
         are evicted and :meth:`rebuild_quotas` re-derived targets from the
         new degree profile, this launches every affected source's deficit
-        in one batched GET-MORE-WALKS sweep billed to :data:`CHURN_PHASE`.
-        Unlike :meth:`maintain` it does not gate on watermarks — churn is
-        an exogenous event and the affected shards are named by the caller
+        in one batched GET-MORE-WALKS sweep billed to ``phase``.
+        Unlike :meth:`maintain` it does not gate on watermarks — churn and
+        crashes are exogenous events and the affected shards are named by
+        the caller
         — but it shares the same budget-prefix policy, so a
         ``round_budget`` defers the least-urgent shards and leaves their
         deficit visible to admission pricing
@@ -461,18 +511,72 @@ class PoolManager:
         """
         ids = sorted({int(s) for s in shard_ids})
         if not ids:
-            return self._empty_report()
+            return EMPTY_REPORT
         unused = self.shard_unused()
         self._note_scan(unused)
-        report = self._sweep(network, rng, ids, unused, phase=phase, round_budget=round_budget)
-        if report.swept:
-            self.churn_sweeps += 1
-        return report
+        return self._sweep(network, rng, ids, unused, phase=phase, round_budget=round_budget)
 
-    @staticmethod
-    def _empty_report() -> MaintenanceReport:
-        return MaintenanceReport(
-            swept=False, shards_refilled=(), sources_refilled=0, tokens_added=0, rounds=0
+    def invalidate(
+        self,
+        network: Network,
+        rng: np.random.Generator,
+        remap,
+        *,
+        crashed: np.ndarray | None = None,
+        phase: str,
+        round_budget: int | None = None,
+    ) -> Invalidation:
+        """Evict the tokens a topology change broke, then restore the shards they left.
+
+        The pool half of the one invalidation cascade churn and
+        crash/recover share (the topology half is
+        :meth:`~repro.engine.core.WalkEngine._apply_delta`).  ``remap`` is
+        the applied delta's :class:`~repro.dynamic.delta.DeltaRemap`, or
+        ``None`` when the step changed no edge.  ``crashed`` is a crash
+        step's node mask: a crash destroys the tokens *stored at* the
+        node (:meth:`~repro.walks.store.WalkStore.rows_held_at`), whatever
+        their law.
+
+        On a path-recording pool one vectorized scan
+        (:meth:`~repro.walks.store.WalkStore.find_invalid_rows`) finds every
+        token whose recorded walk stepped *from* a node whose sampling law
+        changed, or crossed a deleted edge; tokens that never touched a
+        mutated node keep their law on the new graph and keep serving.  A
+        pathless pool has no hops to scan and evicts everything — correct,
+        just not incremental.  Quotas then re-derive from the new degrees
+        (a crashed, isolated node's ``⌈η·0⌉ = 0`` allocation drops it out of
+        every refill plan), and every shard that lost a token or holds a
+        mutated node is restored in one batched sweep billed to ``phase``
+        under ``round_budget`` (:meth:`restore_shards`).
+        """
+        store = self.store
+        n = self.graph.n
+        scanned = store.total_unused()
+        held = store.rows_held_at(crashed) if crashed is not None else None
+        if self.record_paths:
+            if remap is not None:
+                mutated = np.zeros(n, dtype=bool)
+                mutated[remap.mutated_nodes] = True
+                rows = store.find_invalid_rows(mutated, remap.deleted_edge_keys, n)
+            else:
+                rows = np.empty(0, dtype=np.int64)
+            if held is not None:
+                rows = np.union1d(rows, held)
+        else:
+            rows = store.live_rows()
+        sources = store.evict_rows(rows)
+        self.rebuild_quotas()
+        affected = set(np.unique(sources % self.num_shards).tolist())
+        if remap is not None:
+            affected.update(np.unique(remap.mutated_nodes % self.num_shards).tolist())
+        regen = self.restore_shards(network, rng, affected, phase=phase, round_budget=round_budget)
+        return Invalidation(
+            tokens_scanned=scanned,
+            tokens_evicted=int(sources.size),
+            tokens_lost_at_crashed=int(held.size) if held is not None else 0,
+            full_eviction=not self.record_paths,
+            shards_affected=tuple(sorted(affected)),
+            regen=regen,
         )
 
     def _sweep(
@@ -489,7 +593,7 @@ class PoolManager:
         # ONE deficit scan serves pricing, budget selection, and the sweep.
         sources, counts = self.refill_plan(shard_ids)
         if sources.size == 0:
-            return self._empty_report()
+            return EMPTY_REPORT
         # Drop shards with no deficit (restore_shards may name shards that
         # are already at quota) in one pass over the plan.
         present = set(np.unique(sources % self.num_shards).tolist())
@@ -519,13 +623,13 @@ class PoolManager:
             estimate = self._price(int(counts.sum()))
         rounds = get_more_walks_batch(
             network,
-            self.pool.store,
+            self.store,
             sources,
             counts,
-            self.pool.lam,
+            self.lam,
             rng,
             randomized_lengths=True,
-            record_paths=self.pool.record_paths,
+            record_paths=self.record_paths,
             phase=phase,
         )
         added_per_shard = np.bincount(
@@ -538,7 +642,7 @@ class PoolManager:
             self.shards[s].tokens_added += int(added_per_shard[s])
         # Calibrate the price model: excess rounds over the iteration base,
         # normalized per token launched, folded into the EMA.
-        base = 2 * self.pool.lam - 1
+        base = 2 * self.lam - 1
         tokens_swept = int(counts.sum())
         observed = max(0.0, rounds / base - 1.0) / max(1, tokens_swept)
         self._congestion_per_token = 0.5 * self._congestion_per_token + 0.5 * observed

@@ -9,7 +9,7 @@ that boundary:
 
 * :class:`ServePolicy` — the scheduler's knobs (queue bound, cohort size,
   walk-count packing budget, pipelined-report switch, the per-tick
-  maintenance round budget, default deadline, admission switch).
+  maintenance round budget, default deadline).
 * :class:`WalkTicket` — one submitted request's lifecycle: QUEUED →
   DONE, or REJECTED at admission.  Deadlines are expressed in *simulated
   rounds on the session ledger* — the paper's complexity measure, so "serve
@@ -81,11 +81,6 @@ class ServePolicy:
         then 0 — the whole cohort cost is shared.  Off by default: the
         PR-4 per-request report billing is the documented attribution
         contract and the golden serve ledgers pin it.
-    drr_quantum:
-        Walks added to a tenant's deficit per deficit-round-robin pass,
-        scaled by the tenant's weight.  Larger quanta give coarser-grained
-        fairness (whole bursts per tenant per pass); the default keeps
-        per-pass service near one small request per unit weight.
     maintain_round_budget:
         Per-tick round budget for the deadline-driven maintenance sweep
         (emptiest/most-demanded shard first); ``None`` keeps the PR-3
@@ -94,29 +89,19 @@ class ServePolicy:
         Round budget applied to submissions that do not carry their own
         ``deadline``; ``None`` means no deadline (and admission control then
         has no budget to reject against for that request).
-    admission_control:
-        Master switch for per-shard admission: reject a request whose
-        source's shard sits below watermark and cannot be refilled within
-        the request's round budget.  Off, every submission queues.
-    speculative_prefetch:
-        Warm shards for *queued* work: each tick feeds the source shards
-        of tickets still waiting in the queue into
-        :meth:`~repro.engine.pool.PoolManager.note_demand`, so the
-        deadline-budgeted maintenance sweep refills the shards upcoming
-        cohorts will stitch through before those cohorts run.  Only the
-        refill *ordering* changes — never the amount of work — so with no
-        round budget the knob is a no-op.
+
+    Per-shard admission control and speculative prefetch are always on,
+    and the deficit-round-robin quantum is a fixed
+    :data:`~repro.serve.scheduler.DRR_QUANTUM` walks per unit of tenant
+    weight.
     """
 
     max_queue_depth: int = 256
     max_batch_requests: int = 8
     max_batch_walks: int | None = None
     pipelined_report: bool = False
-    drr_quantum: int = 8
     maintain_round_budget: int | None = None
     default_deadline: int | None = None
-    admission_control: bool = True
-    speculative_prefetch: bool = True
 
 
 @dataclass
@@ -244,7 +229,7 @@ class SchedulerStats:
     serve_refill_rounds: int
     maintain_rounds: int
     rejects_by_reason: dict[str, int] = field(default_factory=dict)
-    #: Shard-demand notes fed to the pool manager by speculative prefetch
+    #: Shard-demand notes fed to the pool by speculative prefetch
     #: (one per queued-but-unserviced ticket source shard per tick).
     prefetch_shards_noted: int = 0
     crashes_seen: int = 0

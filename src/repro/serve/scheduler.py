@@ -8,7 +8,7 @@ and arXiv:1102.2906's lower bound says rounds are the scarce resource to
 schedule against.  Concretely:
 
 * **Admission control** (per shard).  ``submit`` prices the refill of the
-  request's source shards with the pool manager's sweep-cost estimator;
+  request's source shards with the pool's sweep-cost estimator;
   a request whose round budget cannot cover restoring a below-watermark
   shard is rejected *immediately and for free* — rejection is pure
   bookkeeping, no ledger charge, so an overloaded scheduler sheds load
@@ -18,7 +18,7 @@ schedule against.  Concretely:
   tenant).  Each tenant has its own heap ordered by (priority, deadline
   round, submission order), and cohort formation runs **deficit round
   robin** across tenants: each pass grants every backlogged tenant
-  ``weight × drr_quantum`` walks of deficit, and a tenant's head ticket
+  ``weight ×`` :data:`DRR_QUANTUM` walks of deficit, and a tenant's head ticket
   is served once its deficit covers the ticket's walk count.  Under
   saturating load each tenant's share of served walks — and therefore of
   attributed rounds — converges to ``weight / Σ weights``, so a 10× hot
@@ -120,6 +120,10 @@ __all__ = ["WalkScheduler"]
 REASON_QUEUE_FULL = "queue-full"
 REASON_SHARD_BUDGET = "shard-refill-exceeds-budget"
 
+#: Walks of deficit one deficit-round-robin pass grants per unit of tenant
+#: weight: per-pass service stays near one small request per unit weight.
+DRR_QUANTUM = 8
+
 
 @dataclass
 class _CohortEntry:
@@ -191,8 +195,6 @@ class WalkScheduler:
             raise WalkError("max_batch_requests must be >= 1")
         if self.policy.max_batch_walks is not None and self.policy.max_batch_walks < 1:
             raise WalkError("max_batch_walks must be >= 1 (or None for request-count cohorts)")
-        if self.policy.drr_quantum < 1:
-            raise WalkError("drr_quantum must be >= 1")
         self.tenants = tenants if tenants is not None else TenantRegistry()
         engine._scheduler = self
         self.root: int | None = None  # shared-tree root, pinned at first cohort
@@ -333,7 +335,7 @@ class WalkScheduler:
 
         Queue-bound check first, then the per-shard rule: every distinct
         source shard sitting below its watermark must be restorable within
-        the request's round budget at the manager's estimated sweep price
+        the request's round budget at the pool's estimated sweep price
         (:meth:`~repro.engine.pool.PoolManager.estimate_refill_rounds`).  A
         request with no budget (no deadline) skips the shard rule — it has
         nothing to miss.  A cold engine (no pool yet) admits everything:
@@ -341,17 +343,15 @@ class WalkScheduler:
         """
         if self.queue_depth >= self.policy.max_queue_depth:
             return REASON_QUEUE_FULL
-        if not self.policy.admission_control or budget is None:
+        pool = self.engine.pool
+        if budget is None or pool is None:
             return None
-        manager = self.engine.pool_manager
-        if manager is None:
-            return None
-        unused = manager.shard_unused()
-        for shard_id in sorted({manager.shard_of(s) for s in request.sources}):
-            shard = manager.shards[shard_id]
+        unused = pool.shard_unused()
+        for shard_id in sorted({pool.shard_of(s) for s in request.sources}):
+            shard = pool.shards[shard_id]
             if unused[shard_id] >= shard.low_watermark:
                 continue
-            if manager.estimate_refill_rounds([shard_id]) > budget:
+            if pool.estimate_refill_rounds([shard_id]) > budget:
                 return REASON_SHARD_BUDGET
         return None
 
@@ -480,7 +480,7 @@ class WalkScheduler:
         The rotation visits tenants in **registration order**
         (:attr:`~repro.serve.tenants.TenantRegistry.order`) from a cursor
         that persists across cohorts.  Arriving at a backlogged,
-        unthrottled tenant grants it ``weight × drr_quantum`` walks of
+        unthrottled tenant grants it ``weight ×`` :data:`DRR_QUANTUM` walks of
         deficit, and its queue head is taken while the deficit covers the
         head's walk count; the rotation keeps cycling (granting a fresh
         quantum per arrival) until the cohort budget fills or no tenant
@@ -529,7 +529,7 @@ class WalkScheduler:
                 any_eligible = True
                 if not resume:
                     self._deficits[name] = (
-                        self._deficits.get(name, 0.0) + owner.weight * self.policy.drr_quantum
+                        self._deficits.get(name, 0.0) + owner.weight * DRR_QUANTUM
                     )
                 while queue:
                     if request_budget is not None and len(entries) >= request_budget:
@@ -624,18 +624,18 @@ class WalkScheduler:
         and demand expires with the sweep, so a drained queue stops
         steering.
         """
-        manager = self.engine.pool_manager
-        if not self.policy.speculative_prefetch or manager is None or not self._has_queued():
+        pool = self.engine.pool
+        if pool is None or not self._has_queued():
             return
         for name, queue in self._queues.items():
             if not queue:
                 continue
             shards = [
-                manager.shard_of(s)
+                pool.shard_of(s)
                 for _, _, ticket_id in queue
                 for s in self._tickets[ticket_id].request.sources
             ]
-            manager.note_demand(shards, weight=self.tenants.get(name).weight)
+            pool.note_demand(shards, weight=self.tenants.get(name).weight)
             self._prefetch_noted += len(shards)
 
     def drain(self, *, max_ticks: int = 100_000) -> list[WalkTicket]:
@@ -701,7 +701,7 @@ class WalkScheduler:
         )
         if params.use_naive or params.lam >= length_max:
             return
-        self.engine._install_pool(params.lam, params.eta, wants_paths, d_est)
+        self.engine._install_pool(params.lam, params.eta, wants_paths)
 
     def _service_cohort(self, cohort: list[_CohortEntry]) -> int:
         """Serve one cohort as a single merged interleaved batch."""

@@ -244,7 +244,7 @@ class TestChurnCascade:
         assert report.rounds == report.regen_rounds > 0
         assert engine._tree_cache == {}
         # Quotas re-derive from the new degree profile.
-        manager = engine.pool_manager
+        manager = engine.pool
         from repro.walks.short_walks import token_counts
 
         base = token_counts(engine.graph.degrees, engine.pool.eta, degree_proportional=True)
@@ -304,10 +304,10 @@ class TestChurnCascade:
         # A size-sensitive price model (as after observed congestion) makes
         # the budget bite; a fresh EMA prices every sweep at the flat
         # iteration base, where splitting would buy nothing by design.
-        engine.pool_manager._congestion_per_token = 1.0
+        engine.pool._congestion_per_token = 1.0
         report = engine.apply_churn(_safe_delta(torus_8x8, seed=6), round_budget=1)
         assert report.deferred_shards, "budget of 1 round must defer shards"
-        manager = engine.pool_manager
+        manager = engine.pool
         assert manager.outstanding_deficit() > 0
         # The deferred shards' deficit is visible to admission pricing: a
         # request on a deferred below-watermark shard with a tiny budget
@@ -430,7 +430,7 @@ class TestSpeculativePrefetch:
         g = torus_graph(8, 8)
         engine = WalkEngine(g, seed=23, record_paths=False, auto_maintain=False)
         engine.prepare(lam=5)
-        manager = engine.pool_manager
+        manager = engine.pool
         i = 0
         while len(manager.depleted_shards()) < 2 and i < 300:
             engine.walk(i % 64, 256)
@@ -458,9 +458,7 @@ class TestSpeculativePrefetch:
         # prefix; walks shorter than the loop margin (2λ = 10) never touch
         # the pool, so the cohort cannot mask the maintenance decision.
         manager._congestion_per_token = 1.0
-        sched = engine.scheduler(
-            max_batch_requests=1, maintain_round_budget=1, speculative_prefetch=True
-        )
+        sched = engine.scheduler(max_batch_requests=1, maintain_round_budget=1)
         sched.submit([0], 8)
         for _ in range(12):
             sched.submit([source], 8)
@@ -471,22 +469,4 @@ class TestSpeculativePrefetch:
         assert manager.shards[target].refills == 1
         assert all(manager.shards[s].refills == 0 for s in others)
         assert set(others) <= set(report.deferred_shards)
-        sched.drain()
-
-    def test_prefetch_off_notes_nothing(self):
-        engine, manager, depleted = self._depleted_pair()
-        target = manager.maintenance_order(depleted)[-1]
-        source = next(v for v in range(engine.graph.n) if manager.shard_of(v) == target)
-        manager._congestion_per_token = 1.0
-        sched = engine.scheduler(
-            max_batch_requests=1, maintain_round_budget=1, speculative_prefetch=False
-        )
-        sched.submit([0], 8)
-        for _ in range(12):
-            sched.submit([source], 8)
-        sched.tick()
-        # Without prefetch the burst exerts no ordering pressure: the
-        # emptiest shard refills first and the demanded one stays behind.
-        assert sched.stats().prefetch_shards_noted == 0
-        assert manager.shards[target].refills == 0
         sched.drain()

@@ -699,11 +699,28 @@ class TestConsolidation:
 
     def test_engine_refills_survive_pool_reinstall(self):
         engine = WalkEngine(torus_graph(8, 8), seed=5, record_paths=False)
-        engine.walks([0, 9, 21], 256)
+        result = engine.walks([0, 9, 21], 256)
         first = engine.stats().refills
-        assert first == engine.pool.refills
-        engine.prepare(lam=4)  # re-prepare: a fresh pool with refills == 0
-        engine.walks([3, 7], 128)
+        assert first == result.get_more_walks_calls
+        engine.prepare(lam=4)  # re-prepare: a fresh pool
+        second = engine.walks([3, 7], 128)
         total = engine.stats().refills
         assert total >= first  # retired refills are not forgotten
-        assert total == engine.pool.refills + engine._refills_retired
+        assert total == first + second.get_more_walks_calls
+
+    def test_maintenance_sweeps_survive_pool_reinstall(self):
+        # A Prometheus counter must never go backwards: re-preparing the
+        # pool used to reset the sweep count while the token count kept
+        # its session total.
+        engine = WalkEngine(torus_graph(8, 8), seed=5, watermark_fraction=1.0)
+        metrics = MetricsRegistry()
+        engine.attach_observability(metrics=metrics)
+        for source in range(5):
+            engine.walk(source, 256)
+        before = engine.stats()
+        assert before.maintenance_sweeps == 5
+        engine.prepare(length_hint=256)
+        after = engine.stats()
+        assert after.maintenance_sweeps == before.maintenance_sweeps
+        assert after.background_refill_tokens == before.background_refill_tokens
+        assert metrics.get("repro_maintenance_sweeps_total").value() == 5

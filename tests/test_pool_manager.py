@@ -44,7 +44,7 @@ class TestShardPartitioning:
     def test_quotas_sum_to_phase1_allocation(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=1, record_paths=False)
         engine.prepare(length_hint=256)
-        manager = engine.pool_manager
+        manager = engine.pool
         assert manager is not None
         assert sum(s.quota for s in manager.shards) == engine.pool.store.tokens_created
         assert sum(s.num_sources for s in manager.shards) == torus_8x8.n
@@ -54,7 +54,7 @@ class TestShardPartitioning:
     def test_occupancy_views_track_store(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=3, record_paths=False)
         engine.prepare(length_hint=256)
-        manager = engine.pool_manager
+        manager = engine.pool
         assert int(manager.shard_unused().sum()) == engine.pool.unused
         engine.walk(0, 256)
         assert int(manager.shard_unused().sum()) == engine.pool.unused
@@ -64,7 +64,7 @@ class TestShardPartitioning:
     def test_shard_of_is_mod_map(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=1, record_paths=False)
         engine.prepare(length_hint=256)
-        manager = engine.pool_manager
+        manager = engine.pool
         for v in range(torus_8x8.n):
             assert manager.shard_of(v) == v % manager.num_shards
 
@@ -76,7 +76,7 @@ class TestShardPartitioning:
         assert default_num_shards(10_000) == 64  # capped
         engine = WalkEngine(torus_graph(8, 8), seed=1, num_shards=4, record_paths=False)
         engine.prepare(length_hint=256)
-        assert engine.pool_manager.num_shards == 4
+        assert engine.pool.num_shards == 4
 
     def test_manager_rejects_bad_policy(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=1, num_shards=0, record_paths=False)
@@ -106,7 +106,7 @@ class TestBackgroundRefills:
             torus_8x8, seed=7, record_paths=False, auto_maintain=False
         )
         engine.prepare(length_hint=256)
-        manager = engine.pool_manager
+        manager = engine.pool
         # Drain until at least one shard sits below its watermark.
         i = 0
         while not manager.depleted_shards():
@@ -133,7 +133,7 @@ class TestBackgroundRefills:
         # sits below its watermark.
         engine = WalkEngine(torus_8x8, seed=7, record_paths=False, auto_maintain=False)
         engine.prepare(length_hint=256)
-        manager = engine.pool_manager
+        manager = engine.pool
         watermarks = np.array([s.low_watermark for s in manager.shards])
         i = 0
         while (manager.shard_unused() >= watermarks).all():
@@ -168,7 +168,7 @@ class TestMaintenanceTelemetryAndBudget:
     """PR-4 satellites: the EngineStats telemetry gap and the budgeted sweep."""
 
     def _deplete(self, engine, graph, limit=200):
-        manager = engine.pool_manager
+        manager = engine.pool
         i = 0
         while not manager.depleted_shards():
             engine.walk(i % graph.n, 256)
@@ -178,7 +178,7 @@ class TestMaintenanceTelemetryAndBudget:
     def test_stats_expose_per_shard_refills_and_outstanding_deficit(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=7, record_paths=False, auto_maintain=False)
         engine.prepare(length_hint=256)
-        manager = engine.pool_manager
+        manager = engine.pool
         self._deplete(engine, torus_8x8)
         stats = engine.stats()
         assert stats.outstanding_deficit > 0  # a full sweep has work to do
@@ -202,7 +202,7 @@ class TestMaintenanceTelemetryAndBudget:
         assert stats.outstanding_deficit == 0
 
     def _deplete_several(self, engine, g, want=3, limit=300):
-        manager = engine.pool_manager
+        manager = engine.pool
         i = 0
         while len(manager.depleted_shards()) < want:
             engine.walk(i % g.n, 300)
@@ -217,7 +217,7 @@ class TestMaintenanceTelemetryAndBudget:
             g, seed=17, record_paths=False, auto_maintain=False, watermark_fraction=0.9
         )
         engine.prepare(length_hint=300)
-        manager = engine.pool_manager
+        manager = engine.pool
         self._deplete_several(engine, g)
         # Force a strictly size-increasing price so the budget genuinely
         # selects a prefix (with no observed congestion the model prices
@@ -252,7 +252,7 @@ class TestMaintenanceTelemetryAndBudget:
             g, seed=17, record_paths=False, auto_maintain=False, watermark_fraction=0.9
         )
         engine.prepare(length_hint=300)
-        manager = engine.pool_manager
+        manager = engine.pool
         self._deplete_several(engine, g)
         assert manager._congestion_per_token == 0.0
         depleted = manager.depleted_shards()
@@ -264,7 +264,7 @@ class TestMaintenanceTelemetryAndBudget:
     def test_budget_covering_estimate_sweeps_everything(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=7, record_paths=False, auto_maintain=False)
         engine.prepare(length_hint=256)
-        manager = engine.pool_manager
+        manager = engine.pool
         self._deplete(engine, torus_8x8)
         depleted = manager.depleted_shards()
         budget = manager.estimate_refill_rounds(depleted)
@@ -275,7 +275,7 @@ class TestMaintenanceTelemetryAndBudget:
     def test_estimate_refill_rounds_is_free_and_sane(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=7, record_paths=False, auto_maintain=False)
         engine.prepare(length_hint=256)
-        manager = engine.pool_manager
+        manager = engine.pool
         assert manager.estimate_refill_rounds(list(range(manager.num_shards))) == 0
         self._deplete(engine, torus_8x8)
         rounds_before = engine.network.rounds
@@ -310,7 +310,7 @@ class TestAdversarialFairness:
         assert stats.full_preparations == 1  # never re-prepared under attack
         assert stats.maintenance_sweeps > 0
         assert stats.shards_below_watermark == 0
-        manager = engine.pool_manager
+        manager = engine.pool
         unused = manager.shard_unused()
         for shard in manager.shards:
             assert unused[shard.shard_id] >= shard.low_watermark, (

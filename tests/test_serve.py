@@ -47,7 +47,7 @@ from repro.util.stats import chi_square_goodness_of_fit
 
 def _drain_until_depleted(engine, graph, length=256, limit=200):
     """Issue pooled walks (no auto-maintain) until some shard is depleted."""
-    manager = engine.pool_manager
+    manager = engine.pool
     i = 0
     while not manager.depleted_shards():
         engine.walk(i % graph.n, length)
@@ -63,8 +63,8 @@ class TestSubmitAndAdmission:
         engine.prepare(length_hint=256)
         sched = engine.scheduler()
         _drain_until_depleted(engine, torus_8x8)
-        shard = engine.pool_manager.depleted_shards()[0]
-        est = engine.pool_manager.estimate_refill_rounds([shard])
+        shard = engine.pool.depleted_shards()[0]
+        est = engine.pool.estimate_refill_rounds([shard])
         assert est > 1
         rounds_before = engine.network.rounds
         ticket = sched.submit(shard, 256, deadline=1)  # source in the shard (mod map)
@@ -202,7 +202,7 @@ class TestNoStarvation:
                 if h.ticket_id > c.ticket_id:
                     assert h.serviced_tick >= c.serviced_tick
         # The shared pool survived the attack at watermark everywhere.
-        manager = engine.pool_manager
+        manager = engine.pool
         unused = manager.shard_unused()
         for shard in manager.shards:
             assert unused[shard.shard_id] >= shard.low_watermark
