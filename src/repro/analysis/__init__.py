@@ -18,6 +18,7 @@ from repro.analysis.core import (
 )
 from repro.analysis.rules import (
     BareAssertRule,
+    BareUniqueRule,
     BulkOnlyRule,
     CaptureBalanceRule,
     DeadImportRule,
@@ -37,6 +38,7 @@ __all__ = [
     "attr_chain",
     "iter_python_files",
     "BareAssertRule",
+    "BareUniqueRule",
     "BulkOnlyRule",
     "CaptureBalanceRule",
     "DeadImportRule",

@@ -41,6 +41,10 @@ protocol's accounting discipline becomes a checkable property of the
     No ``assert`` statement inside ``src/repro``: ``python -O`` strips
     them, so an invariant guarded by one silently stops being checked.
     Raise a :class:`~repro.errors.ReproError` subclass instead.
+``bare-unique``
+    No ``np.unique`` call inside ``src/repro`` that asks for no index,
+    inverse or counts: on numpy 2.x that form takes a hash path far slower
+    than sorting.  Use :func:`repro.util.arrays.sorted_unique`.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from repro.congest.phases import is_registered
 
 __all__ = [
     "BareAssertRule",
+    "BareUniqueRule",
     "BulkOnlyRule",
     "CaptureBalanceRule",
     "DeadImportRule",
@@ -710,6 +715,48 @@ class BareAssertRule(Rule):
         ]
 
 
+class BareUniqueRule(Rule):
+    """``np.unique`` must ask for an index, inverse or counts."""
+
+    name = "bare-unique"
+    description = (
+        "no bare np.unique(x) in src/repro — numpy 2.x hashes it, far slower "
+        "than sorting; use repro.util.arrays.sorted_unique"
+    )
+
+    #: ``np.unique``'s flags, in positional order after the array.
+    FLAGS = ("return_index", "return_inverse", "return_counts")
+
+    def check(self, src: SourceFile, *, root: Path) -> list[Finding]:
+        if not _in_production_tree(src.path):
+            return []
+        spellings = {"np.unique", "numpy.unique"}
+        for node in ast.walk(src.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                spellings.update(a.asname or a.name for a in node.names if a.name == "unique")
+        return [
+            self.finding(
+                src,
+                node,
+                "bare np.unique() takes numpy's slow hash path: use "
+                "repro.util.arrays.sorted_unique",
+            )
+            for node in ast.walk(src.tree)
+            if isinstance(node, ast.Call)
+            and attr_chain(node.func) in spellings
+            and not self._asks_for_more(node)
+        ]
+
+    def _asks_for_more(self, call: ast.Call) -> bool:
+        """Whether the call may request an index, inverse or counts."""
+        flags = list(call.args[1:4]) + [
+            kw.value for kw in call.keywords if kw.arg in self.FLAGS or kw.arg is None
+        ]
+        return any(
+            not (isinstance(flag, ast.Constant) and not flag.value) for flag in flags
+        )
+
+
 def default_rules() -> list[Rule]:
     """Fresh instances of every rule, in reporting order."""
     return [
@@ -721,4 +768,5 @@ def default_rules() -> list[Rule]:
         DeadImportRule(),
         ObsPassivityRule(),
         BareAssertRule(),
+        BareUniqueRule(),
     ]

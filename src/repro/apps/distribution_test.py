@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import GraphError
+from repro.util.arrays import sorted_unique
 
 __all__ = ["TesterVerdict", "BucketingIdentityTester", "recommended_sample_count"]
 
@@ -97,7 +98,7 @@ class BucketingIdentityTester:
             raw = np.floor(-np.log(np.where(ref > 0, ref, 1.0)) / math.log(bucket_ratio))
         self.bucket_of = np.where(ref > 0, raw, -1).astype(np.int64)
         self.bucket_mass: dict[int, float] = {}
-        for b in np.unique(self.bucket_of):
+        for b in sorted_unique(self.bucket_of):
             self.bucket_mass[int(b)] = float(ref[self.bucket_of == b].sum())
         self.ref_l2_sq = float(np.sum(ref * ref))
 

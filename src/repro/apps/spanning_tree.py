@@ -37,6 +37,7 @@ from repro.engine.model import ResultBase
 from repro.errors import ConvergenceError, GraphError, WalkError
 from repro.graphs.graph import Graph
 from repro.graphs.spanning import TreeKey, canonical_tree
+from repro.util.arrays import sorted_unique
 from repro.util.rng import make_rng
 from repro.walks.many_walks import many_random_walks
 
@@ -87,7 +88,7 @@ def _cover_check(
     k = len(trajectories)
     visited = np.zeros((n, k), dtype=bool)
     for j, traj in enumerate(trajectories):
-        visited[np.unique(traj), j] = True
+        visited[sorted_unique(traj), j] = True
     values = [tuple(bool(b) for b in visited[v]) for v in range(n)]
     combined = charged_convergecast(
         network,

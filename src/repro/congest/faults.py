@@ -51,6 +51,7 @@ from repro.congest.network import Network
 from repro.congest.protocol import Protocol, ProtocolAPI
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
+from repro.util.arrays import sorted_unique
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -135,7 +136,7 @@ def _live_graph_connected(graph: Graph, dead: np.ndarray) -> bool:
         slots = np.repeat(starts - offsets, counts) + np.arange(width)
         targets = graph.csr_target[slots]
         targets = targets[live[targets]]
-        fresh = np.unique(targets[~visited[targets]])
+        fresh = sorted_unique(targets[~visited[targets]])
         visited[fresh] = True
         reached += int(fresh.size)
         frontier = fresh

@@ -31,6 +31,7 @@ from repro.congest.network import Network
 from repro.congest.protocol import Protocol, ProtocolAPI
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
+from repro.util.arrays import sorted_unique
 from repro.util.contracts import charged_fast_path
 
 __all__ = [
@@ -50,7 +51,9 @@ class BfsTree:
     """A rooted BFS tree produced by the flood protocol.
 
     ``parent[root] == root``; ``depth`` is hop distance from the root;
-    ``height`` is the eccentricity of the root (max depth).
+    ``height`` is the eccentricity of the root (max depth).  A tree is
+    never mutated after construction, so ``height`` and ``n`` are computed
+    once, here.
     """
 
     root: int
@@ -59,21 +62,21 @@ class BfsTree:
     children: list[list[int]] = field(repr=False)
     build_rounds: int = 0
     build_messages: int = 0
+    height: int = field(init=False)
+    n: int = field(init=False)
 
-    @property
-    def height(self) -> int:
-        return max(self.depth)
-
-    @property
-    def n(self) -> int:
-        return len(self.parent)
+    def __post_init__(self) -> None:
+        self.height = max(self.depth)
+        self.n = len(self.parent)
 
     def path_to_root(self, node: int) -> list[int]:
         """Tree path ``node -> ... -> root`` (inclusive both ends)."""
+        parent, root, limit = self.parent, self.root, self.n
         path = [node]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
-            if len(path) > self.n:
+        while node != root:
+            node = parent[node]
+            path.append(node)
+            if len(path) > limit:
                 raise ProtocolError("parent pointers contain a cycle")
         return path
 
@@ -193,7 +196,7 @@ def _flood_cost(graph: Graph, root: int, depth: np.ndarray) -> tuple[int, int]:
     """
     n = graph.n
     non_loop = graph.csr_source != graph.csr_target
-    pair_keys = np.unique(graph.csr_source[non_loop] * n + graph.csr_target[non_loop])
+    pair_keys = sorted_unique(graph.csr_source[non_loop] * n + graph.csr_target[non_loop])
     distinct = np.bincount(pair_keys // n, minlength=n)
     sends = distinct - 1  # every non-root node skips its parent...
     sends[root] = distinct[root]  # ...the root skips only itself
@@ -223,7 +226,7 @@ def _stage_flood(network: Network, tree: BfsTree) -> None:
     if cached is None:
         n = graph.n
         non_loop = graph.csr_source != graph.csr_target
-        pair_keys = np.unique(
+        pair_keys = sorted_unique(
             graph.csr_source[non_loop].astype(np.int64) * n + graph.csr_target[non_loop]
         )
         src = pair_keys // n

@@ -29,6 +29,7 @@ from repro.dynamic.delta import GraphDelta
 from repro.errors import WalkError
 from repro.graphs.graph import Graph
 from repro.serve.workload import TrafficSpec, sample_request_args
+from repro.util.arrays import sorted_unique
 
 __all__ = ["ChurnSpec", "run_churn_loop", "sample_churn_delta"]
 
@@ -73,7 +74,7 @@ def _connected_under_removal(scratch: Graph, removed: np.ndarray) -> bool:
         slots = np.repeat(starts - offsets, counts) + np.arange(total)
         slots = slots[~removed[scratch.csr_edge[slots]]]
         targets = scratch.csr_target[slots]
-        fresh = np.unique(targets[~visited[targets]])
+        fresh = sorted_unique(targets[~visited[targets]])
         visited[fresh] = True
         reached += int(fresh.size)
         frontier = fresh

@@ -54,6 +54,7 @@ import numpy as np
 from repro.congest.network import Network
 from repro.congest.phases import POOL_REFILL_CHURN, POOL_REFILL_MAINTAIN
 from repro.errors import WalkError
+from repro.util.arrays import sorted_unique
 from repro.walks.get_more_walks import get_more_walks_batch
 from repro.walks.short_walks import token_counts
 from repro.walks.store import WalkStore
@@ -209,9 +210,10 @@ class PoolManager:
         self.graph = graph
         self.num_shards = int(min(num_shards, n))
         self.watermark_fraction = float(watermark_fraction)
-        members = np.bincount(
-            np.arange(n, dtype=np.int64) % self.num_shards, minlength=self.num_shards
-        )
+        # Shard of every node, cached: occupancy scans bin the store's
+        # dense per-source counts through it.
+        self._shard_ids = np.arange(n, dtype=np.int64) % self.num_shards
+        members = np.bincount(self._shard_ids, minlength=self.num_shards)
         # Quotas and watermarks come from rebuild_quotas below — ONE home
         # for the allocation math, shared with the churn cascade.
         self.shards = [
@@ -254,13 +256,16 @@ class PoolManager:
         return int(source) % self.num_shards
 
     def shard_unused(self) -> np.ndarray:
-        """Unused-token count per shard, from the store's columnar counts."""
-        sources, counts = self.store.source_count_arrays()
+        """Unused-token count per shard: one ``bincount`` of the store's dense per-source counts."""
+        counts = self._source_counts()
         return np.bincount(
-            sources % self.num_shards,
-            weights=counts.astype(np.float64),
-            minlength=self.num_shards,
+            self._shard_ids, weights=counts, minlength=self.num_shards
         ).astype(np.int64)
+
+    def _source_counts(self) -> np.ndarray:
+        """Unused tokens per node, length ``n`` (nodes never added as a source hold 0)."""
+        counts, n = self.store.source_count_arrays()[1], self.graph.n
+        return counts if counts.size == n else np.pad(counts[:n], (0, n - min(n, counts.size)))
 
     def depleted_shards(self) -> list[int]:
         """Shards below their low watermark; a pure read (only sweeps refresh the scan cache)."""
@@ -307,11 +312,9 @@ class PoolManager:
         retired-token early-out is reset: watermarks just changed, so the
         cached margins are stale.
         """
-        n = self.graph.n
         self.base_counts = token_counts(self.graph.degrees, self.eta, degree_proportional=True)
-        shard_ids = np.arange(n, dtype=np.int64) % self.num_shards
         quotas = np.bincount(
-            shard_ids, weights=self.base_counts.astype(np.float64), minlength=self.num_shards
+            self._shard_ids, weights=self.base_counts, minlength=self.num_shards
         ).astype(np.int64)
         for shard in self.shards:
             shard.quota = int(quotas[shard.shard_id])
@@ -373,12 +376,9 @@ class PoolManager:
         """
         if not shard_ids:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        n = self.graph.n
-        current = np.zeros(n, dtype=np.int64)
-        src, cnt = self.store.source_count_arrays()
-        current[src] = cnt
-        member = np.isin(np.arange(n, dtype=np.int64) % self.num_shards, shard_ids)
-        deficit = np.where(member, self.base_counts - current, 0)
+        member = np.zeros(self.num_shards, dtype=bool)
+        member[shard_ids] = True
+        deficit = np.where(member[self._shard_ids], self.base_counts - self._source_counts(), 0)
         needy = np.nonzero(deficit > 0)[0]
         return needy, deficit[needy]
 
@@ -566,9 +566,9 @@ class PoolManager:
             rows = store.live_rows()
         sources = store.evict_rows(rows)
         self.rebuild_quotas()
-        affected = set(np.unique(sources % self.num_shards).tolist())
+        affected = set(sorted_unique(sources % self.num_shards).tolist())
         if remap is not None:
-            affected.update(np.unique(remap.mutated_nodes % self.num_shards).tolist())
+            affected.update(sorted_unique(remap.mutated_nodes % self.num_shards).tolist())
         regen = self.restore_shards(network, rng, affected, phase=phase, round_budget=round_budget)
         return Invalidation(
             tokens_scanned=scanned,
@@ -596,7 +596,7 @@ class PoolManager:
             return EMPTY_REPORT
         # Drop shards with no deficit (restore_shards may name shards that
         # are already at quota) in one pass over the plan.
-        present = set(np.unique(sources % self.num_shards).tolist())
+        present = set(sorted_unique(sources % self.num_shards).tolist())
         shard_ids = [s for s in shard_ids if s in present]
         deferred: tuple[int, ...] = ()
         estimate = self._price(int(counts.sum()))

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
+from repro.util.arrays import sorted_unique
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -226,7 +227,7 @@ def random_regular_graph(n: int, d: int, rng=None, *, max_tries: int = 500) -> G
             continue
         canon = np.sort(pairs, axis=1)
         keys = canon[:, 0] * n + canon[:, 1]
-        if len(np.unique(keys)) != len(keys):
+        if len(sorted_unique(keys)) != len(keys):
             continue
         g = Graph(n, [tuple(map(int, e)) for e in canon], name=f"random_regular(n={n},d={d})")
         if is_connected(g):

@@ -180,8 +180,9 @@ class HeatmapSink:
         crossing slot ``s`` in the imminent charge; ``total`` and
         ``congestion`` optionally carry ``counts.sum()`` / ``counts.max()``
         when the call site already computed them.  This is the zero-copy
-        fast path for ``deliver_step``, whose per-slot ``bincount`` *is*
-        this vector — settlement adds it column-wise instead of scattering
+        fast path for ``deliver_step``'s large batches, whose per-slot
+        ``bincount`` *is* this vector (small batches stage only their
+        touched slots, through :meth:`stage_edges`) — settlement adds it column-wise instead of scattering
         through ``ufunc.at``, and a congestion-1 batch skips the per-slot
         maximum entirely (a unit load only lifts touched slots to 1, which
         the message column already proves — see ``_cmax_floor``).  Same

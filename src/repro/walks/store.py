@@ -31,12 +31,29 @@ Phase 1, which is the paper's hot path.
 
 Lookups by source go through a lazily built per-source holder index
 (``source -> holder -> [row, ...]``), making :meth:`holders_for_source` and
-:meth:`tokens_at` O(#tokens of that source) instead of a scan over every
-``(holder, source)`` bucket in the network.  Bucket and holder iteration
-order deliberately reproduces the legacy per-object store: tokens in
-creation order within a bucket, holders in order of their first token — so
-RNG-driven consumers (SAMPLE-DESTINATION's reservoir merge) draw the exact
-same stream as before the columnar rewrite.
+:meth:`tokens_at` O(#tokens of that source).  Building one source's entry
+costs only that source's rows: every add keeps its rows stably sorted by
+source (a *run*: the add's distinct sources, their offsets, and the grouped
+rows), so a build is one binary search per run plus a slice.  Small runs
+merge stably with their predecessor (each merge drops retired rows), and a
+run whose rows are all retired leaves the search, so the number of runs
+stays logarithmic over a long session.  Per-source unused counts are a
+dense array indexed by source.
+
+Order rule — the orders RNG-driven consumers (SAMPLE-DESTINATION's
+reservoir merge, :meth:`sample_uniform_token`) draw through:
+
+* within a holder's bucket, tokens are in creation (row) order;
+* a source's holder order is computed at its first read or removal —
+  holders ordered by their first *live* row — and then frozen;
+* later adds append: a new holder goes to the end, a new token to the end
+  of its bucket;
+* a holder whose bucket empties leaves the order and re-enters at the end;
+* :meth:`evict_rows` forgets the order of every source it touches; the next
+  read recomputes it from the live rows.
+
+This reproduces the legacy per-object store, so fixed seeds replay the
+exact same stream as before the columnar rewrite.
 
 The store never touches the round ledger; moving its information around is
 the algorithms' job.
@@ -44,6 +61,7 @@ the algorithms' job.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -54,6 +72,42 @@ from repro.errors import WalkError
 __all__ = ["TokenRecord", "WalkStore"]
 
 _INITIAL_CAPACITY = 64
+
+
+class _Run:
+    """The rows of one add (or of merged adds), grouped stably by source.
+
+    ``keys`` holds the distinct sources ascending; source ``keys[j]`` owns
+    ``rows[ptr[j]:ptr[j + 1]]``, in ascending row order.  ``start`` is the
+    first row the run covers and ``live`` how many of its rows are unused.
+    """
+
+    __slots__ = ("start", "keys", "ptr", "rows", "live", "lo", "hi")
+
+    def __init__(self, start: int, rows: np.ndarray, sources: np.ndarray) -> None:
+        # ``rows`` lists each source's rows in ascending order; a stable
+        # sort by source keeps them so.  Bulk adds arrive source-sorted.
+        if sources.size > 1 and not (sources[1:] >= sources[:-1]).all():
+            order = np.argsort(sources, kind="stable")
+            rows, sources = rows[order], sources[order]
+        first = np.flatnonzero(np.concatenate(([True], sources[1:] != sources[:-1])))
+        self.start = start
+        self.live = int(rows.size)
+        self.rows = rows
+        self.keys = sources[first]
+        self.ptr = np.append(first, sources.size)
+        self.lo = int(self.keys[0])
+        self.hi = int(self.keys[-1])
+
+    def rows_of(self, source: int) -> np.ndarray | None:
+        """``source``'s rows in this run, ascending; ``None`` when it has none."""
+        if not self.lo <= source <= self.hi:
+            return None
+        keys = self.keys
+        j = int(keys.searchsorted(source))
+        if keys[j] != source:
+            return None
+        return self.rows[self.ptr[j] : self.ptr[j + 1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +171,16 @@ class WalkStore:
         # tokens rather than growing for the store's lifetime.
         self._path_batches: list[np.ndarray | None] = []
         self._batch_live: list[int] = []
-        # source -> holder -> [row, ...]; built lazily per source, then
-        # maintained incrementally.  Holder keys keep first-token order.
+        # source -> holder -> [row, ...]; built lazily per source from the
+        # runs, then maintained incrementally (see the module's order rule).
         self._index: dict[int, dict[int, list[int]]] = {}
-        self._count_by_source: dict[int, int] = {}
+        self._runs: list[_Run] = []
+        self._run_starts: list[int] = []  # parallel to _runs, ascending
+        # Dense per-source state over source ids [0, _span): unused counts,
+        # and whether the source has an entry in _index.
+        self._span = 0
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._indexed = np.zeros(0, dtype=bool)
         self._next_token_id = 0
         self.tokens_created = 0
         self.tokens_consumed = 0
@@ -148,6 +208,51 @@ class WalkStore:
             new = np.empty(cap, dtype=old.dtype)
             new[: self._size] = old[: self._size]
             setattr(self, name, new)
+
+    def _grow_sources(self, span: int) -> None:
+        """Extend the dense per-source arrays to cover source ids below ``span``."""
+        if span <= self._span:
+            return
+        if span > self._counts.size:
+            cap = max(span, 2 * self._counts.size)
+            counts = np.zeros(cap, dtype=np.int64)
+            counts[: self._span] = self._counts[: self._span]
+            indexed = np.zeros(cap, dtype=bool)
+            indexed[: self._span] = self._indexed[: self._span]
+            self._counts, self._indexed = counts, indexed
+        self._span = span
+
+    def _push_run(self, run: _Run) -> None:
+        """Append an add's run; merge small runs stably into their predecessor.
+
+        A run merges while its predecessor is at most twice its size, so
+        run sizes fall geometrically and a lookup searches O(log rows) runs.
+        Merging keeps only live rows, and the stable sort keeps each
+        source's rows ascending (every row of the older run precedes every
+        row of the newer one).
+        """
+        runs, starts = self._runs, self._run_starts
+        runs.append(run)
+        starts.append(run.start)
+        while len(runs) > 1 and runs[-2].rows.size <= 2 * runs[-1].rows.size:
+            newer = runs.pop()
+            starts.pop()
+            older = runs[-1]
+            rows = np.concatenate((older.rows, newer.rows))
+            rows = rows[self._alive[rows]]
+            if rows.size:
+                runs[-1] = _Run(older.start, rows, self._src[rows])
+            else:
+                runs.pop()
+                starts.pop()
+
+    def _run_lost(self, j: int, rows: int) -> None:
+        """Run ``j`` lost ``rows`` live rows; once it has none it leaves the search."""
+        run = self._runs[j]
+        run.live -= rows
+        if run.live == 0:
+            del self._runs[j]
+            del self._run_starts[j]
 
     def add_batch(
         self,
@@ -178,6 +283,8 @@ class WalkStore:
             return np.empty(0, dtype=np.int64)
         if np.any(lng < 0):
             raise WalkError("token lengths must be >= 0")
+        if np.any(src < 0):
+            raise WalkError("token sources must be >= 0")
         if paths is not None:
             if paths.ndim != 2 or paths.shape[0] != total:
                 raise WalkError(f"paths must be (total, width), got {paths.shape}")
@@ -207,19 +314,23 @@ class WalkStore:
         self._next_token_id += total
         self.tokens_created += total
 
-        uniq, counts = np.unique(src, return_counts=True)
-        get = self._count_by_source.get
-        for s, c in zip(uniq.tolist(), counts.tolist()):
-            self._count_by_source[s] = get(s, 0) + c
-            if s in self._index:
-                # Source already indexed: splice the new rows in add order.
-                buckets = self._index[s]
-                for off in np.nonzero(src == s)[0].tolist():
-                    buckets.setdefault(int(dst[off]), []).append(base + off)
+        run = _Run(base, np.arange(base, base + total, dtype=np.int64), src)
+        keys, ptr = run.keys, run.ptr
+        self._grow_sources(run.hi + 1)
+        self._counts[keys] += np.diff(ptr)
+        for j in np.flatnonzero(self._indexed[keys]).tolist():
+            # Source already indexed: splice the new rows in add order.
+            buckets = self._index[int(keys[j])]
+            added = run.rows[ptr[j] : ptr[j + 1]]
+            for row, holder in zip(added.tolist(), self._dst[added].tolist()):
+                buckets.setdefault(holder, []).append(row)
+        self._push_run(run)
         return ids
 
     def add(self, record: TokenRecord) -> None:
         """Add one token (API edge; bulk producers use :meth:`add_batch`)."""
+        if record.source < 0:
+            raise WalkError("token sources must be >= 0")
         base = self._size
         self._grow_to(base + 1)
         self._ids[base] = record.token_id
@@ -238,9 +349,13 @@ class WalkStore:
             self._path_batch[base] = -1
             self._path_row[base] = -1
         self._size = base + 1
-        self._count_by_source[record.source] = self._count_by_source.get(record.source, 0) + 1
+        self._grow_sources(record.source + 1)
+        self._counts[record.source] += 1
         if record.source in self._index:
             self._index[record.source].setdefault(record.destination, []).append(base)
+        self._push_run(
+            _Run(base, np.array([base], dtype=np.int64), np.array([record.source], dtype=np.int64))
+        )
         self.tokens_created += 1
 
     def remove(self, record: TokenRecord) -> None:
@@ -254,13 +369,14 @@ class WalkStore:
                     if not bucket:
                         del buckets[record.destination]
                     self._alive[row] = False
-                    self._count_by_source[record.source] -= 1
+                    self._counts[record.source] -= 1
                     self.tokens_consumed += 1
                     batch = int(self._path_batch[row])
                     if batch >= 0:
                         self._batch_live[batch] -= 1
                         if self._batch_live[batch] == 0:
                             self._path_batches[batch] = None  # free the matrix
+                    self._run_lost(bisect_right(self._run_starts, row) - 1, 1)
                     return
         raise WalkError(f"token {record.token_id} not stored at node {record.destination}")
 
@@ -268,15 +384,25 @@ class WalkStore:
     # Index maintenance / materialization
     # ------------------------------------------------------------------
     def _ensure_index(self, source: int) -> dict[int, list[int]]:
+        """``source``'s holder buckets, built from its runs on first use.
+
+        The runs yield the source's rows in ascending order, so holders
+        come out ordered by their first live row.  A source never added
+        has no rows and gets no entry.
+        """
         buckets = self._index.get(source)
         if buckets is None:
-            live = np.nonzero(
-                (self._src[: self._size] == source) & self._alive[: self._size]
-            )[0]
             buckets = {}
-            for row, holder in zip(live.tolist(), self._dst[live].tolist()):
-                buckets.setdefault(holder, []).append(row)
+            if not 0 <= source < self._span:
+                return buckets
+            parts = [rows for run in self._runs if (rows := run.rows_of(source)) is not None]
+            if parts:
+                rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                rows = rows[self._alive[rows]]
+                for row, holder in zip(rows.tolist(), self._dst[rows].tolist()):
+                    buckets.setdefault(holder, []).append(row)
             self._index[source] = buckets
+            self._indexed[source] = True
         return buckets
 
     def _materialize(self, row: int) -> TokenRecord:
@@ -315,20 +441,18 @@ class WalkStore:
 
     def count_for_source(self, source: int) -> int:
         """Total unused tokens of ``source`` anywhere in the network."""
-        return self._count_by_source.get(source, 0)
+        return int(self._counts[source]) if 0 <= source < self._span else 0
 
     def source_count_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Parallel ``(sources, unused_counts)`` arrays over every source.
+        """Parallel ``(sources, unused_counts)`` arrays over every source id.
 
-        The aggregate occupancy view shard managers bin into per-shard
-        totals (``np.bincount(sources % num_shards, weights=counts)``);
-        sources whose pool has fully drained report count 0 rather than
-        disappearing, so deficit computations see them.
+        ``sources`` is ``0, 1, ...`` up to the largest source ever added, so
+        ``unused_counts`` is indexable by source id (drained and never-added
+        ids report 0; ids past its end hold no tokens).  Both are fresh
+        copies: O(largest source), however few tokens are live.
         """
-        k = len(self._count_by_source)
-        sources = np.fromiter(self._count_by_source.keys(), dtype=np.int64, count=k)
-        counts = np.fromiter(self._count_by_source.values(), dtype=np.int64, count=k)
-        return sources, counts
+        counts = self._counts[: self._span].copy()
+        return np.arange(counts.size, dtype=np.int64), counts
 
     def sample_uniform_token(self, source: int, rng: np.random.Generator) -> TokenRecord | None:
         """Pop one token of ``source``, uniform over all its unused tokens.
@@ -342,7 +466,7 @@ class WalkStore:
         returns ``None`` when the source has no unused tokens.
         """
         buckets = self._ensure_index(source)
-        total = self._count_by_source.get(source, 0)
+        total = self.count_for_source(source)
         if total <= 0:
             return None
         pick = int(rng.integers(0, total))
@@ -357,10 +481,13 @@ class WalkStore:
     def holders_for_source(self, source: int) -> dict[int, int]:
         """Map holder-node -> number of unused tokens of ``source`` there.
 
-        Holder order is the order each holder first received a token of
-        ``source`` (re-insertion after a bucket empties moves the holder to
-        the end) — the same order the legacy bucket store produced, which
-        keeps RNG-consuming sweeps reproducible across store layouts.
+        Holder order follows the module's order rule: computed at the
+        source's first read or removal (holders by their first live row),
+        then frozen; later adds append new holders at the end, a holder
+        whose bucket empties re-enters at the end, and :meth:`evict_rows`
+        forgets the order so the next read recomputes it.  This is the
+        order the legacy bucket store produced, which keeps RNG-consuming
+        sweeps reproducible across store layouts.
         """
         return {holder: len(bucket) for holder, bucket in self._ensure_index(source).items()}
 
@@ -458,7 +585,8 @@ class WalkStore:
         ``tokens_evicted`` (not ``tokens_consumed`` — these tokens served
         nothing), shared path matrices are freed once their last reference
         dies, and each affected source's holder index is dropped wholesale
-        to rebuild lazily (bulk eviction would shred it entry by entry).
+        (bulk eviction would shred it entry by entry), frozen holder order
+        included: the next read rebuilds it from the live rows.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
@@ -467,9 +595,15 @@ class WalkStore:
             raise WalkError("evict_rows called on a token that is not live")
         self._alive[rows] = False
         sources = self._src[rows].copy()
-        for s, c in zip(*np.unique(sources, return_counts=True)):
-            self._count_by_source[int(s)] -= int(c)
-            self._index.pop(int(s), None)
+        touched, counts = np.unique(sources, return_counts=True)
+        self._counts[touched] -= counts
+        for s in touched[self._indexed[touched]].tolist():
+            del self._index[s]
+        self._indexed[touched] = False
+        at = np.searchsorted(np.asarray(self._run_starts), rows, side="right") - 1
+        lost = np.bincount(at, minlength=len(self._runs))
+        for j in np.flatnonzero(lost)[::-1].tolist():  # descending: deletes keep lower indices
+            self._run_lost(j, int(lost[j]))
         batches = self._path_batch[rows]
         batches = batches[batches >= 0]
         for b, c in zip(*np.unique(batches, return_counts=True)):

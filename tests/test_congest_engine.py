@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.congest import Message, Network, Protocol
+from repro.congest.network import _counts_touched_slots
 from repro.errors import ProtocolError
 from repro.graphs import cycle_graph, path_graph, star_graph
+from repro.obs import HeatmapSink, Probe
 
 
 class TestDeliverStep:
@@ -61,6 +64,73 @@ class TestDeliverStep:
         net = Network(path_graph(3), max_words=2)
         with pytest.raises(ProtocolError):
             net.deliver_step([0], words=3)
+
+
+class TestDeliverStepCountingPaths:
+    """``deliver_step`` counts small batches on large graphs over the touched
+    slots and the rest with a dense ``bincount``; both must charge and stage
+    exactly what a plain ``bincount`` reference does."""
+
+    GRAPH = cycle_graph(20_000)  # 40,000 slots
+
+    def batches(self) -> list[np.ndarray]:
+        rng = np.random.default_rng(0)
+        n_slots = self.GRAPH.n_slots
+        cut = next(m for m in range(1, n_slots) if not _counts_touched_slots(m, n_slots))
+        sizes = [1, 2, cut - 1, cut, cut + 1, 4 * cut, 3 * n_slots]
+        sizes += rng.integers(1, 2 * cut, size=6).tolist()
+        out = []
+        for size in sizes:
+            # Draw from a few hot slots now and then, so loads exceed 1.
+            pool = n_slots if rng.random() < 0.5 else int(rng.integers(1, 8))
+            out.append(rng.integers(0, pool, size=size))
+        return out
+
+    @pytest.mark.parametrize("aggregate", [False, True])
+    @pytest.mark.parametrize("capacity", [1, 2])
+    @pytest.mark.parametrize("with_heatmap", [False, True])
+    def test_matches_plain_bincount_reference(self, aggregate, capacity, with_heatmap):
+        graph = self.GRAPH
+        n_slots = graph.n_slots
+        batches = self.batches()
+        assert {_counts_touched_slots(b.size, n_slots) for b in batches} == {True, False}
+        net = Network(graph, capacity=capacity)
+        heatmap = None
+        if with_heatmap:
+            heatmap = HeatmapSink()
+            heatmap.bind_topology(graph.n, graph.csr_source, graph.csr_target)
+            probe = Probe(heatmap=heatmap)
+            net.ledger.observer = probe
+            probe.attached(net.ledger)
+            net.heatmap = heatmap
+        per_slot = np.zeros(n_slots, dtype=np.int64)
+        per_slot_max = np.zeros(n_slots, dtype=np.int64)
+        rounds = messages = congestion = 0
+        for batch in batches:
+            counts = np.bincount(batch, minlength=n_slots)
+            if aggregate:
+                counts = np.minimum(counts, 1)
+                want_congestion = 1
+            else:
+                want_congestion = int(counts.max())
+            want_rounds = max(1, -(-want_congestion // capacity))
+            assert net.deliver_step(batch, aggregate=aggregate) == want_rounds
+            rounds += want_rounds
+            messages += int(counts.sum())
+            congestion = max(congestion, want_congestion)
+            assert (net.ledger.rounds, net.ledger.messages, net.ledger.max_congestion) == (
+                rounds,
+                messages,
+                congestion,
+            )
+            per_slot += counts
+            np.maximum(per_slot_max, counts, out=per_slot_max)
+        if heatmap is not None:
+            assert np.array_equal(heatmap.slot_totals(), per_slot)
+            assert heatmap.residual_messages() == 0
+            assert heatmap.max_edge_congestion() == congestion
+            maxima = {e["slot"]: e["max_congestion"] for e in heatmap.top_edges(n_slots)}
+            assert maxima == {int(s): int(per_slot_max[s]) for s in np.flatnonzero(per_slot)}
 
 
 class TestDeliverStepGrouped:

@@ -17,10 +17,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
     BareAssertRule,
+    BareUniqueRule,
     BulkOnlyRule,
     CaptureBalanceRule,
     DeadImportRule,
@@ -32,6 +34,7 @@ from repro.analysis import (
     default_rules,
 )
 from repro.congest.phases import ALL_PHASES, PHASE_FAMILIES, is_registered
+from repro.util.arrays import sorted_unique
 from repro.util.contracts import FAST_PATH_ATTR, charged_fast_path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -560,6 +563,64 @@ class TestBareAssertRule:
         # Tests and benchmarks assert by design.
         report = run_rule(BareAssertRule(), tmp_path, "def test_f():\n    assert 1 + 1 == 2\n")
         assert not report.findings
+
+
+# ----------------------------------------------------------------------
+# Rule 9: bare-unique
+# ----------------------------------------------------------------------
+class TestBareUniqueRule:
+    run_at = staticmethod(TestObsPassivityRule.run_at)
+
+    def test_true_positive_unique_asking_for_nothing(self, tmp_path):
+        src = (
+            "import numpy\n"
+            "import numpy as np\n"
+            "from numpy import unique as uq\n"
+            "def f(x):\n"
+            "    a = np.unique(x)\n"
+            "    b = numpy.unique(x, return_counts=False, axis=None)\n"
+            "    c = uq(x)\n"
+            "    d = np.unique(x, False, False, False)\n"
+            "    return a, b, c, d\n"
+        )
+        report = self.run_at(BareUniqueRule(), tmp_path, "src/repro/walks/x.py", src)
+        assert [f.lineno for f in report.findings] == [5, 6, 7, 8]
+        assert all("sorted_unique" in f.message for f in report.findings)
+
+    def test_true_negative_flags_helper_and_outside_production(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "from repro.util.arrays import sorted_unique\n"
+            "def f(x, flags):\n"
+            "    a = np.unique(x, return_counts=True)\n"
+            "    b = np.unique(x, return_inverse=True)\n"
+            "    c = np.unique(x, True)\n"
+            "    d = np.unique(x, **flags)\n"
+            "    return a, b, c, d, sorted_unique(x)\n"
+        )
+        report = self.run_at(BareUniqueRule(), tmp_path, "src/repro/walks/y.py", src)
+        assert not report.findings
+        # Tests and benchmarks may call numpy however they like.
+        report = run_rule(BareUniqueRule(), tmp_path, "import numpy as np\nnp.unique([1])\n")
+        assert not report.findings
+
+    def test_pragma_suppresses(self, tmp_path):
+        src = "import numpy as np\nu = np.unique([2, 1])  # repro: allow-bare-unique\n"
+        report = self.run_at(BareUniqueRule(), tmp_path, "src/repro/walks/z.py", src)
+        assert not report.findings and len(report.suppressed) == 1
+
+    def test_sorted_unique_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        for values in (
+            rng.integers(-50, 50, size=400),
+            rng.integers(0, 3, size=(7, 5)),
+            np.array([], dtype=np.int64),
+            np.array([True, False, True]),
+            [4, 1, 4, 4],
+        ):
+            got = sorted_unique(values)
+            want = np.unique(values)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
