@@ -205,14 +205,26 @@ class Network:
         messages: np.ndarray,
         congestion: np.ndarray,
     ) -> None:
-        """Locate pairs onto slots and stage them on the attached heatmap.
+        """Locate (src, dst) pairs onto slots and stage them (see :meth:`_stage_slots`)."""
+        self._stage_slots(self.edge_slots_for_pairs(sources, targets), messages, congestion)
 
-        Stray pairs (no live slot — e.g. a replay hop across a just-deleted
-        edge) fold sum-preservingly onto the first located slot so the
-        conservation identity survives; a batch with no located slot at all
-        stays unstaged and lands in the sink's residual bucket.
+    def _stage_slots(
+        self,
+        slots: np.ndarray,
+        messages: np.ndarray,
+        congestion: np.ndarray,
+    ) -> None:
+        """Stage per-slot messages on the attached heatmap.
+
+        A ``-1`` slot is a stray: a charged pair with no live slot.  In the
+        library's own charge paths only an unreached node of an
+        ``allow_unreached`` BFS tree yields one (its ``parent`` defaults to
+        the root); a caller may still hand :meth:`deliver_pairs` a
+        non-adjacent pair.  Strays fold sum-preservingly onto the first
+        located slot so the conservation identity survives; a batch with no
+        located slot at all stays unstaged and lands in the sink's residual
+        bucket.
         """
-        slots = self.edge_slots_for_pairs(sources, targets)
         bad = slots < 0
         if bad.any():
             good = ~bad

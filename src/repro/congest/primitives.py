@@ -36,6 +36,7 @@ from repro.util.contracts import charged_fast_path
 
 __all__ = [
     "BfsTree",
+    "TreeSlots",
     "BfsFloodProtocol",
     "ConvergecastProtocol",
     "BroadcastProtocol",
@@ -43,7 +44,33 @@ __all__ = [
     "charged_convergecast",
     "charged_broadcast",
     "stage_tree_funnel",
+    "stage_tree_hops",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class TreeSlots:
+    """A BFS tree's directed CSR slots on one network topology.
+
+    ``up[v]`` and ``down[v]`` are the representative slots of ``v →
+    parent[v]`` and ``parent[v] → v`` — the first CSR slot of the pair, the
+    rule of :meth:`~repro.congest.network.Network.edge_slots_for_pairs` —
+    or ``-1`` where the pair has no live slot, which happens only for an
+    unreached node of an ``allow_unreached`` tree (its ``parent`` defaults
+    to the root).  The root's own entries are never read.  ``flood`` counts
+    the flood's explore sends per slot and ``flood_first`` is the slot of
+    its lowest ``(src, dst)`` pair, where :func:`_stage_flood` folds count
+    drift.  ``parent`` is the tree's parent list as an array.  ``index`` is
+    the network pair index the slots were read from: the stamp that
+    :meth:`~repro.congest.network.Network.refresh_topology` invalidates.
+    """
+
+    index: tuple[np.ndarray, np.ndarray]
+    parent: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    flood: np.ndarray
+    flood_first: int
 
 
 @dataclass
@@ -53,7 +80,9 @@ class BfsTree:
     ``parent[root] == root``; ``depth`` is hop distance from the root;
     ``height`` is the eccentricity of the root (max depth).  A tree is
     never mutated after construction, so ``height`` and ``n`` are computed
-    once, here.
+    once, here.  The tree's CSR slots are a function of the topology as
+    well, so :meth:`slots` caches them stamped with the topology they were
+    read on.
     """
 
     root: int
@@ -64,6 +93,7 @@ class BfsTree:
     build_messages: int = 0
     height: int = field(init=False)
     n: int = field(init=False)
+    _slots: TreeSlots | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.height = max(self.depth)
@@ -83,6 +113,50 @@ class BfsTree:
     def nodes_by_depth_desc(self) -> list[int]:
         """All nodes ordered deepest-first (convergecast schedule order)."""
         return sorted(range(self.n), key=lambda v: -self.depth[v])
+
+    def slots(self, network: Network) -> TreeSlots:
+        """This tree's slots on ``network``'s current topology.
+
+        Read once per topology: a tree held across a churn or crash event
+        re-derives them rather than stage slot ids of a graph that is gone.
+        """
+        index = network._pair_index()
+        cached = self._slots
+        if cached is None or cached.index is not index:
+            cached = self._slots = _read_slots(self, network, index)
+        return cached
+
+
+def _read_slots(
+    tree: BfsTree, network: Network, index: tuple[np.ndarray, np.ndarray]
+) -> TreeSlots:
+    """Read ``tree``'s slots off ``network``'s pair ``index``."""
+    nodes = np.arange(tree.n, dtype=np.int64)
+    parent = np.asarray(tree.parent, dtype=np.int64)
+    up = network.edge_slots_for_pairs(nodes, parent)
+    down = network.edge_slots_for_pairs(parent, nodes)
+    # The flood sends one explore per distinct directed non-loop pair, except
+    # a non-root node's pair to its own parent.  Pair keys are sorted, so the
+    # first entry of each run of equal keys is that pair's representative.
+    keys, order = index
+    n = network.graph.n
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    first &= keys // n != keys % n
+    pair_slots = order[first]
+    flood = np.zeros(network.graph.n_slots, dtype=np.int64)
+    flood[pair_slots] = 1
+    to_parent = np.delete(up, tree.root)
+    flood[to_parent[to_parent >= 0]] = 0
+    sent = pair_slots[flood[pair_slots] > 0]
+    return TreeSlots(
+        index=index,
+        parent=parent,
+        up=up,
+        down=down,
+        flood=flood,
+        flood_first=int(sent[0]) if sent.size else -1,
+    )
 
 
 class BfsFloodProtocol(Protocol):
@@ -210,53 +284,28 @@ def _stage_flood(network: Network, tree: BfsTree) -> None:
 
     Mirrors :func:`_flood_cost`'s enumeration: every joining node explores
     each distinct non-loop neighbor except its parent (the root skips only
-    itself), one message per directed pair.  The pair arrays are cached on
-    the tree so repeated cache-hit charges stay cheap.  Any count drift
-    versus the recorded ``build_messages`` (protocol-built trees, recovery
-    trees with unreached nodes) folds onto the first pair so the staged sum
-    always equals the charge; an irreconcilable tree stays unstaged and the
-    charge lands in the sink's residual bucket instead.
+    itself), one message per directed pair — the tree's cached per-slot
+    ``flood`` vector, staged whole.  Any count drift versus the recorded
+    ``build_messages`` (recovery trees with unreached nodes) folds onto the
+    lowest pair so the staged sum always equals the charge; an
+    irreconcilable tree stays unstaged and the charge lands in the sink's
+    residual bucket instead.
     """
     if network.heatmap is None or tree.build_messages <= 0:
         return
-    graph = network.graph
-    if tree.n != graph.n:
+    if tree.n != network.graph.n:
         return
-    cached = getattr(tree, "_flood_stage", None)
-    if cached is None:
-        n = graph.n
-        non_loop = graph.csr_source != graph.csr_target
-        pair_keys = sorted_unique(
-            graph.csr_source[non_loop].astype(np.int64) * n + graph.csr_target[non_loop]
-        )
-        src = pair_keys // n
-        dst = pair_keys % n
-        parent = np.asarray(tree.parent, dtype=np.int64)
-        keep = (src == tree.root) | (dst != parent[src])
-        cached = (src[keep], dst[keep])
-        tree._flood_stage = cached  # type: ignore[attr-defined]
-    src, dst = cached
-    if src.size == 0:
+    slots = tree.slots(network)
+    if slots.flood_first < 0:
         return
-    messages = np.ones(src.size, dtype=np.int64)
-    drift = tree.build_messages - src.size
+    counts = slots.flood
+    drift = tree.build_messages - int(counts.sum())
     if drift:
-        if messages[0] + drift < 0:
+        counts = counts.copy()
+        counts[slots.flood_first] += drift
+        if counts[slots.flood_first] < 0:
             return
-        messages[0] += drift
-    network._stage_pairs(src, dst, messages, np.ones(src.size, dtype=np.int64))
-
-
-def _tree_edge_arrays(tree: BfsTree) -> tuple[np.ndarray, np.ndarray]:
-    """Cached ``(non_root_nodes, their_parents)`` arrays for edge staging."""
-    cached = getattr(tree, "_tree_edges", None)
-    if cached is None:
-        nodes = np.arange(tree.n, dtype=np.int64)
-        nodes = nodes[nodes != tree.root]
-        parents = np.asarray(tree.parent, dtype=np.int64)[nodes]
-        cached = (nodes, parents)
-        tree._tree_edges = cached  # type: ignore[attr-defined]
-    return cached
+    network.heatmap.stage_counts(counts, tree.build_messages, 1)
 
 
 def stage_tree_funnel(network: Network, tree: BfsTree, *, messages: int, congestion: int) -> None:
@@ -274,12 +323,32 @@ def stage_tree_funnel(network: Network, tree: BfsTree, *, messages: int, congest
     children = tree.children[tree.root]
     if not children:
         return
-    network._stage_pairs(
-        np.array([children[0]], dtype=np.int64),
-        np.array([tree.root], dtype=np.int64),
+    network._stage_slots(
+        tree.slots(network).up[children[:1]],
         np.array([messages], dtype=np.int64),
         np.array([congestion], dtype=np.int64),
     )
+
+
+def stage_tree_hops(
+    network: Network, tree: BfsTree, climbs: Sequence[int], descents: Sequence[int]
+) -> None:
+    """Stage tokens routed hop by hop along tree edges, one message per hop.
+
+    ``climbs`` names, once per upward hop, the node whose edge to its
+    parent the hop crosses; ``descents`` likewise for downward hops.  Per
+    edge the hops add up, staged in ``(src, dst)`` pair order, so a stray
+    folds onto the lowest located pair.
+    """
+    slots = tree.slots(network)
+    parent = slots.parent
+    n = network.graph.n
+    up = np.asarray(climbs, dtype=np.int64)
+    down = np.asarray(descents, dtype=np.int64)
+    keys = np.concatenate([up * n + parent[up], parent[down] * n + down])
+    hop_slots = np.concatenate([slots.up[up], slots.down[down]])
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    network._stage_slots(hop_slots[first], counts, np.ones(first.size, dtype=np.int64))
 
 
 @charged_fast_path(
@@ -469,13 +538,13 @@ def charged_convergecast(
         n_messages = len(closure)
         reporters = closure
     if network.heatmap is not None and n_messages:
+        up = tree.slots(network).up
         if reporters is None:
-            nodes, parents = _tree_edge_arrays(tree)
+            slots = np.delete(up, tree.root)
         else:
-            nodes = np.array(sorted(reporters), dtype=np.int64)
-            parents = np.asarray(tree.parent, dtype=np.int64)[nodes]
-        ones = np.ones(nodes.size, dtype=np.int64)
-        network._stage_pairs(nodes, parents, ones, ones)
+            slots = up[sorted(reporters)]
+        ones = np.ones(slots.size, dtype=np.int64)
+        network._stage_slots(slots, ones, ones)
     network.ledger.charge(tree.height, messages=n_messages, congestion=1)
     return acc[tree.root]
 
@@ -485,7 +554,7 @@ def charged_broadcast(network: Network, tree: BfsTree, *, words: int = 1) -> Non
     if words > network.max_words:
         raise ProtocolError(f"broadcast payload of {words} words exceeds cap")
     if network.heatmap is not None and tree.n > 1:
-        nodes, parents = _tree_edge_arrays(tree)
-        ones = np.ones(nodes.size, dtype=np.int64)
-        network._stage_pairs(parents, nodes, ones, ones)
+        slots = np.delete(tree.slots(network).down, tree.root)
+        ones = np.ones(slots.size, dtype=np.int64)
+        network._stage_slots(slots, ones, ones)
     network.ledger.charge(tree.height, messages=tree.n - 1, congestion=1)

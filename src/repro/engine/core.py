@@ -51,9 +51,9 @@ from repro.congest.phases import (
 )
 from repro.congest.primitives import (
     BfsTree,
-    _tree_edge_arrays,
     build_bfs_tree,
     stage_tree_funnel,
+    stage_tree_hops,
 )
 from repro.engine.model import EngineStats, WalkRequest
 from repro.engine.pool import EMPTY_REPORT, MaintenanceReport, PoolManager
@@ -1123,23 +1123,19 @@ class WalkEngine:
                         cc_nodes.extend(sorted(closure))
                         cc_counts.extend([len(walks)] * len(closure))
                 if cc_nodes:
-                    nodes = np.array(cc_nodes, dtype=np.int64)
-                    parents = np.asarray(base_tree.parent, dtype=np.int64)[nodes]
-                    net._stage_pairs(
-                        nodes,
-                        parents,
+                    net._stage_slots(
+                        base_tree.slots(net).up[cc_nodes],
                         np.array(cc_counts, dtype=np.int64),
-                        np.ones(nodes.size, dtype=np.int64),
+                        np.ones(len(cc_nodes), dtype=np.int64),
                     )
                 net.ledger.charge(height + n_draws - 1, messages=cc_messages, congestion=1)
                 # Delete directives: one broadcast per draw, pipelined.
                 if net.heatmap is not None and base_tree.n > 1:
-                    t_nodes, t_parents = _tree_edge_arrays(base_tree)
-                    net._stage_pairs(
-                        t_parents,
-                        t_nodes,
-                        np.full(t_nodes.size, n_draws, dtype=np.int64),
-                        np.ones(t_nodes.size, dtype=np.int64),
+                    t_slots = np.delete(base_tree.slots(net).down, root)
+                    net._stage_slots(
+                        t_slots,
+                        np.full(t_slots.size, n_draws, dtype=np.int64),
+                        np.ones(t_slots.size, dtype=np.int64),
                     )
                 net.ledger.charge(
                     height + n_draws - 1, messages=n_draws * (base_tree.n - 1), congestion=1
@@ -1147,9 +1143,10 @@ class WalkEngine:
 
             # Draw without replacement and advance every active walk.
             hops: list[int] = []
-            route_pairs: list[tuple[int, int]] | None = (
-                [] if net.heatmap is not None else None
-            )
+            # Heatmap only: per route hop, the node whose tree edge a token
+            # crosses, climbing to the root or descending from it.
+            route_up: list[int] | None = [] if net.heatmap is not None else None
+            route_down: list[int] = []
             for c, walks in groups.items():
                 for i in walks:
                     record = store.sample_uniform_token(c, self.rng)
@@ -1165,25 +1162,15 @@ class WalkEngine:
                     slot.completed += record.length
                     slot.current = record.destination
                     hops.append(depth[c] + depth[record.destination])
-                    if route_pairs is not None:
-                        up = base_tree.path_to_root(c)
-                        route_pairs.extend(zip(up[:-1], up[1:]))
-                        down = base_tree.path_to_root(record.destination)
-                        route_pairs.extend(zip(down[1:], down[:-1]))
+                    if route_up is not None:
+                        route_up.extend(base_tree.path_to_root(c)[:-1])
+                        route_down.extend(base_tree.path_to_root(record.destination)[:-1])
 
             # Route all stitched tokens concurrently: connector → root →
             # destination along shared-tree edges, pipelined.
             with net.phase(route_phase):
-                if route_pairs:
-                    arr = np.array(route_pairs, dtype=np.int64)
-                    keys = arr[:, 0] * self.graph.n + arr[:, 1]
-                    pair_keys, pair_counts = np.unique(keys, return_counts=True)
-                    net._stage_pairs(
-                        pair_keys // self.graph.n,
-                        pair_keys % self.graph.n,
-                        pair_counts,
-                        np.ones(pair_keys.size, dtype=np.int64),
-                    )
+                if route_up or route_down:
+                    stage_tree_hops(net, base_tree, route_up, route_down)
                 net.ledger.charge(
                     max(hops) + n_draws - 1, messages=sum(hops), congestion=1
                 )

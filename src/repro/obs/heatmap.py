@@ -33,6 +33,36 @@ Across a churn event the accounting survives via :meth:`apply_remap`,
 re-keying every column through the :class:`~repro.dynamic.delta.DeltaRemap`
 slot map; deleted slots' history moves to per-phase retired buckets that
 keep counting toward conservation.
+
+Tree-shaped charges (the BFS flood, convergecast, broadcast, the serving
+sweeps' closure, delete broadcast and route hops, the root-funnel
+reports) stage through the tree's cached slots
+(:meth:`~repro.congest.primitives.BfsTree.slots`, read once per
+topology); only the pair-keyed ``deliver_pairs``, ``deliver_sequential``
+and event-driven rounds search the network's pair index on every charge.
+Three known limits of the map, each still conserved:
+
+* **Strays.**  A charged pair with no live slot folds onto its charge's
+  first located slot.  In the library's charge paths strays come only
+  from unreached nodes of ``allow_unreached`` (crash-recovery) trees,
+  whose ``parent`` defaults to the root: a serving sweep's delete
+  broadcast bills ``n_draws · (tree.n − 1)`` messages, crashed nodes
+  included — 232 of 884,840 messages on the churn + crash session of
+  ``tests/test_obs_heatmap.py``.  The modelling answer is that those
+  messages are an overcharge (no tree edge reaches a crashed node); the
+  fix is to bill reached nodes only, which changes what faulted sessions
+  are billed, so until then they stay in the map, folded.
+* **Recovery floods with several nodes down.**  ``_flood_cost`` books
+  each isolated non-root node ``distinct − 1 = −1`` sends, so every
+  crashed node lowers a recovery flood's charge by one message; with two
+  or more nodes down the drift fold would go negative and the flood
+  stays unstaged, in the residual bucket (a strict xfail in
+  ``tests/test_obs_heatmap.py``).
+* **Stale cohort-report trees.**  A scheduler cohort charges its report
+  on the tree it started with, even when a fault fired inside its
+  sweeps.  That report stages on the old tree's slots re-read on the live
+  topology; a funnel edge the fault deleted leaves the report's charge in
+  the residual bucket.
 """
 
 from __future__ import annotations

@@ -106,6 +106,29 @@ class TestBfsFlood:
         t2 = build_bfs_tree(net, 0, cache=cache)
         assert t1 is t2
 
+    def test_slots_are_the_pair_lookup_cached_per_topology(self):
+        # A parallel edge: each pair's slot is its first CSR slot.
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 2)])
+        net = Network(g)
+        tree = build_bfs_tree(net, 0)
+        slots = tree.slots(net)
+        nodes = np.arange(g.n)
+        parent = np.asarray(tree.parent)
+        np.testing.assert_array_equal(slots.up, net.edge_slots_for_pairs(nodes, parent))
+        np.testing.assert_array_equal(slots.down, net.edge_slots_for_pairs(parent, nodes))
+        # The flood: one explore per directed pair but each child → parent.
+        sent = sorted(
+            int(net.edge_slots_for_pairs([u], [v])[0])
+            for u in range(g.n)
+            for v in g.neighbor_set(u)
+            if u == tree.root or v != tree.parent[u]
+        )
+        assert np.flatnonzero(slots.flood).tolist() == sent
+        assert int(slots.flood.sum()) == tree.build_messages
+        assert tree.slots(net) is slots
+        net.refresh_topology()
+        assert tree.slots(net) is not slots
+
 
 class TestConvergecast:
     def _sum_convergecast(self, g, root, values):

@@ -12,6 +12,13 @@ The :class:`~repro.obs.heatmap.HeatmapSink` claims two hard guarantees:
   fire), and the per-edge congestion maxima reproduce the ledger's
   ``max_congestion`` scalar.
 
+Conservation alone cannot see a message booked on the wrong slot, so the
+per-edge map itself is pinned too: a digest of every phase's per-slot
+column, the floored per-slot congestion maxima and the retired/residual
+buckets, on every golden case, the churn + crash session, a session whose
+crash fires inside a cohort's sweeps (so its report rides a stale tree),
+and a tree object held across a churn event.
+
 Plus the churn-survival mechanics (slot remaps preserve history, deleted
 slots retire without losing a message) and the export surfaces
 (Perfetto counter track, JSON summary schema).
@@ -19,14 +26,24 @@ slots retire without losing a message) and the export surfaces
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from repro import WalkEngine, random_regular_graph
+from repro import Graph, WalkEngine, random_regular_graph
 from repro.congest import Network
-from repro.dynamic import sample_churn_delta
+from repro.congest.faults import FaultSchedule, FaultStep
+from repro.congest.phases import REPORT
+from repro.congest.primitives import (
+    build_bfs_tree,
+    charged_broadcast,
+    charged_convergecast,
+    stage_tree_funnel,
+    stage_tree_hops,
+)
+from repro.dynamic import GraphDelta, sample_churn_delta
 from repro.obs import HeatmapSink, Probe, SloMonitor, Tracer
 from repro.walks import single_random_walk
 
@@ -56,6 +73,236 @@ def heatmapped_session():
         tracer=Tracer(), heatmap=heatmap, slo=SloMonitor()
     )
     return engine, sched, snap, heatmap
+
+
+def crash_in_sweeps_session(crash, *, n=300, at=100):
+    """Scheduled serving whose crash fires inside a cohort's sweeps.
+
+    The crash lands ``at`` rounds after warm-up and recovers 3,000 rounds
+    later.  Returns ``(engine, heatmap, stale)``, where ``stale[i]`` says
+    whether cohort report ``i`` ran on a tree the topology had already
+    left behind (the cohort's pre-fault tree).
+    """
+    graph = random_regular_graph(n, 4, 7)
+    engine = WalkEngine(graph, seed=7, record_paths=True, auto_maintain=False)
+    heatmap = HeatmapSink()
+    engine.attach_observability(heatmap=heatmap)
+    engine.prepare(length_hint=256)
+    sched = engine.scheduler(max_batch_walks=16, pipelined_report=True)
+    stale: list[bool] = []
+    report = engine._report_convergecast
+
+    def spy(tree, ks, **kwargs):
+        stale.append(engine._tree_cache.get(tree.root) is not tree)
+        report(tree, ks, **kwargs)
+
+    engine._report_convergecast = spy
+    base = engine.network.rounds
+    engine.attach_faults(
+        FaultSchedule(
+            steps=(
+                FaultStep(at_round=base + at, crash=crash),
+                FaultStep(at_round=base + at + 3_000, recover=crash),
+            )
+        )
+    )
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        for _ in range(3):
+            sched.submit(rng.integers(0, n, size=4).tolist(), 256)
+        sched.tick()
+    sched.drain()
+    return engine, heatmap, stale
+
+
+def tree_held_across_churn():
+    """Stage one tree's sweeps before and after a churn event it outlives.
+
+    Returns ``(engine, tree, heatmap)``.  The churn deletes two non-tree
+    edges and inserts two, so every tree edge survives but CSR slot ids
+    shift; the ``REPORT`` phase holds only the post-churn sweeps.
+    """
+    graph = random_regular_graph(64, 4, 9)
+    engine = WalkEngine(graph, seed=1, record_paths=False, auto_maintain=False)
+    heatmap = HeatmapSink()
+    engine.attach_observability(heatmap=heatmap)
+    net = engine.network
+    tree = build_bfs_tree(net, 0, cache=engine._tree_cache)
+    charged_broadcast(net, tree)
+    charged_convergecast(net, tree, [1] * graph.n, lambda a, b: a + b)
+    tree_edges = {frozenset((v, p)) for v, p in enumerate(tree.parent) if v != tree.root}
+    spare = [tuple(e) for e in graph.edge_array.tolist() if frozenset(e) not in tree_edges]
+    engine.apply_churn(GraphDelta(insert_edges=[(1, 40), (2, 50)], delete_edges=spare[:2]))
+    with net.phase(REPORT):
+        charged_broadcast(net, tree)
+        charged_convergecast(net, tree, [1] * graph.n, lambda a, b: a + b)
+        stage_tree_funnel(net, tree, messages=6, congestion=3)
+        net.ledger.charge(1, messages=6, congestion=3)
+    return engine, tree, heatmap
+
+
+def edge_map(heatmap: HeatmapSink) -> dict:
+    """Digest of the per-edge map: per-phase columns, floored maxima, buckets."""
+
+    def sha(arr) -> str:
+        data = np.ascontiguousarray(arr, dtype="<i8").tobytes()
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    heatmap._cmax_floor()
+    return {
+        "columns": {p: sha(col) for p, col in sorted(heatmap._phase_messages.items())},
+        "cmax": sha(heatmap._slot_cmax),
+        "buckets": {
+            p: [row["retired"], row["residual"]]
+            for p, row in heatmap.phase_table().items()
+            if row["retired"] or row["residual"]
+        },
+    }
+
+
+#: Per-edge map digests (see :func:`edge_map`).  A staging refactor must
+#: leave every one unchanged: a message booked on another slot moves them.
+EDGE_MAPS = {
+    "session/churn-crash": {
+        "buckets": {
+            "phase1": [477, 0],
+            "pool-refill/churn": [248, 0],
+            "serve/sample": [2856, 0],
+            "serve/setup": [66, 0],
+            "serve/stitch-route": [63, 0],
+            "serve/tail": [15, 0],
+            "setup": [9, 0]
+        },
+        "cmax": "ade8f037f1a17a56",
+        "columns": {
+            "phase1": "c95386db2815e040",
+            "pool-refill/churn": "a5489824c68d6aab",
+            "pool-refill/serve": "cdce017ab30f36fa",
+            "serve/recovery": "e5c1ec4e17e8365d",
+            "serve/report": "953d980c153b83f4",
+            "serve/sample": "d4b40b4b4a0d5c27",
+            "serve/setup": "63f59b0ff2b50e07",
+            "serve/stitch-route": "3fef77514b3e4116",
+            "serve/tail": "db42a9335c8f1a54",
+            "setup": "b177167e8aec79ad"
+        }
+    },
+    "session/crash-in-sweeps": {
+        "buckets": {
+            "phase1": [222, 0],
+            "serve/sample": [104, 0],
+            "serve/setup": [4, 0],
+            "setup": [4, 0]
+        },
+        "cmax": "aa8ff5085fccfab3",
+        "columns": {
+            "phase1": "3bfc1fbeff4da92c",
+            "pool-refill/serve": "e74eb1f13a1069ba",
+            "serve/recovery": "b44834e2c546c031",
+            "serve/report": "fc0ada39770d4204",
+            "serve/sample": "a696c7bb90d22774",
+            "serve/setup": "e02387b786fc6ff7",
+            "serve/stitch-route": "86832433f272f416",
+            "serve/tail": "f0c88b00b92185c2",
+            "setup": "029dc25bd5f02f02"
+        }
+    },
+    "single/barbell6x3-l100-s5": {
+        "buckets": {},
+        "cmax": "3f180b8a05adf290",
+        "columns": {
+            "naive-tail": "58754658ebf5bf62",
+            "phase1": "439d3d47758f543c",
+            "report": "1350529e32f4fab0",
+            "sample-destination": "d582eea7739f055d",
+            "setup": "09a36767dd4b2b86",
+            "stitch-route": "d687f600f3a92085"
+        }
+    },
+    "single/grid5x5-l200-s23-lam4": {
+        "buckets": {},
+        "cmax": "f68dc1ee30695e72",
+        "columns": {
+            "naive-tail": "2bd2b3eec276d942",
+            "phase1": "2ca5e9d7adc4a0de",
+            "report": "f640deaa336b6f6f",
+            "sample-destination": "8ca8c9efcccc6204",
+            "setup": "9c54db6158fb21a4",
+            "stitch-route": "0d8fe77cbb691bcd"
+        }
+    },
+    "single/grid6x6-l144-s3": {
+        "buckets": {},
+        "cmax": "f249ba2254060e42",
+        "columns": {
+            "naive-tail": "c1014bc220684e84",
+            "phase1": "cae997a11c97a748",
+            "report": "88e7763307f2cef4",
+            "sample-destination": "1c32e64d1bbf1a16",
+            "setup": "70c75464caa383f4",
+            "stitch-route": "1fec412daef8f8a2"
+        }
+    },
+    "single/hypercube5-l300-s11": {
+        "buckets": {},
+        "cmax": "8f3d1cb7c2868b6c",
+        "columns": {
+            "naive-tail": "a6e51c5ce00d11b6",
+            "phase1": "b95c320c67f93f7d",
+            "report": "ba06d16717d3e9f0",
+            "sample-destination": "43bbfc2deeba25e9",
+            "setup": "4862f391d674a71d",
+            "stitch-route": "fa89ba32fffe100c"
+        }
+    },
+    "single/regular64-l200-s13": {
+        "buckets": {},
+        "cmax": "57d59a6c625cb5e2",
+        "columns": {
+            "naive-tail": "b04cb95c7546253f",
+            "phase1": "e63a1841f66d47bd",
+            "report": "7fe8228e7eddd2e8",
+            "sample-destination": "ec6bf5dd07c739f1",
+            "setup": "67837f6c0b308bef",
+            "stitch-route": "a54a7c37d2eec5d2"
+        }
+    },
+    "single/torus6x6-l400-s17-eta0.05": {
+        "buckets": {},
+        "cmax": "104545c6e45b8f2f",
+        "columns": {
+            "get-more-walks": "13ec1ebe77465a60",
+            "naive-tail": "9e23d65af8f1479d",
+            "phase1": "eb3890fbdb11e568",
+            "report": "253b4907c4582af0",
+            "sample-destination": "7e8b1a15fe32ffa7",
+            "setup": "44f0d088b13317df",
+            "stitch-route": "7ad639a0a9cd9257"
+        }
+    },
+    "single/torus8x8-l256-s7": {
+        "buckets": {},
+        "cmax": "444db59943e66b73",
+        "columns": {
+            "naive-tail": "a39b25a11745e036",
+            "phase1": "7dbc8862b1c1d356",
+            "report": "a2806790f490147a",
+            "sample-destination": "5bf09cc422cab667",
+            "setup": "11824a0907a3f5d4",
+            "stitch-route": "874a916d4a1c2e7d"
+        }
+    },
+    "tree-held-across-churn": {
+        "buckets": {
+            "unattributed": [4, 0]
+        },
+        "cmax": "75935c449184a0f2",
+        "columns": {
+            "report": "1068bcd0751cb88b",
+            "unattributed": "6482842bd3657950"
+        }
+    }
+}
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +362,76 @@ class TestConservation:
         _, _, _, heatmap = heatmapped_session
         assert int(heatmap.node_totals().sum()) == int(heatmap.slot_totals().sum())
         assert int(heatmap.slot_totals().sum()) == heatmap.located_messages()
+
+
+# ----------------------------------------------------------------------
+# The per-edge map itself: every message on the slot it was pinned to
+# ----------------------------------------------------------------------
+class TestEdgeMapPinned:
+    @pytest.mark.parametrize("name", sorted(SINGLE_CASES))
+    def test_golden_case_edge_map(self, name):
+        _, _, heatmap = golden_run_with_heatmap(name)
+        assert edge_map(heatmap) == EDGE_MAPS[f"single/{name}"]
+
+    def test_churn_crash_session_edge_map(self, heatmapped_session):
+        _, _, _, heatmap = heatmapped_session
+        assert edge_map(heatmap) == EDGE_MAPS["session/churn-crash"]
+
+    def test_report_on_a_tree_left_stale_by_a_crash_inside_the_sweeps(self):
+        engine, heatmap, stale = crash_in_sweeps_session((5,))
+        # The case this pins: some cohorts report on their pre-fault tree.
+        assert 0 < sum(stale) < len(stale)
+        for phase, stats in engine.network.ledger.phases.items():
+            assert heatmap.attributed_messages(phase) == stats.messages, phase
+        assert heatmap.residual_messages() == 0
+        assert edge_map(heatmap) == EDGE_MAPS["session/crash-in-sweeps"]
+
+    def test_tree_held_across_churn_stages_the_new_topology_slots(self):
+        engine, tree, heatmap = tree_held_across_churn()
+        net = engine.network
+        nodes = np.array([v for v in range(tree.n) if v != tree.root], dtype=np.int64)
+        parents = np.asarray(tree.parent, dtype=np.int64)[nodes]
+        up = net.edge_slots_for_pairs(nodes, parents)
+        down = net.edge_slots_for_pairs(parents, nodes)
+        assert (up >= 0).all() and (down >= 0).all()
+        want = np.bincount(np.concatenate([up, down]), minlength=net.graph.n_slots)
+        want[up[nodes == tree.children[tree.root][0]]] += 6  # the root funnel
+        np.testing.assert_array_equal(heatmap._phase_messages[REPORT], want)
+        assert edge_map(heatmap) == EDGE_MAPS["tree-held-across-churn"]
+
+    def test_route_hop_strays_fold_onto_the_lowest_located_pair(self):
+        # Edge (1, 2) comes first, so node 1's slot to its child 2 precedes
+        # its slot to the root: slot order and (src, dst) order disagree.
+        # Node 5 is isolated, so the tree leaves it unreached.
+        graph = Graph(6, [(1, 2), (0, 1), (0, 3), (2, 3)])
+        net = Network(graph)
+        heatmap = HeatmapSink()
+        heatmap.bind_topology(graph.n, graph.csr_source, graph.csr_target)
+        probe = Probe(heatmap=heatmap)
+        net.ledger.observer = probe
+        probe.attached(net.ledger)
+        net.heatmap = heatmap
+        tree = build_bfs_tree(net, 0, allow_unreached=True)
+        assert tree.parent[1] == 0 and tree.parent[2] == 1 and tree.depth[5] == -1
+        to_root, to_child = net.edge_slots_for_pairs([1, 1], [0, 2])
+        assert to_child < to_root
+        with net.phase(REPORT):
+            stage_tree_hops(net, tree, [1, 5], [2])  # 5 → 0 has no slot
+            net.ledger.charge(1, messages=3, congestion=1)
+        col = heatmap._phase_messages[REPORT]
+        assert (col[to_root], col[to_child], int(col.sum())) == (2, 1, 3)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_flood_cost books each isolated non-root node distinct - 1 = -1 "
+        "sends, so with two or more nodes down a recovery flood's drift fold "
+        "goes negative and _stage_flood stages nothing (fix: count only "
+        "reached nodes in both)",
+    )
+    def test_recovery_floods_with_three_nodes_down_leave_no_residual(self):
+        engine, heatmap, _ = crash_in_sweeps_session((5, 6, 7), n=400)
+        assert heatmap.messages_total == engine.network.ledger.messages
+        assert heatmap.residual_messages() == 0
 
 
 # ----------------------------------------------------------------------
