@@ -81,10 +81,11 @@ def _in_production_tree(path: Path) -> bool:
     return False
 
 
-def _in_obs_tree(path: Path) -> bool:
+def _in_subpackage(path: Path, name: str) -> bool:
+    """Whether ``path`` lies under ``src/repro/<name>/``."""
     parts = path.resolve().parts
     for i in range(len(parts) - 2):
-        if parts[i : i + 3] == ("src", "repro", "obs"):
+        if parts[i : i + 3] == ("src", "repro", name):
             return True
     return False
 
@@ -534,8 +535,9 @@ class ObsPassivityRule(Rule):
     description = (
         "wall-clock reads in src/repro go through repro.obs.clock only, "
         "src/repro/obs/ never calls simulation mutators, draws randomness, "
-        "stages heatmap attribution, or settles charges outside the probe, "
-        "and metric families are registered only inside src/repro/obs/"
+        "or settles charges outside the probe, heatmap attribution is "
+        "staged only inside src/repro/congest/, and metric families are "
+        "registered only inside src/repro/obs/"
     )
 
     #: The perf-timer family (``time.time`` is ``seeded-rng``'s beat).
@@ -584,6 +586,11 @@ class ObsPassivityRule(Rule):
             "default_rng",
         }
     )
+    #: Heatmap staging: the sink's entry points and the congest helpers that
+    #: feed them.  Only the layer that charges a message says which slot it crosses.
+    STAGING_CALLS = frozenset(
+        {"stage_edges", "stage_counts", "_stage_slots", "stage_tree_funnel", "stage_tree_hops"}
+    )
 
     def applies_to(self, path: Path) -> bool:
         # clock.py *is* the audited wall-clock wrapper.
@@ -593,7 +600,8 @@ class ObsPassivityRule(Rule):
         findings: list[Finding] = []
         if not _in_production_tree(src.path):
             return findings
-        in_obs = _in_obs_tree(src.path)
+        in_obs = _in_subpackage(src.path, "obs")
+        in_congest = _in_subpackage(src.path, "congest")
 
         time_names = {"time"}
         clock_aliases: set[str] = set()
@@ -663,17 +671,20 @@ class ObsPassivityRule(Rule):
                         "perturbs every replay it watches",
                     )
                 )
-            elif in_obs and parts[-1] in ("stage_edges", "stage_counts"):
-                # Staging is the *charge path's* declaration of where its
-                # messages travel; an observer staging its own attribution
-                # would fabricate congestion that no charge backs.
+            elif not in_congest and parts[-1] in self.STAGING_CALLS:
+                # Staging is the *charge's* declaration of where its messages
+                # travel.  An observer staging its own attribution would
+                # fabricate congestion that no charge backs, and a caller
+                # staging beside a charge it makes decides edge attribution
+                # a second time, outside the layer that bills it.
                 findings.append(
                     self.finding(
                         src,
                         node,
-                        f"{chain}() stages heatmap attribution from inside the "
-                        "observability layer: only the charge path "
-                        "(network/primitives/engine) may declare edge traffic",
+                        f"{chain}() stages heatmap attribution outside "
+                        "repro.congest: only the congest charge primitives "
+                        "(Network.deliver_*, the tree charges in "
+                        "congest/primitives.py) may declare edge traffic",
                     )
                 )
             elif (

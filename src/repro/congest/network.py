@@ -103,35 +103,24 @@ class Network:
         # attribution immediately before charging the ledger; detached, each
         # site pays exactly one `is not None` test.
         self.heatmap = None
-        self._pair_slot_index: tuple[np.ndarray, np.ndarray] | None = None
+        # Stamp of the current topology: slots cached off it (a BFS tree's
+        # TreeSlots) are stale once refresh_topology replaces it.
+        self._topology = object()
         # FIFO queue per directed edge, keyed by (src, dst).  Multi-edges
         # between the same pair pool their bandwidth, which matches the
         # multigraph-bandwidth equivalence used in Section 3.2.
         self._queues: dict[tuple[int, int], deque[Message]] = defaultdict(deque)
-        self._build_multiplicity()
-
-    def _build_multiplicity(self) -> None:
-        # Directed adjacency with multiplicity, as sorted (u*n + v) keys —
-        # built vectorized from the edge array; queries binary-search it.
-        graph = self.graph
-        ea = graph.edge_array
-        if len(ea):
-            u, v = ea[:, 0], ea[:, 1]
-            non_loop = u != v
-            keys = np.concatenate([u * graph.n + v, v[non_loop] * graph.n + u[non_loop]])
-            self._mult_keys, self._mult_counts = np.unique(keys, return_counts=True)
-        else:
-            self._mult_keys = np.empty(0, dtype=np.int64)
-            self._mult_counts = np.empty(0, dtype=np.int64)
 
     def refresh_topology(self) -> None:
-        """Re-derive adjacency tables after the graph's edge set changed.
+        """Start a new topology after the graph's edge set changed.
 
         Called by the churn cascade right after
         :meth:`~repro.graphs.graph.Graph.apply_delta` rebuilt the CSR
-        arrays.  Only derived lookup state is rebuilt — the ledger, RNG,
-        and round counters carry straight across the topology event (churn
-        happens *between* rounds of one continuing execution).  Refusing
+        arrays (and dropped the graph's pair index).  Only the topology
+        stamp is replaced, so slots a BFS tree cached off the old topology
+        are read again — the ledger, RNG, and round counters carry straight
+        across the topology event (churn happens *between* rounds of one
+        continuing execution).  Refusing
         to re-key in-flight messages is deliberate: protocols run to
         quiescence before control returns to the caller, so a non-empty
         queue here means a protocol was abandoned mid-run.
@@ -139,8 +128,7 @@ class Network:
         if any(self._queues.values()):
             raise ProtocolError("cannot change topology with messages in flight")
         self._queues.clear()
-        self._build_multiplicity()
-        self._pair_slot_index = None  # slot ids re-keyed by the churn remap
+        self._topology = object()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -155,15 +143,13 @@ class Network:
         return self.ledger.messages
 
     def are_adjacent(self, u: int, v: int) -> bool:
-        return self.edge_multiplicity(u, v) > 0
+        return self.graph.has_edge(u, v)
 
     def edge_multiplicity(self, u: int, v: int) -> int:
         """Number of parallel edges carrying ``u -> v`` traffic."""
+        keys, _ = self.graph.pair_index()
         key = u * self.graph.n + v
-        i = int(np.searchsorted(self._mult_keys, key))
-        if i < len(self._mult_keys) and int(self._mult_keys[i]) == key:
-            return int(self._mult_counts[i])
-        return 0
+        return int(np.searchsorted(keys, key, side="right") - np.searchsorted(keys, key))
 
     def phase(self, name: str):
         """Attribute subsequent costs to phase ``name`` (context manager)."""
@@ -172,49 +158,21 @@ class Network:
     # ------------------------------------------------------------------
     # Heatmap attribution support
     # ------------------------------------------------------------------
-    def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        # Lazy (sorted pair-key, representative-slot) index: the first CSR
-        # slot (stable argsort) represents each directed (src, dst) pair,
-        # so parallel edges fold onto one canonical slot.  Invalidated by
-        # refresh_topology().
-        idx = self._pair_slot_index
-        if idx is None:
-            graph = self.graph
-            keys = graph.csr_source.astype(np.int64) * graph.n + graph.csr_target
-            order = np.argsort(keys, kind="stable").astype(np.int64)
-            idx = self._pair_slot_index = (keys[order], order)
-        return idx
-
     def edge_slots_for_pairs(
         self, sources: np.ndarray, targets: np.ndarray
     ) -> np.ndarray:
         """Representative directed CSR slot per (src, dst) pair; -1 if absent."""
-        keys_sorted, order = self._pair_index()
-        keys = np.asarray(sources, dtype=np.int64) * self.graph.n + np.asarray(
-            targets, dtype=np.int64
+        return self.graph.pair_slots(
+            np.asarray(sources, dtype=np.int64) * self.graph.n + np.asarray(targets, dtype=np.int64)
         )
-        if keys_sorted.size == 0:
-            return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(keys_sorted, keys), keys_sorted.size - 1)
-        return np.where(keys_sorted[pos] == keys, order[pos], -1)
-
-    def _stage_pairs(
-        self,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        messages: np.ndarray,
-        congestion: np.ndarray,
-    ) -> None:
-        """Locate (src, dst) pairs onto slots and stage them (see :meth:`_stage_slots`)."""
-        self._stage_slots(self.edge_slots_for_pairs(sources, targets), messages, congestion)
 
     def _stage_slots(
         self,
         slots: np.ndarray,
         messages: np.ndarray,
-        congestion: np.ndarray,
+        congestion: np.ndarray | None = None,
     ) -> None:
-        """Stage per-slot messages on the attached heatmap.
+        """Stage per-slot messages (and loads, by default the messages) on the attached heatmap.
 
         A ``-1`` slot is a stray: a charged pair with no live slot.  In the
         library's own charge paths only an unreached node of an
@@ -225,8 +183,10 @@ class Network:
         located slot at all stays unstaged and lands in the sink's residual
         bucket.
         """
-        bad = slots < 0
-        if bad.any():
+        if slots.size and slots.min() < 0:
+            if congestion is None:
+                congestion = messages
+            bad = slots < 0
             good = ~bad
             if not good.any():
                 return
@@ -259,6 +219,18 @@ class Network:
         self.ledger.charge(rounds, messages=n_messages, congestion=congestion)
         return rounds
 
+    def _deliver_loads(self, slots: np.ndarray | None, loads: np.ndarray, n_messages: int) -> int:
+        """Stage and charge one iteration that puts ``loads[i]`` messages on ``slots[i]``.
+
+        The delivery core of every batch path but ``deliver_step``'s dense
+        one: the heaviest load sets the rounds and the congestion.
+        ``slots`` (``-1`` for a pair with no live slot) is read only when a
+        heatmap is attached, so pair-keyed callers look slots up only then.
+        """
+        if self.heatmap is not None:
+            self._stage_slots(slots, loads)
+        return self._charge_iteration(n_messages, int(loads.max()))
+
     def deliver_step(
         self,
         slots: np.ndarray | Iterable[int],
@@ -282,26 +254,21 @@ class Network:
         if slot_arr.size == 0:
             return 0
         self._check_words(words)
-        heatmap = self.heatmap
         if _counts_touched_slots(slot_arr.size, self.graph.n_slots):
             touched, loads = np.unique(slot_arr, return_counts=True)
             if aggregate:
-                n_messages, congestion = int(touched.size), 1
-                loads = 1
-            else:
-                n_messages, congestion = int(slot_arr.size), int(loads.max())
+                return self._deliver_loads(touched, np.ones_like(loads), int(touched.size))
+            return self._deliver_loads(touched, loads, int(slot_arr.size))
+        heatmap = self.heatmap
+        counts = np.bincount(slot_arr)
+        if aggregate:
+            n_messages, congestion = int(np.count_nonzero(counts)), 1
             if heatmap is not None:
-                heatmap.stage_edges(touched, loads)
+                heatmap.stage_counts(np.minimum(counts, 1), n_messages, congestion)
         else:
-            counts = np.bincount(slot_arr)
-            if aggregate:
-                n_messages, congestion = int(np.count_nonzero(counts)), 1
-                if heatmap is not None:
-                    heatmap.stage_counts(np.minimum(counts, 1), n_messages, congestion)
-            else:
-                n_messages, congestion = int(slot_arr.size), int(counts.max())
-                if heatmap is not None:
-                    heatmap.stage_counts(counts, n_messages, congestion)
+            n_messages, congestion = int(slot_arr.size), int(counts.max())
+            if heatmap is not None:
+                heatmap.stage_counts(counts, n_messages, congestion)
         return self._charge_iteration(n_messages, congestion)
 
     def deliver_step_grouped(
@@ -336,10 +303,7 @@ class Network:
         keys = slot_arr * span + (group_arr - int(group_arr.min()))
         pair_slots = sorted_unique(keys) // span
         used, per_edge = np.unique(pair_slots, return_counts=True)
-        heatmap = self.heatmap
-        if heatmap is not None:
-            heatmap.stage_edges(used, per_edge, per_edge)
-        return self._charge_iteration(int(pair_slots.size), int(per_edge.max()))
+        return self._deliver_loads(used, per_edge, int(pair_slots.size))
 
     def deliver_pairs(
         self,
@@ -363,21 +327,11 @@ class Network:
         if src.size == 0:
             return 0
         self._check_words(words)
-        keys = src * self.graph.n + dst
-        pair_keys, counts = np.unique(keys, return_counts=True)
+        pair_keys, loads = np.unique(src * self.graph.n + dst, return_counts=True)
+        slots = self.graph.pair_slots(pair_keys) if self.heatmap is not None else None
         if aggregate:
-            n_messages = int(len(counts))
-            congestion = 1
-        else:
-            n_messages = int(src.size)
-            congestion = int(counts.max())
-        if self.heatmap is not None:
-            n = self.graph.n
-            per_pair = (
-                np.ones(pair_keys.size, dtype=np.int64) if aggregate else counts
-            )
-            self._stage_pairs(pair_keys // n, pair_keys % n, per_pair, per_pair)
-        return self._charge_iteration(n_messages, congestion)
+            return self._deliver_loads(slots, np.ones_like(loads), int(pair_keys.size))
+        return self._deliver_loads(slots, loads, int(src.size))
 
     def deliver_sequential(
         self,
@@ -393,10 +347,12 @@ class Network:
 
         ``path`` optionally names the node sequence travelled (at least
         ``hop_count + 1`` nodes, hop ``i`` crossing ``path[i] → path[i+1]``)
-        so an attached heatmap can attribute the traffic per edge; it is
-        ignored — never even materialized by callers — when no heatmap is
-        attached, and a too-short path simply leaves the charge in the
-        sink's residual bucket.
+        so an attached heatmap can attribute the traffic per edge.  Only an
+        attached heatmap reads it, so a caller that would build a path for
+        this alone asks first (as
+        :func:`~repro.congest.primitives.deliver_tree_path` does); a
+        too-short path simply leaves the charge in the sink's residual
+        bucket.
         """
         if hop_count < 0:
             raise ProtocolError("hop_count must be non-negative")
@@ -409,10 +365,8 @@ class Network:
                 if nodes.size > hop_count:
                     keys = nodes[:hop_count] * self.graph.n + nodes[1 : hop_count + 1]
                     pair_keys, hops = np.unique(keys, return_counts=True)
-                    n = self.graph.n
-                    self._stage_pairs(
-                        pair_keys // n,
-                        pair_keys % n,
+                    self._stage_slots(
+                        self.graph.pair_slots(pair_keys),
                         hops * messages_per_hop,
                         np.ones(pair_keys.size, dtype=np.int64),
                     )
@@ -475,21 +429,21 @@ class Network:
         """Pop up to ``capacity`` messages from each directed edge; charge 1 round."""
         delivered: list[Message] = []
         congestion = 0
-        heatmap = self.heatmap
-        staged: list[tuple[int, int, int, int]] | None = [] if heatmap is not None else None
+        staged: list[tuple[int, int, int]] | None = [] if self.heatmap is not None else None
+        n = self.graph.n
         for key in list(self._queues):
             queue = self._queues[key]
             load = len(queue)
             congestion = max(congestion, load)
             take = min(self.capacity, load)
             if staged is not None and take:
-                staged.append((key[0], key[1], take, load))
+                staged.append((key[0] * n + key[1], take, load))
             for _ in range(take):
                 delivered.append(queue.popleft())
             if not queue:
                 del self._queues[key]
         if staged:
             cols = np.asarray(staged, dtype=np.int64)
-            self._stage_pairs(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
+            self._stage_slots(self.graph.pair_slots(cols[:, 0]), cols[:, 1], cols[:, 2])
         self.ledger.charge(1, messages=len(delivered), congestion=congestion)
         return delivered

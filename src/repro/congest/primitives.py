@@ -22,7 +22,7 @@ tree; re-simulating identical floods adds nothing but wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -41,8 +41,12 @@ __all__ = [
     "ConvergecastProtocol",
     "BroadcastProtocol",
     "build_bfs_tree",
+    "charge_closures",
+    "charge_tree_funnel",
+    "charge_tree_routes",
     "charged_convergecast",
     "charged_broadcast",
+    "deliver_tree_path",
     "stage_tree_funnel",
     "stage_tree_hops",
 ]
@@ -60,12 +64,12 @@ class TreeSlots:
     to the root).  The root's own entries are never read.  ``flood`` counts
     the flood's explore sends per slot and ``flood_first`` is the slot of
     its lowest ``(src, dst)`` pair, where :func:`_stage_flood` folds count
-    drift.  ``parent`` is the tree's parent list as an array.  ``index`` is
-    the network pair index the slots were read from: the stamp that
-    :meth:`~repro.congest.network.Network.refresh_topology` invalidates.
+    drift.  ``parent`` is the tree's parent list as an array.  ``topology``
+    is the stamp of the network topology the slots were read on, which
+    :meth:`~repro.congest.network.Network.refresh_topology` replaces.
     """
 
-    index: tuple[np.ndarray, np.ndarray]
+    topology: object
     parent: np.ndarray
     up: np.ndarray
     down: np.ndarray
@@ -114,23 +118,33 @@ class BfsTree:
         """All nodes ordered deepest-first (convergecast schedule order)."""
         return sorted(range(self.n), key=lambda v: -self.depth[v])
 
+    def closure(self, nodes: Iterable[int]) -> set[int]:
+        """Non-root nodes on the paths from ``nodes`` to the root: a convergecast's reporters.
+
+        A climb stops at the first node already in the closure.
+        """
+        parent, root = self.parent, self.root
+        closure: set[int] = set()
+        for node in nodes:
+            while node != root and node not in closure:
+                closure.add(node)
+                node = parent[node]
+        return closure
+
     def slots(self, network: Network) -> TreeSlots:
         """This tree's slots on ``network``'s current topology.
 
         Read once per topology: a tree held across a churn or crash event
         re-derives them rather than stage slot ids of a graph that is gone.
         """
-        index = network._pair_index()
         cached = self._slots
-        if cached is None or cached.index is not index:
-            cached = self._slots = _read_slots(self, network, index)
+        if cached is None or cached.topology is not network._topology:
+            cached = self._slots = _read_slots(self, network)
         return cached
 
 
-def _read_slots(
-    tree: BfsTree, network: Network, index: tuple[np.ndarray, np.ndarray]
-) -> TreeSlots:
-    """Read ``tree``'s slots off ``network``'s pair ``index``."""
+def _read_slots(tree: BfsTree, network: Network) -> TreeSlots:
+    """Read ``tree``'s slots off the pair index of ``network``'s graph."""
     nodes = np.arange(tree.n, dtype=np.int64)
     parent = np.asarray(tree.parent, dtype=np.int64)
     up = network.edge_slots_for_pairs(nodes, parent)
@@ -138,7 +152,7 @@ def _read_slots(
     # The flood sends one explore per distinct directed non-loop pair, except
     # a non-root node's pair to its own parent.  Pair keys are sorted, so the
     # first entry of each run of equal keys is that pair's representative.
-    keys, order = index
+    keys, order = network.graph.pair_index()
     n = network.graph.n
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
@@ -150,7 +164,7 @@ def _read_slots(
     flood[to_parent[to_parent >= 0]] = 0
     sent = pair_slots[flood[pair_slots] > 0]
     return TreeSlots(
-        index=index,
+        topology=network._topology,
         parent=parent,
         up=up,
         down=down,
@@ -309,14 +323,10 @@ def _stage_flood(network: Network, tree: BfsTree) -> None:
 
 
 def stage_tree_funnel(network: Network, tree: BfsTree, *, messages: int, congestion: int) -> None:
-    """Attribute a pipelined tree sweep's whole charge to the root funnel edge.
+    """Stage :func:`charge_tree_funnel`'s whole charge on the first root-child edge.
 
-    The synthetic ``charge(height + k, messages=2k, congestion=k)`` charges
-    (REPORT convergecast, slot recovery, walk regeneration) model ``k``
-    tokens pipelined up — and answers back down — the BFS tree; the busiest
-    link is the one into the root, so the cartography books the entire
-    charge on the first root-child edge.  A degenerate tree with no
-    children leaves the charge unstaged (sink residual).
+    The busiest link of the funnel is the one into the root.  A tree with
+    no children leaves the charge unstaged (sink residual).
     """
     if network.heatmap is None or messages <= 0:
         return
@@ -523,38 +533,90 @@ def charged_convergecast(
         if node == tree.root:
             continue
         acc[tree.parent[node]] = combine(acc[tree.parent[node]], acc[node])
-
     if participants is None:
-        n_messages = tree.n - 1
-        reporters: set[int] | None = None
+        reporters: Collection[int] = [v for v in range(tree.n) if v != tree.root]
     else:
-        closure: set[int] = set()
-        for node in participants:
-            for hop in tree.path_to_root(node):
-                if hop in closure:
-                    break
-                closure.add(hop)
-        closure.discard(tree.root)
-        n_messages = len(closure)
-        reporters = closure
-    if network.heatmap is not None and n_messages:
-        up = tree.slots(network).up
-        if reporters is None:
-            slots = np.delete(up, tree.root)
-        else:
-            slots = up[sorted(reporters)]
-        ones = np.ones(slots.size, dtype=np.int64)
-        network._stage_slots(slots, ones, ones)
-    network.ledger.charge(tree.height, messages=n_messages, congestion=1)
+        reporters = tree.closure(participants)
+    charge_closures(network, tree, [(reporters, 1)])
     return acc[tree.root]
 
 
-def charged_broadcast(network: Network, tree: BfsTree, *, words: int = 1) -> None:
-    """Fast-path broadcast cost: ``height`` rounds, ``n − 1`` messages."""
+def charged_broadcast(network: Network, tree: BfsTree, *, words: int = 1, count: int = 1) -> None:
+    """Fast-path cost of ``count`` pipelined broadcasts.
+
+    ``height + count − 1`` rounds and ``count · (n − 1)`` messages.
+    """
     if words > network.max_words:
         raise ProtocolError(f"broadcast payload of {words} words exceeds cap")
     if network.heatmap is not None and tree.n > 1:
         slots = np.delete(tree.slots(network).down, tree.root)
-        ones = np.ones(slots.size, dtype=np.int64)
-        network._stage_slots(slots, ones, ones)
-    network.ledger.charge(tree.height, messages=tree.n - 1, congestion=1)
+        network._stage_slots(
+            slots, np.full(slots.size, count, dtype=np.int64), np.ones(slots.size, dtype=np.int64)
+        )
+    network.ledger.charge(tree.height + count - 1, messages=count * (tree.n - 1), congestion=1)
+
+
+def charge_tree_funnel(network: Network, tree: BfsTree, k: int, *, merged: bool = False) -> int:
+    """Charge ``k`` tokens pipelined up ``tree`` to the root and answered back down.
+
+    ``height + k`` rounds, ``2k`` messages, congestion ``k`` on the link into
+    the root; ``height + k − 1`` rounds when ``merged`` (several requests'
+    tokens share one pipelined wave).
+    """
+    rounds = tree.height + k - (1 if merged else 0)
+    stage_tree_funnel(network, tree, messages=2 * k, congestion=k)
+    network.ledger.charge(rounds, messages=2 * k, congestion=k)
+    return rounds
+
+
+def deliver_tree_path(network: Network, tree: BfsTree, node: int, *, upward: bool = True) -> int:
+    """Charge one token's ``depth[node]`` hops up ``tree`` to its root (or down from it).
+
+    The path is built only for an attached heatmap.
+    """
+    path = None
+    if network.heatmap is not None:
+        path = tree.path_to_root(node)
+        if not upward:
+            path.reverse()
+    return network.deliver_sequential(tree.depth[node], path=path)
+
+
+def charge_tree_routes(network: Network, tree: BfsTree, routes: Sequence[tuple[int, int]]) -> int:
+    """Charge pipelined ``start → root → end`` routes: the longest plus one round per other.
+
+    One message per hop, congestion 1.
+    """
+    depth = tree.depth
+    hops = [depth[start] + depth[end] for start, end in routes]
+    if network.heatmap is not None:
+        climbs = [hop for start, _ in routes for hop in tree.path_to_root(start)[:-1]]
+        descents = [hop for _, end in routes for hop in tree.path_to_root(end)[:-1]]
+        if climbs or descents:
+            stage_tree_hops(network, tree, climbs, descents)
+    rounds = max(hops) + len(routes) - 1
+    network.ledger.charge(rounds, messages=sum(hops), congestion=1)
+    return rounds
+
+
+def charge_closures(network: Network, tree: BfsTree, closures: Sequence[tuple[Collection[int], int]]) -> int:
+    """Charge ``count`` pipelined convergecasts per ``(reporters, count)`` group.
+
+    Every reporter sends one message to its parent per convergecast; all
+    Σ count of them take ``height + Σ count − 1`` rounds, congestion 1.
+    """
+    n_casts = sum(count for _, count in closures)
+    messages = sum(len(reporters) * count for reporters, count in closures)
+    if network.heatmap is not None and messages:
+        up = tree.slots(network).up
+        nodes: list[int] = []
+        counts: list[int] = []
+        for reporters, count in closures:
+            nodes.extend(sorted(reporters))
+            counts.extend([count] * len(reporters))
+        network._stage_slots(
+            up[nodes], np.array(counts, dtype=np.int64), np.ones(len(nodes), dtype=np.int64)
+        )
+    rounds = tree.height + n_casts - 1
+    network.ledger.charge(rounds, messages=messages, congestion=1)
+    return rounds

@@ -9,8 +9,8 @@ only the churn report and telemetry.  In order:
 
 1. **Topology** — :meth:`~repro.graphs.graph.Graph.apply_delta` rebuilds
    the CSR arrays in place and reports the slot remap and mutated nodes;
-   :meth:`~repro.congest.network.Network.refresh_topology` re-derives the
-   adjacency tables the CONGEST engine routes by.
+   :meth:`~repro.congest.network.Network.refresh_topology` re-stamps the
+   topology, so BFS trees re-read the CSR slots they stage on.
 2. **Caches** — the engine's BFS-tree cache drops wholesale: tree shape,
    heights, and charged flood costs are all topology functions.
 3. **Pool invalidation** — one vectorized scan of the

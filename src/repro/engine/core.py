@@ -52,8 +52,11 @@ from repro.congest.phases import (
 from repro.congest.primitives import (
     BfsTree,
     build_bfs_tree,
-    stage_tree_funnel,
-    stage_tree_hops,
+    charge_closures,
+    charge_tree_funnel,
+    charge_tree_routes,
+    charged_broadcast,
+    deliver_tree_path,
 )
 from repro.engine.model import EngineStats, WalkRequest
 from repro.engine.pool import EMPTY_REPORT, MaintenanceReport, PoolManager
@@ -246,7 +249,7 @@ class WalkEngine:
         The dynamic-graph entry point (see :mod:`repro.dynamic`): ``delta``
         is a :class:`~repro.dynamic.delta.GraphDelta` of edge inserts and
         deletes.  The graph's CSR arrays rebuild in place, the network
-        re-derives its adjacency tables, the BFS-tree cache drops, pooled
+        re-stamps its topology, the BFS-tree cache drops, pooled
         tokens whose recorded law the churn broke are evicted by one
         vectorized path scan, shard quotas re-derive from the new degree
         profile, and the affected shards are topped back up by a charged
@@ -266,8 +269,8 @@ class WalkEngine:
     def _apply_delta(self, delta):
         """The topology half of the invalidation cascade churn and crash/recover share.
 
-        The graph's CSR arrays rebuild in place, the network re-derives its
-        adjacency tables, an attached heatmap re-keys its per-edge
+        The graph's CSR arrays rebuild in place, the network re-stamps its
+        topology, an attached heatmap re-keys its per-edge
         accumulators through the slot remap (deleted slots retire into
         per-phase buckets), and the BFS-tree cache drops — tree shape,
         heights and charged flood costs are all topology functions.
@@ -715,9 +718,7 @@ class WalkEngine:
                 rp = pool.record_paths if pool is not None else self._default_record_paths
             positions_list = self.graph.walk(source, length, self.rng)
             with net.phase(NAIVE):
-                net.deliver_sequential(
-                    length, path=positions_list if net.heatmap is not None else None
-                )
+                net.deliver_sequential(length, path=positions_list)
             served = _SingleServed(
                 destination=positions_list[-1],
                 mode="naive",
@@ -761,14 +762,7 @@ class WalkEngine:
 
         if request.report_to_source:
             with net.phase(REPORT):
-                net.deliver_sequential(
-                    source_tree.depth[served.destination],
-                    path=(
-                        source_tree.path_to_root(served.destination)
-                        if net.heatmap is not None
-                        else None
-                    ),
-                )
+                deliver_tree_path(net, source_tree, served.destination)
 
         if pool is not None and served.mode == "stitched":
             # Only queries actually served from tokens count against the
@@ -819,11 +813,8 @@ class WalkEngine:
         k_total = int(sum(ks))
         if k_total == 0:
             return
-        rounds = tree.height + k_total - (0 if len(ks) == 1 else 1)
-        net = self.network
-        with net.phase(phase):
-            stage_tree_funnel(net, tree, messages=2 * k_total, congestion=k_total)
-            net.ledger.charge(rounds, messages=2 * k_total, congestion=k_total)
+        with self.network.phase(phase):
+            charge_tree_funnel(self.network, tree, k_total, merged=len(ks) > 1)
 
     def _serve_pooled_many(self, request: WalkRequest) -> ManyWalksResult:
         sources, length = list(request.sources), request.length
@@ -1014,8 +1005,6 @@ class WalkEngine:
         k = len(slots)
         total_gmw = 0
         root = base_tree.root
-        depth = base_tree.depth
-        height = base_tree.height
 
         while True:
             faults = self._faults
@@ -1030,8 +1019,6 @@ class WalkEngine:
                         base_tree = build_bfs_tree(
                             net, root, cache=self._tree_cache, allow_unreached=True
                         )
-                        depth = base_tree.depth
-                        height = base_tree.height
                         self._recover_slots(slots, mutated, faults, base_tree)
 
             active = [
@@ -1096,7 +1083,6 @@ class WalkEngine:
 
             # One shared-tree flood per sweep (the protocol's Sweep 1,
             # amortized over every group instead of run per draw).
-            n_draws = len(active)
             with net.phase(sample_phase):
                 build_bfs_tree(
                     net,
@@ -1104,49 +1090,22 @@ class WalkEngine:
                     cache=self._tree_cache,
                     allow_unreached=self._faults is not None,
                 )
-                # Convergecast messages: per draw, the ancestor closure of
+                # Convergecasts: per draw, one over the ancestor closure of
                 # the connector's holder set (what charged_convergecast
                 # bills), streamed as pipelined stages on the shared tree.
-                cc_messages = 0
-                cc_nodes: list[int] | None = [] if net.heatmap is not None else None
-                cc_counts: list[int] = []
-                for c, walks in groups.items():
-                    closure: set[int] = set()
-                    for holder in store.holders_for_source(c):
-                        for hop in base_tree.path_to_root(holder):
-                            if hop in closure:
-                                break
-                            closure.add(hop)
-                    closure.discard(root)
-                    cc_messages += len(closure) * len(walks)
-                    if cc_nodes is not None and closure:
-                        cc_nodes.extend(sorted(closure))
-                        cc_counts.extend([len(walks)] * len(closure))
-                if cc_nodes:
-                    net._stage_slots(
-                        base_tree.slots(net).up[cc_nodes],
-                        np.array(cc_counts, dtype=np.int64),
-                        np.ones(len(cc_nodes), dtype=np.int64),
-                    )
-                net.ledger.charge(height + n_draws - 1, messages=cc_messages, congestion=1)
-                # Delete directives: one broadcast per draw, pipelined.
-                if net.heatmap is not None and base_tree.n > 1:
-                    t_slots = np.delete(base_tree.slots(net).down, root)
-                    net._stage_slots(
-                        t_slots,
-                        np.full(t_slots.size, n_draws, dtype=np.int64),
-                        np.ones(t_slots.size, dtype=np.int64),
-                    )
-                net.ledger.charge(
-                    height + n_draws - 1, messages=n_draws * (base_tree.n - 1), congestion=1
+                charge_closures(
+                    net,
+                    base_tree,
+                    [
+                        (base_tree.closure(store.holders_for_source(c)), len(walks))
+                        for c, walks in groups.items()
+                    ],
                 )
+                # Delete directives: one broadcast per draw, pipelined.
+                charged_broadcast(net, base_tree, count=len(active))
 
             # Draw without replacement and advance every active walk.
-            hops: list[int] = []
-            # Heatmap only: per route hop, the node whose tree edge a token
-            # crosses, climbing to the root or descending from it.
-            route_up: list[int] | None = [] if net.heatmap is not None else None
-            route_down: list[int] = []
+            routes: list[tuple[int, int]] = []
             for c, walks in groups.items():
                 for i in walks:
                     record = store.sample_uniform_token(c, self.rng)
@@ -1161,19 +1120,12 @@ class WalkEngine:
                         slot.chunks.append(record.path[1:])
                     slot.completed += record.length
                     slot.current = record.destination
-                    hops.append(depth[c] + depth[record.destination])
-                    if route_up is not None:
-                        route_up.extend(base_tree.path_to_root(c)[:-1])
-                        route_down.extend(base_tree.path_to_root(record.destination)[:-1])
+                    routes.append((c, record.destination))
 
             # Route all stitched tokens concurrently: connector → root →
             # destination along shared-tree edges, pipelined.
             with net.phase(route_phase):
-                if route_up or route_down:
-                    stage_tree_hops(net, base_tree, route_up, route_down)
-                net.ledger.charge(
-                    max(hops) + n_draws - 1, messages=sum(hops), congestion=1
-                )
+                charge_tree_routes(net, base_tree, routes)
         return total_gmw
 
     def _recover_slots(
@@ -1209,8 +1161,7 @@ class WalkEngine:
         """
         net = self.network
         live = faults.live
-        tree_height = tree.height
-        replay_cap = max(2, 2 * tree_height)
+        replay_cap = max(2, 2 * tree.height)
         if mutated is None:
             mutated = np.zeros(self.graph.n, dtype=bool)
         touched = 0
@@ -1252,8 +1203,7 @@ class WalkEngine:
                 slot.current = slot.source
                 faults.walks_restarted += 1
         if touched:
-            stage_tree_funnel(net, tree, messages=2 * touched, congestion=touched)
-            net.ledger.charge(tree_height + touched, messages=2 * touched, congestion=touched)
+            charge_tree_funnel(net, tree, touched)
             replay_segments(net, prefixes, words=2)
 
     # ------------------------------------------------------------------

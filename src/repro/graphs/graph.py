@@ -150,8 +150,7 @@ class Graph:
         # Per-node cumulative weights for weighted sampling, lazily built.
         self._cumweights: np.ndarray | None = None
         self._reverse_slot: np.ndarray | None = None
-        # Per-node sorted neighbor view for O(log deg) has_edge, lazily built.
-        self._sorted_neighbors: np.ndarray | None = None
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -202,22 +201,34 @@ class Graph:
         """True when edge weights are not all identical."""
         return not self._uniform_weights
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Adjacency test in O(log deg(u)) via a lazily built sorted view.
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every slot's directed pair key ``src·n + dst``, sorted, and the slots in that order.
 
-        The first call sorts every node's neighbor list once; afterwards a
-        call is a binary search inside ``u``'s segment (``verify_positions``
-        probes this ℓ times per walk verification).
+        Built on first use and dropped when the edges change.  A pair's
+        parallel slots sit together in slot order (the sort is stable): the
+        first is its representative slot, their number its multiplicity.
         """
-        if self._sorted_neighbors is None:
-            # csr_source is non-decreasing, so one lexsort yields every
-            # node's targets sorted, concatenated in node order.
-            order = np.lexsort((self.csr_target, self.csr_source))
-            self._sorted_neighbors = self.csr_target[order]
-        lo, hi = int(self.indptr[u]), int(self.indptr[u + 1])
-        sn = self._sorted_neighbors
-        i = lo + int(np.searchsorted(sn[lo:hi], v))
-        return i < hi and int(sn[i]) == v
+        index = self._pairs
+        if index is None:
+            keys = self.csr_source * self.n + self.csr_target
+            order = np.argsort(keys, kind="stable")
+            index = self._pairs = (keys[order], order)
+        return index
+
+    def pair_slots(self, keys: np.ndarray) -> np.ndarray:
+        """First CSR slot of each directed pair key ``src·n + dst``; -1 where none."""
+        sorted_keys, order = self.pair_index()
+        if sorted_keys.size == 0:
+            return np.full(np.shape(keys), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+        return np.where(sorted_keys[pos] == keys, order[pos], -1)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether some slot carries ``u → v``: one binary search of :meth:`pair_index`."""
+        keys, _ = self.pair_index()
+        key = u * self.n + v
+        i = int(keys.searchsorted(key))
+        return i < keys.size and int(keys[i]) == key
 
     def total_weight(self) -> float:
         return float(self._edge_weights.sum())
@@ -364,7 +375,7 @@ class Graph:
         old and new graphs.
 
         Mutating the topology invalidates everything derived from it that
-        lives *outside* this object (network edge-multiplicity tables, BFS
+        lives *outside* this object (a network's tree-slot stamp, BFS
         tree caches, pool quotas); driving that cascade is the
         :class:`~repro.dynamic.controller.ChurnController`'s job.
         """

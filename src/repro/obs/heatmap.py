@@ -3,10 +3,11 @@
 The CONGEST model the paper charges against is fundamentally *per-edge* —
 bandwidth is constrained on every link — yet the :class:`RoundLedger`
 collapses a whole execution into one global ``max_congestion`` scalar.
-A :class:`HeatmapSink` recovers the map: every charge site (the
-``deliver_*`` family, the charged BFS/convergecast/broadcast fast paths,
-the engine's pipelined sweeps) *stages* the per-edge message counts it is
-about to bill immediately before calling ``ledger.charge``, and the
+A :class:`HeatmapSink` recovers the map: every charge in
+``repro.congest`` (the ``deliver_*`` family and the charged tree
+primitives the engine's pipelined sweeps call) *stages* the per-edge
+message counts it is about to bill immediately before calling
+``ledger.charge``, and the
 :class:`~repro.obs.probe.Probe` settles the staged batch into columnar
 per-phase accumulators when the ledger's ``charged`` notification fires.
 
@@ -22,11 +23,11 @@ residual is exactly zero — pinned by ``tests/test_obs_heatmap.py`` —
 and the per-edge congestion maxima reproduce ``max_congestion`` exactly.
 
 Strictly passive: the sink never charges the ledger, never draws from an
-RNG, and never reads wall-clock.  Attribution is *emitted* only from
-charge/deliver call sites and *consumed* only by the probe — enforced
-statically by the ``obs-passivity`` analyzer rule (``stage_edges`` /
-``stage_counts`` may not be called anywhere under ``obs/``;
-``settle_charge`` only from ``probe.py``).
+RNG, and never reads wall-clock.  Attribution is *emitted* only by the
+charges in ``repro.congest`` and *consumed* only by the probe — enforced
+statically by the ``obs-passivity`` analyzer rule (``stage_edges``,
+``stage_counts`` and the congest staging helpers may be called only under
+``congest/``; ``settle_charge`` only from ``probe.py``).
 
 Edge identity is the directed CSR slot (the ledger's congestion unit).
 Across a churn event the accounting survives via :meth:`apply_remap`,
@@ -34,13 +35,20 @@ re-keying every column through the :class:`~repro.dynamic.delta.DeltaRemap`
 slot map; deleted slots' history moves to per-phase retired buckets that
 keep counting toward conservation.
 
-Tree-shaped charges (the BFS flood, convergecast, broadcast, the serving
-sweeps' closure, delete broadcast and route hops, the root-funnel
-reports) stage through the tree's cached slots
+``repro.congest`` is the one layer that decides which slot a charged
+message crosses; the engine and the walks call its charges and never
+stage.  Tree-shaped charges stage through the tree's cached slots
 (:meth:`~repro.congest.primitives.BfsTree.slots`, read once per
-topology); only the pair-keyed ``deliver_pairs``, ``deliver_sequential``
-and event-driven rounds search the network's pair index on every charge.
-Three known limits of the map, each still conserved:
+topology): the BFS flood, ``charged_convergecast`` and
+``charged_broadcast`` (one broadcast or a sweep's ``count`` pipelined
+deletes), ``charge_closures`` (a serving sweep's per-group
+convergecasts), ``charge_tree_routes`` (its route hops) and
+``charge_tree_funnel`` (root-funnel reports, slot recoveries,
+regenerations).  Only the pair-keyed ``deliver_pairs``,
+``deliver_sequential`` (with a path; ``deliver_tree_path`` passes a tree
+path to it) and event-driven rounds search the graph's pair index on
+every charge, and only while a heatmap is attached.  Three known limits
+of the map, each still conserved:
 
 * **Strays.**  A charged pair with no live slot folds onto its charge's
   first located slot.  In the library's charge paths strays come only
@@ -84,8 +92,9 @@ class HeatmapSink:
     """Columnar per-edge message attribution keyed by directed CSR slot.
 
     Lifecycle: :meth:`bind_topology` once at attach (done by
-    ``WalkEngine.attach_observability``), then charge sites call
-    :meth:`stage_edges` immediately before ``ledger.charge`` and the probe
+    ``WalkEngine.attach_observability``), then the charges in
+    ``repro.congest`` call :meth:`stage_edges` immediately before
+    ``ledger.charge`` and the probe
     calls :meth:`settle_charge` from the ledger's ``charged`` hook.  On a
     churn/fault topology event :meth:`apply_remap` re-keys the columns.
     """
@@ -179,7 +188,7 @@ class HeatmapSink:
         ``slots`` are directed CSR slot ids; ``messages`` parallels it
         (scalar broadcast allowed; default 1 per slot) and ``congestion``
         defaults to ``messages`` — the per-edge load of this charge.
-        Called only from charge/deliver call sites, never from ``obs/``.
+        Called only from the charges in ``repro.congest``.
         """
         slots = np.asarray(slots, dtype=np.int64)
         if slots.size == 0:
@@ -216,8 +225,7 @@ class HeatmapSink:
         through ``ufunc.at``, and a congestion-1 batch skips the per-slot
         maximum entirely (a unit load only lifts touched slots to 1, which
         the message column already proves — see ``_cmax_floor``).  Same
-        contract as :meth:`stage_edges`: call sites only, never from
-        ``obs/``.
+        contract as :meth:`stage_edges`: called only from ``repro.congest``.
         """
         if counts.size:
             self._staged_counts.append(

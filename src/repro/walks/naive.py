@@ -86,13 +86,11 @@ def _run_naive_walk(
 
     positions = graph.walk(source, length, rng)
     with net.phase(NAIVE):
-        net.deliver_sequential(length, path=positions if net.heatmap is not None else None)
+        net.deliver_sequential(length, path=positions)
     if report_to_source:
         with net.phase(REPORT):
             # The report retraces the trajectory back to the source.
-            net.deliver_sequential(
-                length, path=positions[::-1] if net.heatmap is not None else None
-            )
+            net.deliver_sequential(length, path=positions[::-1])
 
     return WalkResult(
         source=source,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.congest.network import Network
 from repro.congest.phases import REPORT
-from repro.congest.primitives import BfsTree
+from repro.congest.primitives import BfsTree, deliver_tree_path
 from repro.errors import WalkError
 from repro.graphs.graph import Graph
 from repro.walks.params import WalkParams, podc09_params
@@ -95,7 +95,7 @@ def _run_podc09_walk(
 
     if report_to_source:
         with net.phase(REPORT):
-            net.deliver_sequential(source_tree.depth[destination])
+            deliver_tree_path(net, source_tree, destination)
 
     return WalkResult(
         source=source,

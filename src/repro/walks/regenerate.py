@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.congest.network import Network
 from repro.congest.phases import REGENERATE
-from repro.congest.primitives import BfsTree, build_bfs_tree, stage_tree_funnel
+from repro.congest.primitives import BfsTree, build_bfs_tree, charge_tree_funnel
 from repro.errors import WalkError
 from repro.walks.single_walk import WalkResult
 
@@ -136,9 +136,7 @@ def regenerate_walk(
     with network.phase(phase):
         # Step 1: source tells each connector its segment's start offset.
         tree = build_bfs_tree(network, result.source, cache=tree_cache)
-        k = len(result.segments)
-        stage_tree_funnel(network, tree, messages=2 * k, congestion=k)
-        network.ledger.charge(tree.height + k, messages=2 * k, congestion=k)
+        charge_tree_funnel(network, tree, len(result.segments))
 
         # Step 2: replay all used segments simultaneously; iteration j
         # forwards one message along hop j of every segment longer than j.

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.congest.network import Network
 from repro.congest.phases import GET_MORE_WALKS, NAIVE, NAIVE_TAIL, REPORT, SETUP, STITCH_ROUTE
-from repro.congest.primitives import BfsTree, build_bfs_tree
+from repro.congest.primitives import BfsTree, build_bfs_tree, deliver_tree_path
 from repro.engine.model import ResultBase
 from repro.errors import WalkError
 from repro.graphs.graph import Graph
@@ -72,8 +72,8 @@ class WalkResult(ResultBase):
     def verify_positions(self, graph: Graph) -> None:
         """Assert the recorded trajectory is a genuine ℓ-step walk.
 
-        Probes :meth:`~repro.graphs.graph.Graph.has_edge` once per hop —
-        O(log deg) each against the graph's sorted-neighbor view.
+        Probes :meth:`~repro.graphs.graph.Graph.has_edge` once per hop — a
+        binary search of the graph's pair index each.
         """
         if self.positions is None:
             raise WalkError("positions were not recorded")
@@ -184,14 +184,7 @@ def stitch_walk(
             if record is None:
                 raise WalkError("GET-MORE-WALKS produced no walks (engine bug)")
         with network.phase(STITCH_ROUTE):
-            network.deliver_sequential(
-                tree.depth[record.destination],
-                path=(
-                    list(reversed(tree.path_to_root(record.destination)))
-                    if network.heatmap is not None
-                    else None
-                ),
-            )
+            deliver_tree_path(network, tree, record.destination, upward=False)
         segments.append(record)
         if record_paths:
             if record.path is None:
@@ -204,9 +197,7 @@ def stitch_walk(
     if remaining > 0 and not defer_tail:
         tail = network.graph.walk(current, remaining, rng)
         with network.phase(NAIVE_TAIL):
-            network.deliver_sequential(
-                remaining, path=tail if network.heatmap is not None else None
-            )
+            network.deliver_sequential(remaining, path=tail)
         current = tail[-1]
         if record_paths:
             chunks.append(np.asarray(tail[1:], dtype=np.int64))
@@ -257,20 +248,11 @@ def _run_single_walk(
     if params.use_naive:
         positions_list = graph.walk(source, length, rng)
         with net.phase(NAIVE):
-            net.deliver_sequential(
-                length, path=positions_list if net.heatmap is not None else None
-            )
+            net.deliver_sequential(length, path=positions_list)
         destination = positions_list[-1]
         if report_to_source:
             with net.phase(REPORT):
-                net.deliver_sequential(
-                    source_tree.depth[destination],
-                    path=(
-                        source_tree.path_to_root(destination)
-                        if net.heatmap is not None
-                        else None
-                    ),
-                )
+                deliver_tree_path(net, source_tree, destination)
         return WalkResult(
             source=source,
             length=length,
@@ -312,14 +294,7 @@ def _run_single_walk(
 
     if report_to_source:
         with net.phase(REPORT):
-            net.deliver_sequential(
-                source_tree.depth[destination],
-                path=(
-                    source_tree.path_to_root(destination)
-                    if net.heatmap is not None
-                    else None
-                ),
-            )
+            deliver_tree_path(net, source_tree, destination)
 
     return WalkResult(
         source=source,

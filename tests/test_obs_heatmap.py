@@ -32,7 +32,15 @@ import json
 import numpy as np
 import pytest
 
-from repro import Graph, WalkEngine, random_regular_graph
+from repro import (
+    Graph,
+    WalkEngine,
+    many_random_walks,
+    naive_random_walk,
+    podc09_random_walk,
+    random_regular_graph,
+    torus_graph,
+)
 from repro.congest import Network
 from repro.congest.faults import FaultSchedule, FaultStep
 from repro.congest.phases import REPORT
@@ -64,6 +72,29 @@ def golden_run_with_heatmap(name: str):
     net.heatmap = heatmap
     result = single_random_walk(graph, source, length, seed=seed, network=net, **kwargs)
     return net, result, heatmap
+
+
+#: The baselines' conservation cases: each walks torus 8×8 from node 0 and
+#: reports its endpoint(s) back, so every baseline charge site fires.
+BASELINE_CASES = {
+    "podc09": lambda graph, net: podc09_random_walk(graph, 0, 256, seed=7, network=net),
+    "naive": lambda graph, net: naive_random_walk(
+        graph, 0, 256, seed=7, network=net, report_to_source=True
+    ),
+    "naive-parallel": lambda graph, net: many_random_walks(
+        graph, [0, 5, 17], 16, seed=7, network=net
+    ),
+}
+
+
+def baseline_run_with_heatmap(name: str):
+    """One baseline case of :data:`BASELINE_CASES` with a live heatmap observer."""
+    graph = torus_graph(8, 8)
+    engine = WalkEngine(graph, seed=0)
+    heatmap = HeatmapSink()
+    engine.attach_observability(heatmap=heatmap)
+    result = BASELINE_CASES[name](graph, engine.network)
+    return engine.network, result, heatmap
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +375,17 @@ class TestConservation:
             assert heatmap.residual_messages(phase) == 0, phase
         assert heatmap.messages_total == net.ledger.messages
         assert heatmap.rounds_total == net.ledger.rounds
+        assert heatmap.max_edge_congestion() == net.ledger.max_congestion
+
+    @pytest.mark.parametrize("name", sorted(BASELINE_CASES))
+    def test_baselines_conserve_exactly_with_zero_residual(self, name):
+        net, result, heatmap = baseline_run_with_heatmap(name)
+        assert result.mode == name
+        assert net.ledger.phases["report"].messages > 0
+        for phase, stats in net.ledger.phases.items():
+            assert heatmap.attributed_messages(phase) == stats.messages, phase
+            assert heatmap.residual_messages(phase) == 0, phase
+        assert heatmap.messages_total == net.ledger.messages
         assert heatmap.max_edge_congestion() == net.ledger.max_congestion
 
     def test_serve_session_conserves_through_churn_and_crash(self, heatmapped_session):

@@ -477,6 +477,39 @@ class TestObsPassivityRule:
         )
         assert not report.findings
 
+    STAGING_SRC = (
+        "def sweep(net, tree, heatmap, slots):\n"
+        "    net._stage_slots(slots, slots, slots)\n"
+        "    stage_tree_funnel(net, tree, messages=2, congestion=1)\n"
+        "    stage_tree_hops(net, tree, [1], [])\n"
+        "    heatmap.stage_edges(slots)\n"
+        "    heatmap.stage_counts(slots)\n"
+    )
+
+    def test_true_positive_staging_outside_congest(self, tmp_path):
+        # A caller staging beside its own charge decides edge attribution
+        # outside the layer that bills it.
+        for rel in ("src/repro/engine/sweep.py", "src/repro/walks/sweep.py"):
+            report = self.run_at(ObsPassivityRule(), tmp_path, rel, self.STAGING_SRC)
+            assert [f.lineno for f in report.findings] == [2, 3, 4, 5, 6]
+            assert all("outside repro.congest" in f.message for f in report.findings)
+
+    def test_true_negative_staging_inside_congest_and_lookalikes(self, tmp_path):
+        report = self.run_at(
+            ObsPassivityRule(), tmp_path, "src/repro/congest/prims.py", self.STAGING_SRC
+        )
+        assert not report.findings
+        # The tree charges that stage, a lookalike method and an attribute
+        # read are all fine outside congest/.
+        src = (
+            "def sweep(net, tree, heatmap):\n"
+            "    charge_tree_funnel(net, tree, 2)\n"
+            "    heatmap.stage_names()\n"
+            "    return heatmap.stage_edges\n"
+        )
+        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/engine/ok.py", src)
+        assert not report.findings
+
     def test_settle_charge_only_from_probe(self, tmp_path):
         src = (
             "def charged(self, phase, rounds, messages, congestion):\n"
