@@ -43,10 +43,12 @@ from repro.congest.network import Network
 from repro.congest.phases import (
     BATCH_SAMPLE,
     NAIVE,
+    NAIVE_PARALLEL,
     NAIVE_TAIL,
     POOL_REFILL,
     REPORT,
     SERVE_RECOVERY,
+    SETUP,
     STITCH_ROUTE,
 )
 from repro.congest.primitives import (
@@ -66,24 +68,13 @@ from repro.obs.probe import Probe
 from repro.util.rng import make_rng
 from repro.util.contracts import charged_fast_path
 from repro.walks.get_more_walks import get_more_walks_batch
-from repro.walks.many_walks import (
-    ManyWalksResult,
-    _parallel_naive,
-    _parallel_tails,
-    _run_many_walks,
-)
+from repro.walks.many_walks import ManyWalksResult, _parallel_tails, _run_many_walks
 from repro.walks.metropolis import _run_metropolis_walk
 from repro.walks.naive import _run_naive_walk
 from repro.walks.params import WalkParams, many_walks_params, single_walk_params
-from repro.walks.podc09 import _run_podc09_walk
 from repro.walks.regenerate import RegenerationResult, regenerate_walk, replay_segments
 from repro.walks.short_walks import perform_short_walks
-from repro.walks.single_walk import (
-    WalkResult,
-    _run_single_walk,
-    estimate_diameter,
-    stitch_walk,
-)
+from repro.walks.single_walk import WalkResult, _run_single_walk, stitch_walk
 
 __all__ = ["PoolManager", "WalkEngine"]
 
@@ -404,16 +395,39 @@ class WalkEngine:
         root = 0 if source_hint is None else source_hint
         if not 0 <= root < self.graph.n:
             raise WalkError(f"source_hint {root} out of range")
-        d_est, _tree = estimate_diameter(
-            self.network, root, self._tree_cache, allow_unreached=self._faults is not None
-        )
+        tree = self._tree(root, SETUP)
         if lam is None:
             if length_hint is None:
                 raise WalkError("prepare() needs lam= or length_hint=")
-            lam = single_walk_params(
-                length_hint, d_est, constant=self.lambda_constant, eta=eta_val, n=self.graph.n
-            ).lam
+            lam = self._lambda_policy(length_hint, tree, eta_val).lam
         return self._install_pool(int(lam), eta_val, rp)
+
+    def _tree(self, root: int, phase: str) -> BfsTree:
+        """The session's cached BFS tree at ``root``, its (re-)flood charged to ``phase``.
+
+        Under a fault controller crashed nodes sit isolated, so the tree
+        covers the root's live component only.
+        """
+        with self.network.phase(phase):
+            return build_bfs_tree(
+                self.network, root, cache=self._tree_cache, allow_unreached=self._faults is not None
+            )
+
+    def _lambda_policy(self, length: int, tree: BfsTree, eta: float, k: int = 1) -> WalkParams:
+        """λ for ``k`` walks of ``length``: Theorem 2.5's ``Θ(√(ℓD))`` for one, 2.8's for more.
+
+        ``D`` is estimated as twice ``tree``'s height, as in
+        :func:`~repro.walks.single_walk.estimate_diameter`.  A batch
+        sweeping k > 1 walks concurrently amortizes Phase 1 but pays one
+        SAMPLE-DESTINATION generation per ``λ`` steps of each walk, so its
+        λ grows with k: ``Θ(√(kℓD) + k)`` (the arXiv:1201.1363 regime).
+        """
+        d_est = max(1, 2 * tree.height)
+        if k > 1:
+            return many_walks_params(
+                k, length, d_est, constant=self.lambda_constant, eta=eta, n=self.graph.n
+            )
+        return single_walk_params(length, d_est, constant=self.lambda_constant, eta=eta, n=self.graph.n)
 
     def _install_pool(self, lam: int, eta: float, record_paths: bool) -> PoolManager:
         """Run Phase 1 into a fresh pool and make it the session's live pool."""
@@ -444,55 +458,48 @@ class WalkEngine:
         lam: int | None,
         eta: float | None,
         record_paths: bool | None,
-        d_est: int,
+        tree: BfsTree,
         k: int = 1,
     ) -> tuple[PoolManager | None, int]:
-        """Resolve the pool a query serves from; returns ``(pool, λ)``.
+        """Resolve the pool ``k`` walks of ``length`` serve from; returns ``(pool, λ)``.
 
-        Returns the live pool when it is compatible; re-prepares when the
-        request pins ``lam``/``eta`` different from the live pool's (pools
-        are parameter-homogeneous so token lengths stay uniform on one
-        ``[λ, 2λ−1]`` window).  Returns ``(None, λ)`` when the derived
-        ``λ ≥ ℓ`` — the query will run naively without touching the pool,
-        so a cold engine must *not* pay Θ(η·m) Phase-1 preparation for it
-        (the ``use_naive`` policy the one-shot path honors).
+        The one cold-pool rule of pooled serving: ``engine.walk()``,
+        ``engine.walks()`` and a scheduler cohort on a cold engine all
+        prepare through it.  Returns the live pool when it is compatible;
+        re-prepares when the request pins ``lam``/``eta`` different from
+        the live pool's (pools are parameter-homogeneous so token lengths
+        stay uniform on one ``[λ, 2λ−1]`` window).  A cold pool takes λ
+        from :meth:`_lambda_policy` on ``tree``.  A live compatible pool
+        always wins over re-tuning: pooled serving amortizes Phase 1
+        across the query stream, and mid-stream re-preparation would throw
+        away every surviving token.
 
-        ``k`` is the batch width of the triggering request.  A *cold* pool
-        auto-prepared by a ``k > 1`` batch picks λ from the k-enlarged
-        ``Θ(√(kℓD) + k)`` policy of Theorem 2.8 (longer segments: a batch
-        sweeping k walks concurrently amortizes Phase 1 but pays one
-        SAMPLE-DESTINATION generation per ``λ`` steps of each walk, so λ
-        should grow with k — the arXiv:1201.1363 regime).  A live
-        compatible pool always wins over re-tuning: pooled serving
-        amortizes Phase 1 across the query stream, and mid-stream
-        re-preparation would throw away every surviving token.
+        Returns ``(None, λ)`` when ``λ ≥ ℓ`` — pinned, live or derived:
+        the walk is shorter than one short-walk segment and runs naively,
+        so the query neither prepares, replaces nor touches a pool (a cold
+        engine must *not* pay Θ(η·m) Phase-1 preparation for it).
 
         An auto-prepared pool records paths when the engine default *or*
         the triggering request wants them: pool policy is a session
         property, so one endpoint-only query must not lock a path-capable
         session out of serving later trajectory queries.
         """
-        eta_val = self._default_eta if eta is None else float(eta)
-        rp = self._default_record_paths or record_paths is True
+        if lam is not None and int(lam) >= length:
+            return None, int(lam)
         pool = self._pool
         if (
             pool is not None
             and (lam is None or int(lam) == pool.lam)
             and (eta is None or float(eta) == pool.eta)
         ):
-            return pool, pool.lam
+            return (pool if pool.lam < length else None), pool.lam
+        eta_val = self._default_eta if eta is None else float(eta)
         if lam is None:
-            if k > 1:
-                candidate = many_walks_params(
-                    k, length, d_est, constant=self.lambda_constant, eta=eta_val, n=self.graph.n
-                )
-            else:
-                candidate = single_walk_params(
-                    length, d_est, constant=self.lambda_constant, eta=eta_val, n=self.graph.n
-                )
+            candidate = self._lambda_policy(length, tree, eta_val, k)
             if candidate.use_naive or candidate.lam >= length:
                 return None, candidate.lam
             lam = candidate.lam
+        rp = self._default_record_paths or record_paths is True
         return self._install_pool(int(lam), eta_val, rp), int(lam)
 
     # ------------------------------------------------------------------
@@ -604,42 +611,47 @@ class WalkEngine:
         target: np.ndarray | None = None,
     ):
         algo = request.algorithm
-        if algo == "paper":
-            if request.many:
-                if request.pooled:
-                    return self._serve_pooled_many(request)
-                return _run_many_walks(
-                    self.graph,
-                    list(request.sources),
-                    request.length,
-                    self.rng,
-                    self.network,
-                    params=params,
-                    lam=request.lam,
-                    eta=self._default_eta if request.eta is None else request.eta,
-                    lambda_constant=self.lambda_constant,
-                    record_paths=False if request.record_paths is None else request.record_paths,
-                    report_to_source=request.report_to_source,
-                )
+        eta = request.eta
+        if eta is None and algo == "paper":
+            # PODC'09 reads eta=None as its own Θ((ℓ/D)^{1/3}) policy.
+            eta = self._default_eta
+        if algo == "paper" and request.many:
             if request.pooled:
-                return self._serve_pooled_single(request)
-            return _run_single_walk(
+                return self._serve_pooled_many(request)
+            return _run_many_walks(
                 self.graph,
-                request.source,
+                list(request.sources),
                 request.length,
                 self.rng,
                 self.network,
                 params=params,
                 lam=request.lam,
-                eta=self._default_eta if request.eta is None else request.eta,
+                eta=eta,
                 lambda_constant=self.lambda_constant,
-                record_paths=True if request.record_paths is None else request.record_paths,
+                record_paths=False if request.record_paths is None else request.record_paths,
                 report_to_source=request.report_to_source,
             )
         if request.many:
             raise WalkError(
                 f"algorithm {algo!r} serves single-walk requests only; "
                 "use algorithm='paper' for batches"
+            )
+        if algo == "paper" and request.pooled:
+            return self._serve_pooled_single(request)
+        if algo in ("paper", "podc09"):
+            return _run_single_walk(
+                self.graph,
+                request.source,
+                request.length,
+                self.rng,
+                self.network,
+                algorithm=algo,
+                params=params,
+                lam=request.lam,
+                eta=eta,
+                lambda_constant=self.lambda_constant,
+                record_paths=True if request.record_paths is None else request.record_paths,
+                report_to_source=request.report_to_source,
             )
         if algo == "naive":
             return _run_naive_walk(
@@ -648,20 +660,6 @@ class WalkEngine:
                 request.length,
                 self.rng,
                 self.network,
-                record_paths=True if request.record_paths is None else request.record_paths,
-                report_to_source=request.report_to_source,
-            )
-        if algo == "podc09":
-            return _run_podc09_walk(
-                self.graph,
-                request.source,
-                request.length,
-                self.rng,
-                self.network,
-                params=params,
-                lam=request.lam,
-                eta=request.eta,  # None means Θ((ℓ/D)^{1/3}), the baseline's own policy
-                lambda_constant=self.lambda_constant,
                 record_paths=True if request.record_paths is None else request.record_paths,
                 report_to_source=request.report_to_source,
             )
@@ -698,24 +696,22 @@ class WalkEngine:
         snapshot = net.ledger.capture()
         # One setup BFS per query: it doubles as the diameter estimate for
         # (auto-)preparation and as the report-routing tree.
-        d_est, source_tree = estimate_diameter(
-            net, source, self._tree_cache, allow_unreached=self._faults is not None
-        )
+        source_tree = self._tree(source, SETUP)
         old_pool = self._pool
         pool, lam_val = self._pool_for_request(
-            length, request.lam, request.eta, request.record_paths, d_est
+            length, request.lam, request.eta, request.record_paths, source_tree
         )
         tokens_before = (
             pool.store.tokens_created if (pool is not None and pool is old_pool) else 0
         )
 
-        if pool is None or pool.lam >= length:
+        if pool is None:
             # The walk is shorter than one short-walk segment: serve it
             # naively (ℓ rounds), leaving the pool — if any — untouched.
             if request.record_paths is not None:
                 rp = request.record_paths
             else:
-                rp = pool.record_paths if pool is not None else self._default_record_paths
+                rp = old_pool.record_paths if old_pool is not None else self._default_record_paths
             positions_list = self.graph.walk(source, length, self.rng)
             with net.phase(NAIVE):
                 net.deliver_sequential(length, path=positions_list)
@@ -764,10 +760,7 @@ class WalkEngine:
             with net.phase(REPORT):
                 deliver_tree_path(net, source_tree, served.destination)
 
-        if pool is not None and served.mode == "stitched":
-            # Only queries actually served from tokens count against the
-            # pool; a lam >= length query routed to the naive branch above
-            # never touched it.
+        if pool is not None:
             pool.queries += 1
         delta = net.ledger.delta_since(snapshot)
         result = WalkResult(
@@ -791,7 +784,7 @@ class WalkEngine:
         return result
 
     @charged_fast_path(
-        equivalence_test="tests/test_tenants.py::test_pipelined_report_bills_shared_phase_only"
+        equivalence_test="tests/test_pipelines.py::test_report_funnel_matches_pipelined_upcast"
     )
     def _report_convergecast(self, tree, ks, *, phase: str = REPORT) -> None:
         """Charge the destinations→sources report convergecast on ``tree``.
@@ -800,10 +793,13 @@ class WalkEngine:
         messages may funnel through one tree edge, pipelined.  For a single
         request (``len(ks) == 1``) this is the PR-3 formula — ``height + k``
         rounds, identical on every engine branch and pinned by the golden
-        serve ledgers.  For a multi-request cohort (PR 7,
-        ``ServePolicy.pipelined_report``) all Σk reports share ONE
-        convergecast wave: the pipeline drains in ``height + Σk − 1``
-        rounds — each of the per-request ``height`` start-up latencies
+        serve ledgers; that is one round more than the event-driven
+        :func:`~repro.congest.pipelines.pipelined_upcast` takes for k
+        reports at the deepest node (ROADMAP item 4).  For a multi-request
+        cohort (``ServePolicy.pipelined_report``) all Σk reports
+        share ONE convergecast wave: the pipeline drains in
+        ``height + Σk − 1`` rounds, exactly the protocol's — each of the
+        per-request ``height`` start-up latencies
         after the first is hidden behind the stream of earlier items, which
         is exactly the cross-request saving arXiv:1201.1363's serving
         regime pipelines for.  Messages (2 per walk: request + report) and
@@ -823,33 +819,28 @@ class WalkEngine:
         net = self.network
         snapshot = net.ledger.capture()
         k = len(sources)
-        d_est, base_tree = estimate_diameter(
-            net, sources[0], self._tree_cache, allow_unreached=self._faults is not None
-        )
+        base_tree = self._tree(sources[0], SETUP)
         pool, lam_val = self._pool_for_request(
-            length, request.lam, request.eta, request.record_paths, d_est, k=k
+            length, request.lam, request.eta, request.record_paths, base_tree, k=k
         )
         # Batch queries default to endpoint-only (the legacy many-walks
         # contract); trajectories must be requested explicitly.
         rp = False if request.record_paths is None else request.record_paths
-
-        if pool is None or pool.lam >= length:
-            destinations, trajectories = _parallel_naive(
-                net, sources, length, self.rng, record_paths=rp
-            )
-            total_gmw = 0
-            mode = "naive-parallel"
-        else:
-            rp = self._resolve_record_paths(pool, request.record_paths, default=False)
-            _slots, destinations, trajectories, total_gmw = self._stitch_interleaved(
-                pool, [(sources, length, rp)], base_tree
-            )
-            mode = "batch-stitched"
+        if pool is not None:
+            self._resolve_record_paths(pool, request.record_paths, default=False)
+        # With no pool (Theorem 2.8's naive branch) every walk is one
+        # full-length tail, all k stepping together.
+        _slots, destinations, trajectories, total_gmw = self._stitch_interleaved(
+            pool,
+            [(sources, length, rp)],
+            base_tree,
+            tail_phase=NAIVE_TAIL if pool is not None else NAIVE_PARALLEL,
+        )
 
         if request.report_to_source:
             self._report_convergecast(base_tree, [k])
 
-        if mode == "batch-stitched":
+        if pool is not None:
             pool.queries += 1
         delta = net.ledger.delta_since(snapshot)
         result = ManyWalksResult(
@@ -857,7 +848,7 @@ class WalkEngine:
             length=length,
             destinations=destinations,
             positions=trajectories if rp else None,
-            mode=mode,
+            mode="batch-stitched" if pool is not None else "naive-parallel",
             rounds=delta.rounds,
             lam=lam_val,
             phase_rounds=dict(delta.phase_rounds),
@@ -886,7 +877,7 @@ class WalkEngine:
         (billed to ``"serve/..."`` phases).  One slot per walk, in batch
         order, advanced by :meth:`_advance_interleaved` on ``tree``; then
         every tail completes in one merged parallel phase.  With no pool
-        (the scheduler's naive regime) the whole walk is tail.
+        (Theorem 2.8's naive regime) the whole walk is tail.
 
         The serial loop (§2.3: "stitch ... for s₁ then s₂, s₃, and so on")
         pays a full SAMPLE-DESTINATION round trip *per segment per walk*.
@@ -1034,12 +1025,7 @@ class WalkEngine:
                     # Nothing serviceable: every remaining walk sits on a
                     # crashed node.  Wait out the scheduled recovery, or
                     # fail loudly on a permanent crash-stop.
-                    for i in blocked:
-                        if not faults.recovery_pending(slots[i].source):
-                            raise WalkError(
-                                f"walk source {slots[i].source} is crashed with no "
-                                "scheduled recovery; cannot serve"
-                            )
+                    faults.require_recovery([slots[i].source for i in blocked])
                     faults.wait_for_next_step()
                     continue
             if not active:

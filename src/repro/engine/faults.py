@@ -135,9 +135,17 @@ class FaultController:
             return None
         return self.schedule.steps[self.cursor].at_round
 
-    def recovery_pending(self, node: int) -> bool:
-        """Will ``node`` recover in a step the cursor has not yet fired?"""
-        return self.schedule.recovery_pending(int(node), after_index=self.cursor)
+    def require_recovery(self, sources) -> None:
+        """Raise :class:`WalkError` if a crashed source has no recovery left to fire.
+
+        Such a source is crashed-for-good: a walk from it can neither
+        advance nor wait, so the request fails loudly instead of spinning.
+        """
+        for s in sources:
+            if not self.live[s] and not self.schedule.recovery_pending(int(s), after_index=self.cursor):
+                raise WalkError(
+                    f"walk source {s} is crashed with no scheduled recovery; cannot serve"
+                )
 
     # ------------------------------------------------------------------
     # Firing

@@ -47,6 +47,13 @@ schedule against.  Concretely:
   the last ticket across cohorts when it does not fit whole.  Split
   tickets accumulate partial results chunk by chunk and complete when
   the last chunk lands.
+* **The engine's serving decisions, not copies of them.**  A cohort's
+  tree is the engine's cached one (:meth:`~repro.engine.core.WalkEngine._tree`);
+  a cold engine prepares through
+  :meth:`~repro.engine.core.WalkEngine._pool_for_request`, so a cohort
+  gets the pool ``engine.walks()`` would prepare for its walks; a crashed
+  source with no recovery left fails through
+  :meth:`~repro.engine.faults.FaultController.require_recovery`.
 * **Charged attribution.**  Shared cohort work lands on the session ledger
   under the ``"serve"`` phase family (``serve/setup``, ``serve/sample``,
   ``serve/stitch-route``, ``serve/tail``, and — under
@@ -97,7 +104,6 @@ from repro.congest.phases import (
     SERVE_STITCH_ROUTE,
     SERVE_TAIL,
 )
-from repro.congest.primitives import build_bfs_tree
 from repro.engine.core import WalkEngine
 from repro.engine.model import WalkRequest
 from repro.errors import WalkError
@@ -112,7 +118,6 @@ from repro.serve.model import (
 from repro.serve.tenants import DEFAULT_TENANT, TenantRegistry
 from repro.util.stats import sample_quantiles
 from repro.walks.many_walks import ManyWalksResult
-from repro.walks.params import many_walks_params
 
 __all__ = ["WalkScheduler"]
 
@@ -461,15 +466,9 @@ class WalkScheduler:
         faults = self.engine._faults
         if faults is None:
             return False
-        live = faults.live
-        if all(live[s] for s in ticket.request.sources):
+        if all(faults.live[s] for s in ticket.request.sources):
             return False
-        for s in ticket.request.sources:
-            if not live[s] and not faults.recovery_pending(s):
-                raise WalkError(
-                    f"ticket {ticket.ticket_id}: source {s} is crashed with no "
-                    "scheduled recovery; request cannot be served"
-                )
+        faults.require_recovery(ticket.request.sources)
         ticket.retries += 1
         self._ticket_retries += 1
         return True
@@ -660,49 +659,6 @@ class WalkScheduler:
     # ------------------------------------------------------------------
     # Cohort servicing
     # ------------------------------------------------------------------
-    def _ensure_pool(self, cohort: list[_CohortEntry]) -> None:
-        """Warm a cold engine with the cohort-shaped k-enlarged λ policy.
-
-        Preparation is session warm-up, not cohort work: Phase 1 charges to
-        the usual ``"phase1"`` phase (its BFS to ``"serve/setup"``) and is
-        excluded from the cohort's attributed delta, exactly like
-        ``engine.prepare``.  λ comes from Theorem 2.8's ``Θ(√(kℓD) + k)``
-        with k = the cohort's total walk count — the demand the scheduler
-        actually sees.  When the policy says the naive regime wins (λ ≥ ℓ)
-        no pool is installed and the cohort runs as merged parallel tails.
-        """
-        if self.engine.pool is not None:
-            return
-        if self.root is None:
-            raise WalkError("_ensure_pool needs the cohort root pinned first (scheduler bug)")
-        net = self.engine.network
-        with net.phase(SERVE_SETUP):
-            tree = build_bfs_tree(
-                net,
-                self.root,
-                cache=self.engine._tree_cache,
-                allow_unreached=self.engine._faults is not None,
-            )
-        d_est = max(1, 2 * tree.height)
-        k_total = sum(e.k for e in cohort)
-        length_max = max(e.ticket.request.length for e in cohort)
-        wants_paths = (
-            self.engine._default_record_paths
-            or self._trajectories_requested
-            or any(e.ticket.request.record_paths for e in cohort)
-        )
-        params = many_walks_params(
-            k_total,
-            length_max,
-            d_est,
-            constant=self.engine.lambda_constant,
-            eta=self.engine._default_eta,
-            n=self.engine.graph.n,
-        )
-        if params.use_naive or params.lam >= length_max:
-            return
-        self.engine._install_pool(params.lam, params.eta, wants_paths)
-
     def _service_cohort(self, cohort: list[_CohortEntry]) -> int:
         """Serve one cohort as a single merged interleaved batch."""
         # The annotation context rides every phase span opened inside the
@@ -718,17 +674,27 @@ class WalkScheduler:
         net = engine.network
         if self.root is None:
             self.root = cohort[0].ticket.request.source
-        self._ensure_pool(cohort)
         pool = engine.pool
+        if pool is None:
+            # A cold engine prepares the pool engine.walks() would for the
+            # cohort's walks.  That is session warm-up, not cohort work:
+            # its flood bills to "serve/setup" and Phase 1 to "phase1",
+            # both before the cohort's delta opens.  When the policy says
+            # λ ≥ ℓ no pool is installed and the cohort runs as merged tails.
+            wants_paths = self._trajectories_requested or any(
+                e.ticket.request.record_paths for e in cohort
+            )
+            pool, _lam = engine._pool_for_request(
+                max(e.ticket.request.length for e in cohort),
+                None,
+                None,
+                wants_paths,
+                engine._tree(self.root, SERVE_SETUP),
+                k=sum(e.k for e in cohort),
+            )
 
         cohort_snapshot = net.ledger.capture()
-        with net.phase(SERVE_SETUP):
-            tree = build_bfs_tree(
-                net,
-                self.root,
-                cache=engine._tree_cache,
-                allow_unreached=engine._faults is not None,
-            )
+        tree = engine._tree(self.root, SERVE_SETUP)
 
         # Every entry of the cohort (a whole ticket, or one chunk of a
         # walk-count-split one) joins ONE interleaved batch.  With no pool
@@ -737,7 +703,7 @@ class WalkScheduler:
         for entry in cohort:
             req = entry.ticket.request
             # submit() rejects trajectory requests a pathless pool cannot
-            # serve, and a cold-engine trajectory wish makes _ensure_pool
+            # serve, and a cold-engine trajectory wish makes the cold cohort
             # prepare path-capable — but the engine owner can still swap in
             # a pathless pool (engine.prepare / a pooled query) between
             # submit and service, so re-enforce the contract here rather

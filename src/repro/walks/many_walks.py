@@ -3,9 +3,12 @@
 Theorem 2.8's case split, implemented exactly:
 
 * When the computed ``λ > ℓ`` — short walks would be longer than the
-  requested walk — run the **naive parallel** algorithm: all ``k`` tokens
-  step simultaneously, each iteration charged by its worst per-edge
-  congestion (tokens of different sources cannot aggregate), then each
+  requested walk — run the **naive parallel** algorithm: every walk is
+  one full-length tail, and all ``k`` tokens step simultaneously through
+  the same tail stepper that finishes the stitched branch
+  (:func:`_parallel_tails`, billed to ``"naive-parallel"`` here and in
+  ``engine.walks()``), each iteration charged by its worst per-edge
+  congestion (tokens of different sources cannot aggregate); then each
   destination reports to its source over a BFS tree (the ``Ω(k)`` term:
   the tree root may relay up to ``k`` IDs, pipelined one per round).
 * Otherwise run **one** Phase 1 at the enlarged
@@ -57,39 +60,6 @@ class ManyWalksResult(ResultBase):
         return len(self.sources)
 
 
-def _parallel_naive(
-    network: Network,
-    sources: list[int],
-    length: int,
-    rng: np.random.Generator,
-    *,
-    record_paths: bool,
-    phase: str = NAIVE_PARALLEL,
-) -> tuple[list[int], list[np.ndarray] | None]:
-    """All k tokens walk simultaneously; congestion charged per iteration.
-
-    ``phase`` names the ledger phase the iterations charge to — the legacy
-    one-shot path keeps ``"naive-parallel"`` (golden-ledger pinned), the
-    serving scheduler bills the same traffic to its ``"serve"`` family.
-    """
-    graph = network.graph
-    positions = np.asarray(sources, dtype=np.int64)
-    paths = None
-    if record_paths:
-        paths = np.empty((len(sources), length + 1), dtype=np.int64)
-        paths[:, 0] = positions
-    with network.phase(phase):
-        for step in range(1, length + 1):
-            slots = graph.step_walk_slots(positions, rng)
-            network.deliver_step(slots, words=2)
-            positions = graph.csr_target[slots]
-            if paths is not None:
-                paths[:, step] = positions
-    destinations = [int(p) for p in positions]
-    trajectories = [paths[i].copy() for i in range(len(sources))] if paths is not None else None
-    return destinations, trajectories
-
-
 def _parallel_tails(
     network: Network,
     pre_tails: list[tuple[int, int]],
@@ -98,10 +68,12 @@ def _parallel_tails(
     record_paths: bool,
     phase: str = NAIVE_TAIL,
 ) -> tuple[list[int], list[np.ndarray | None]]:
-    """Complete all deferred tails simultaneously (see stitch_walk docs).
+    """Walk every ``(node, steps)`` tail simultaneously (see stitch_walk docs).
 
     ``phase`` defaults to the golden-ledger-pinned ``"naive-tail"``; the
-    serving scheduler charges merged cross-request tails to ``"serve/tail"``.
+    serving scheduler charges merged cross-request tails to ``"serve/tail"``,
+    and Theorem 2.8's naive branch — every walk one full-length tail — to
+    ``"naive-parallel"``.
     """
     k = len(pre_tails)
     positions = np.array([node for node, _ in pre_tails], dtype=np.int64)
@@ -183,8 +155,12 @@ def _run_many_walks(
                 params = replace(params, use_naive=True)
 
     if params.use_naive:
-        destinations, trajectories = _parallel_naive(
-            net, sources, length, rng, record_paths=record_paths
+        # All k walks are full-length tails stepping together.
+        destinations, tails = _parallel_tails(
+            net, [(s, length) for s in sources], rng, record_paths=record_paths, phase=NAIVE_PARALLEL
+        )
+        trajectories = (
+            [np.concatenate(([s], tail)) for s, tail in zip(sources, tails)] if record_paths else None
         )
         if report_to_source:
             # Destinations route their IDs to sources over the BFS tree; up

@@ -36,7 +36,7 @@ from repro.engine.model import ResultBase
 from repro.errors import WalkError
 from repro.graphs.graph import Graph
 from repro.walks.get_more_walks import get_more_walks
-from repro.walks.params import WalkParams, single_walk_params
+from repro.walks.params import WalkParams, podc09_params, single_walk_params
 from repro.walks.sample_destination import sample_destination
 from repro.walks.short_walks import perform_short_walks, token_counts
 from repro.walks.store import TokenRecord, WalkStore
@@ -218,9 +218,10 @@ def _run_single_walk(
     rng: np.random.Generator,
     net: Network,
     *,
+    algorithm: str = "paper",
     params: WalkParams | None = None,
     lam: int | None = None,
-    eta: float = 1.0,
+    eta: float | None = 1.0,
     lambda_constant: float = 1.0,
     record_paths: bool = True,
     report_to_source: bool = True,
@@ -231,6 +232,12 @@ def _run_single_walk(
     suite freezes its round/message totals and sampled walks at fixed
     seeds, so both the :func:`single_random_walk` wrapper and the
     engine's non-pooled path funnel through it verbatim.
+
+    ``algorithm="podc09"`` runs the PODC'09 baseline through the same body
+    (§2.1: it differs only in parameters): :func:`podc09_params` picks λ
+    and the per-node η (``eta=None`` selects its ``Θ((ℓ/D)^{1/3})``),
+    GET-MORE-WALKS refills ``η`` walks, and the result's mode is
+    ``"podc09"``.
     """
     if not 0 <= source < graph.n:
         raise WalkError(f"source {source} out of range")
@@ -238,12 +245,16 @@ def _run_single_walk(
         raise WalkError(f"walk length must be >= 1, got {length}")
     rounds_before = net.rounds
     tree_cache: dict[int, BfsTree] = {}
+    podc09 = algorithm == "podc09"
 
     d_est, source_tree = estimate_diameter(net, source, tree_cache)
     if params is None:
-        params = single_walk_params(
-            length, d_est, constant=lambda_constant, lam=lam, eta=eta, n=graph.n
-        )
+        if podc09:
+            params = podc09_params(length, d_est, constant=lambda_constant, lam=lam, eta=eta)
+        else:
+            params = single_walk_params(
+                length, d_est, constant=lambda_constant, lam=lam, eta=eta, n=graph.n
+            )
 
     if params.use_naive:
         positions_list = graph.walk(source, length, rng)
@@ -286,7 +297,7 @@ def _run_single_walk(
         params.lam,
         rng,
         loop_margin=loop_margin,
-        gmw_count=max(1, length // params.lam),
+        gmw_count=max(1, int(params.eta)) if podc09 else max(1, length // params.lam),
         randomized_lengths=params.randomized_lengths,
         record_paths=record_paths,
         tree_cache=tree_cache,
@@ -300,7 +311,7 @@ def _run_single_walk(
         source=source,
         length=length,
         destination=destination,
-        mode="stitched",
+        mode="podc09" if podc09 else "stitched",
         rounds=net.rounds - rounds_before,
         lam=params.lam,
         positions=positions,

@@ -144,6 +144,28 @@ class TestPoolLifecycle:
         assert engine.walk(0, 256).mode == "stitched"
         assert engine.stats().full_preparations == 1
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_pinned_lambda_at_least_length_skips_the_pool(self, torus_8x8, warm):
+        # A pinned lam >= l is served naively like a derived one: a cold
+        # engine prepares nothing, and a live pool is neither replaced nor
+        # drawn from.
+        engine = WalkEngine(torus_8x8, seed=1)
+        if warm:
+            engine.prepare(lam=6)
+        pool = engine.pool
+        created = pool.store.tokens_created if warm else 0
+        single = engine.walk(0, 10, lam=50)
+        batch = engine.walks([0, 9], 10, lam=50)
+        assert (single.mode, batch.mode) == ("naive", "naive-parallel")
+        assert single.lam == batch.lam == 50
+        assert "phase1" not in single.phase_rounds and "phase1" not in batch.phase_rounds
+        stats = engine.stats()
+        assert engine.pool is pool
+        assert stats.full_preparations == int(warm)
+        assert stats.tokens_prepared == created
+        if warm:
+            assert pool.lam == 6 and pool.unused == created and pool.queries == 0
+
     def test_endpoint_query_keeps_pool_path_homogeneous(self):
         # An endpoint-only query on a path-recording pool must not build
         # trajectories it drops NOR inject pathless refill tokens that a

@@ -5,8 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import Network, build_bfs_tree, pipelined_upcast
+from repro.congest.primitives import charge_tree_funnel
 from repro.errors import ProtocolError
-from repro.graphs import binary_tree_graph, grid_graph, path_graph, star_graph
+from repro.graphs import (
+    barbell_graph,
+    binary_tree_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+    torus_graph,
+)
 
 
 def _setup(graph, root=0):
@@ -97,3 +105,26 @@ class TestPipeliningBound:
             fresh_tree = build_bfs_tree(fresh_net, 0)
             _collected, rounds = pipelined_upcast(fresh_net, fresh_tree, items)
             assert rounds <= fresh_tree.height + k, (k, rounds)
+
+
+class TestReportFunnelEquivalence:
+    """``charge_tree_funnel`` — what every report convergecast bills — against the protocol."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "graph",
+        [torus_graph(8, 8), path_graph(12), barbell_graph(6, 3)],
+        ids=["torus-8x8", "path-12", "barbell-6-3"],
+    )
+    def test_report_funnel_matches_pipelined_upcast(self, graph, k):
+        # k reports at one deepest node: the upcast's worst case on a tree.
+        net, tree = _setup(graph)
+        deepest = max(range(graph.n), key=tree.depth.__getitem__)
+        items = [[] for _ in range(graph.n)]
+        items[deepest] = list(range(k))
+        _collected, rounds = pipelined_upcast(Network(graph), tree, items)
+        assert rounds == tree.height + k - 1
+        # A cohort's merged wave bills exactly the protocol's rounds; a lone
+        # request's report bills one round more (see ROADMAP item 4).
+        assert charge_tree_funnel(net, tree, k, merged=True) == rounds
+        assert charge_tree_funnel(net, tree, k) == rounds + 1

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.congest import Network
 from repro.errors import WalkError
 from repro.graphs import complete_graph, hypercube_graph
 from repro.markov import WalkSpectrum
 from repro.util.stats import chi_square_goodness_of_fit
-from repro.walks import podc09_params, podc09_random_walk
+from repro.walks import podc09_params, podc09_random_walk, single_random_walk
 
 
 class TestParams:
@@ -55,6 +56,18 @@ class TestWalk:
     def test_naive_fallback(self, torus_6x6):
         res = podc09_random_walk(torus_6x6, 0, 2, seed=3)
         assert res.mode == "naive"
+
+    @pytest.mark.parametrize("report", [True, False])
+    def test_naive_fallback_keeps_the_single_walk_contract(self, torus_6x6, report):
+        # λ ≥ ℓ: the fallback runs on the caller's network, and its rounds
+        # cover the setup BFS plus, exactly when asked, the report.
+        net = Network(torus_6x6, seed=0)
+        res = podc09_random_walk(torus_6x6, 0, 2, seed=3, network=net, report_to_source=report)
+        assert res.mode == "naive"
+        assert res.rounds == net.rounds
+        assert ("report" in net.ledger.phases) == report
+        ref = single_random_walk(torus_6x6, 0, 2, seed=3, report_to_source=report)
+        assert (res.destination, res.rounds) == (ref.destination, ref.rounds)
 
     def test_deterministic(self, torus_6x6):
         a = podc09_random_walk(torus_6x6, 0, 200, seed=4)

@@ -358,6 +358,17 @@ class TestSchedulingAndResults:
         assert pool.lam == many_walks_params(16, 512, d_est, n=g.n).lam
         assert pool.lam > single_walk_params(512, d_est, n=g.n).lam
 
+    def test_cold_single_walk_cohort_prepares_what_walks_would(self, torus_8x8):
+        # One cold-pool rule: a cohort of one walk gets Theorem 2.5's λ,
+        # the pool engine.walks([s], l) prepares for the same walk.
+        scheduled = WalkEngine(torus_8x8, seed=5, record_paths=False)
+        sched = scheduled.scheduler()
+        sched.submit([3], 256)
+        sched.drain()
+        direct = WalkEngine(torus_8x8, seed=5, record_paths=False)
+        direct.walks([3], 256)
+        assert scheduled.pool.lam == direct.pool.lam == 26
+
     def test_fixed_seed_replays_identically(self, torus_8x8):
         def stream(seed):
             engine = WalkEngine(torus_8x8, seed=seed, record_paths=False)
