@@ -13,7 +13,10 @@ protocol's accounting discipline becomes a checkable property of the
 ``bulk-only``
     Token creation goes through ``WalkStore.add_batch`` — a per-record
     ``add_token`` (or a store-column ``append``) inside a loop is the
-    exact regression the columnar engine removed.
+    exact regression the columnar engine removed.  Token *hops* have one
+    loop per charge rule: inside ``src/repro``, ``Graph.step_walk_slots``
+    is called only from ``walk_tokens`` (one message per token) and
+    ``get_more_walks_batch`` (one message per edge per source).
 ``seeded-rng``
     All randomness flows through the seeded ``numpy`` Generator plumbing
     of :mod:`repro.util.rng`; module-global ``random.*`` / ``np.random.*``
@@ -181,14 +184,21 @@ class BulkOnlyRule(Rule):
     name = "bulk-only"
     description = (
         "no per-record WalkStore.add_token / store-column append inside "
-        "for/while bodies — bulk paths go through add_batch"
+        "for/while bodies — bulk paths go through add_batch; in src/repro, "
+        "step_walk_slots only inside walk_tokens and get_more_walks_batch"
     )
 
     #: Receiver chain segments that identify a walk store / pool object.
     STORE_HINTS = ("store", "pool")
+    #: The only functions that step walk tokens: one loop per charge rule.
+    HOP_LOOPS = frozenset({"walk_tokens", "get_more_walks_batch"})
 
     def check(self, src: SourceFile, *, root: Path) -> list[Finding]:
         findings: list[Finding] = []
+        # graph.py defines step_walk_slots (and steps with it).
+        check_hops = _in_production_tree(src.path) and not src.path.as_posix().endswith(
+            "graphs/graph.py"
+        )
 
         def looks_like_store(parts: tuple[str, ...]) -> bool:
             return any(
@@ -197,12 +207,21 @@ class BulkOnlyRule(Rule):
                 for hint in self.STORE_HINTS
             )
 
-        def visit(node: ast.AST, in_loop: bool) -> None:
+        def visit(node: ast.AST, in_loop: bool, func: str) -> None:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 attr = node.func.attr
                 chain = attr_chain(node.func)
                 receiver = tuple(chain.split(".")[:-1])
-                if in_loop and attr == "add_token":
+                if check_hops and attr == "step_walk_slots" and func not in self.HOP_LOOPS:
+                    findings.append(
+                        self.finding(
+                            src,
+                            node,
+                            "step_walk_slots outside walk_tokens / get_more_walks_batch: "
+                            "step tokens through the loop of their charge rule",
+                        )
+                    )
+                elif in_loop and attr == "add_token":
                     findings.append(
                         self.finding(
                             src,
@@ -227,11 +246,11 @@ class BulkOnlyRule(Rule):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                     # A nested function defined in a loop body is not itself
                     # per-record work; its own loops are walked fresh.
-                    visit(child, False)
+                    visit(child, False, getattr(child, "name", func))
                 else:
-                    visit(child, child_in_loop)
+                    visit(child, child_in_loop, func)
 
-        visit(src.tree, False)
+        visit(src.tree, False, "")
         return findings
 
 

@@ -14,13 +14,15 @@ Two execution styles share one round/ledger namespace:
 1. **Event-driven protocols** (:meth:`Network.run`) — per-node callbacks
    with FIFO queueing on congested edges.  Used for BFS construction,
    convergecast, broadcast, and the naive walk.
-2. **Batch steps** (:meth:`Network.deliver_step`) — an algorithm hands the
-   engine the full set of directed-edge traversals one logical iteration
-   needs; the engine charges ``ceil(max-per-edge-load / capacity)`` rounds,
-   which is exactly the congestion quantity bounded in the paper's
-   Lemma 2.1 ("any iteration could require more than 1 round").  Used for
-   the massively parallel short-walk phases where per-message callbacks
-   would be needless overhead.
+2. **Batch steps** — an algorithm hands the engine the full set of
+   directed-edge traversals one logical iteration needs; the engine
+   charges ``ceil(max-per-edge-load / capacity)`` rounds, which is exactly
+   the congestion quantity bounded in the paper's Lemma 2.1 ("any
+   iteration could require more than 1 round").  Used for the massively
+   parallel short-walk phases where per-message callbacks would be
+   needless overhead.  A walk-token hop is billed by one of two rules:
+   :meth:`Network.deliver_step` (one message per token, Lemma 2.1) or
+   :meth:`Network.deliver_step_grouped` (one per edge per source, Lemma 2.2).
 
 Both styles draw rounds from the same counter, so a composite algorithm
 (e.g. SINGLE-RANDOM-WALK = batch Phase 1 + protocol-driven BFS sweeps +
@@ -235,7 +237,6 @@ class Network:
         self,
         slots: np.ndarray | Iterable[int],
         *,
-        aggregate: bool = False,
         words: int = 1,
     ) -> int:
         """Charge one logical iteration that pushes a message along each slot.
@@ -243,10 +244,8 @@ class Network:
         ``slots`` are directed-edge CSR slot indices, one per message.  The
         iteration costs ``max(1, ceil(L / capacity))`` rounds where ``L`` is
         the heaviest per-edge load — the congestion measure from the
-        paper's analysis.  With ``aggregate=True`` all messages sharing a
-        directed edge collapse into a single *(payload, count)* message, the
-        trick GET-MORE-WALKS uses ("only the count of the number of walks
-        along an edge are passed"), making every iteration cost one round.
+        paper's analysis.  Messages that may share an edge as one
+        *(payload, count)* message go through :meth:`deliver_step_grouped`.
 
         Returns the number of rounds charged.
         """
@@ -256,19 +255,11 @@ class Network:
         self._check_words(words)
         if _counts_touched_slots(slot_arr.size, self.graph.n_slots):
             touched, loads = np.unique(slot_arr, return_counts=True)
-            if aggregate:
-                return self._deliver_loads(touched, np.ones_like(loads), int(touched.size))
             return self._deliver_loads(touched, loads, int(slot_arr.size))
-        heatmap = self.heatmap
         counts = np.bincount(slot_arr)
-        if aggregate:
-            n_messages, congestion = int(np.count_nonzero(counts)), 1
-            if heatmap is not None:
-                heatmap.stage_counts(np.minimum(counts, 1), n_messages, congestion)
-        else:
-            n_messages, congestion = int(slot_arr.size), int(counts.max())
-            if heatmap is not None:
-                heatmap.stage_counts(counts, n_messages, congestion)
+        n_messages, congestion = int(slot_arr.size), int(counts.max())
+        if self.heatmap is not None:
+            self.heatmap.stage_counts(counts, n_messages, congestion)
         return self._charge_iteration(n_messages, congestion)
 
     def deliver_step_grouped(
@@ -280,15 +271,14 @@ class Network:
     ) -> int:
         """Charge one iteration whose messages aggregate per (edge, group).
 
-        The multi-source generalization of ``deliver_step(aggregate=True)``:
         ``groups[i]`` names the aggregation class of message ``i`` (for
-        batched GET-MORE-WALKS, the walk's source ID).  Tokens of the *same*
-        group crossing the same directed edge collapse into one
-        *(group payload, count)* message — the paper's count-aggregation
-        trick — while tokens of *different* groups stay distinct messages,
-        so the per-edge load is the number of distinct groups on that edge.
-        With a single group this charges exactly what
-        ``deliver_step(aggregate=True)`` does.
+        GET-MORE-WALKS, the walk's source ID).  Tokens of the *same* group
+        crossing the same directed edge collapse into one *(group payload,
+        count)* message — the paper's count-aggregation trick ("only the
+        count of the number of walks along an edge are passed") — while
+        tokens of *different* groups stay distinct messages, so the
+        per-edge load is the number of distinct groups on that edge.  With
+        a single group every iteration costs one round.
 
         Returns the number of rounds charged.
         """
@@ -310,7 +300,6 @@ class Network:
         sources: np.ndarray | Iterable[int],
         targets: np.ndarray | Iterable[int],
         *,
-        aggregate: bool = False,
         words: int = 1,
     ) -> int:
         """Like :meth:`deliver_step` but keyed by (src, dst) node pairs.
@@ -329,8 +318,6 @@ class Network:
         self._check_words(words)
         pair_keys, loads = np.unique(src * self.graph.n + dst, return_counts=True)
         slots = self.graph.pair_slots(pair_keys) if self.heatmap is not None else None
-        if aggregate:
-            return self._deliver_loads(slots, np.ones_like(loads), int(pair_keys.size))
         return self._deliver_loads(slots, loads, int(src.size))
 
     def deliver_sequential(

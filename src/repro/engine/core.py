@@ -17,8 +17,9 @@ engine makes the amortized shape the default:
   ``"pool-refill"`` phase) only when the connector they land on is dry.
   Each consumed token is an unused, independently generated short walk, so
   pooled endpoints keep the exact ``P^ℓ`` law of the one-shot algorithm.
-* **Per-request accounting on the shared ledger**: every pooled result
-  carries the rounds/phase deltas of *its* request
+* **Per-request accounting on the shared ledger**: every result, pooled
+  or one-shot, carries the rounds/phase deltas of *its* request, measured
+  once by :meth:`WalkEngine.run`
   (:meth:`~repro.congest.ledger.RoundLedger.delta_since`), while
   :meth:`stats` exposes the cumulative session ledger, pool occupancy, and
   preparation/refill counters.
@@ -586,6 +587,12 @@ class WalkEngine:
         distribution.  The MH baseline models no report step, so
         ``report_to_source`` is ignored for it (its round count is the
         number of accepted moves plus one setup round).
+
+        Every request's sources and length are validated here, before any
+        round is billed.  Every result's ``rounds`` and ``phase_rounds``
+        are this request's ledger delta, measured here; a pooled request's
+        auto-maintain sweep runs after that delta closes, so its rounds
+        land on the session ledger only.
         """
         if params is not None:
             if request.pooled and request.algorithm == "paper":
@@ -597,11 +604,24 @@ class WalkEngine:
                 raise WalkError(
                     f"algorithm {request.algorithm!r} takes no params= override"
                 )
+        for source in request.sources:
+            self._validate_query(source, request.length)
         self._queries += 1
+        ledger = self.network.ledger
         with self.obs.annotate(
             scope="request", algorithm=request.algorithm, k=len(request.sources)
         ):
-            return self._dispatch(request, params=params, target=target)
+            snapshot = ledger.capture()
+            result = self._dispatch(request, params=params, target=target)
+            delta = ledger.delta_since(snapshot)
+            result.rounds = delta.rounds
+            result.phase_rounds = dict(delta.phase_rounds)
+            if self.auto_maintain and request.pooled and request.algorithm == "paper":
+                # Background watermark sweep *after* the request delta
+                # closed: its rounds land on the session ledger, not on
+                # this result.
+                self.maintain()
+        return result
 
     def _dispatch(
         self,
@@ -691,9 +711,7 @@ class WalkEngine:
 
     def _serve_pooled_single(self, request: WalkRequest) -> WalkResult:
         source, length = request.source, request.length
-        self._validate_query(source, length)
         net = self.network
-        snapshot = net.ledger.capture()
         # One setup BFS per query: it doubles as the diameter estimate for
         # (auto-)preparation and as the report-routing tree.
         source_tree = self._tree(source, SETUP)
@@ -762,8 +780,7 @@ class WalkEngine:
 
         if pool is not None:
             pool.queries += 1
-        delta = net.ledger.delta_since(snapshot)
-        result = WalkResult(
+        return WalkResult(
             source=source,
             length=length,
             destination=served.destination,
@@ -772,16 +789,9 @@ class WalkEngine:
             connectors=served.connectors,
             tokens_prepared=(pool.store.tokens_created - tokens_before) if pool is not None else 0,
             mode=served.mode,
-            rounds=delta.rounds,
             lam=lam_val,
-            phase_rounds=dict(delta.phase_rounds),
             get_more_walks_calls=served.gmw_calls,
         )
-        if self.auto_maintain:
-            # Background watermark sweep *after* the request delta closed:
-            # its rounds land on the session ledger, not on this result.
-            self.maintain()
-        return result
 
     @charged_fast_path(
         equivalence_test="tests/test_pipelines.py::test_report_funnel_matches_pipelined_upcast"
@@ -814,10 +824,6 @@ class WalkEngine:
 
     def _serve_pooled_many(self, request: WalkRequest) -> ManyWalksResult:
         sources, length = list(request.sources), request.length
-        for s in sources:
-            self._validate_query(s, length)
-        net = self.network
-        snapshot = net.ledger.capture()
         k = len(sources)
         base_tree = self._tree(sources[0], SETUP)
         pool, lam_val = self._pool_for_request(
@@ -842,21 +848,15 @@ class WalkEngine:
 
         if pool is not None:
             pool.queries += 1
-        delta = net.ledger.delta_since(snapshot)
-        result = ManyWalksResult(
+        return ManyWalksResult(
             sources=sources,
             length=length,
             destinations=destinations,
             positions=trajectories if rp else None,
             mode="batch-stitched" if pool is not None else "naive-parallel",
-            rounds=delta.rounds,
             lam=lam_val,
-            phase_rounds=dict(delta.phase_rounds),
             get_more_walks_calls=total_gmw,
         )
-        if self.auto_maintain:
-            self.maintain()
-        return result
 
     def _stitch_interleaved(
         self,

@@ -80,7 +80,9 @@ class ServePolicy:
         cohort delta.  Private request deltas (``WalkTicket.rounds``) are
         then 0 — the whole cohort cost is shared.  Off by default: the
         PR-4 per-request report billing is the documented attribution
-        contract and the golden serve ledgers pin it.
+        contract, and
+        ``tests/test_serve.py::TestLedgerBalance::test_private_deltas_contain_only_report``
+        pins it.
     maintain_round_budget:
         Per-tick round budget for the deadline-driven maintenance sweep
         (emptiest/most-demanded shard first); ``None`` keeps the PR-3

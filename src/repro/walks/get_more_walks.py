@@ -12,6 +12,9 @@ aggregation); instead the paper uses **reservoir sampling** (Vitter):
 after the common ``λ`` steps, at extension step ``i`` every surviving token
 stops with probability ``1/(λ−i)``, which makes the realized length uniform
 on ``[λ, 2λ−1]`` (Lemma 2.4) while the wire still carries only counts.
+
+That charge rule has one loop, :func:`get_more_walks_batch`, which refills
+many sources at once; :func:`get_more_walks` is its one-source call.
 """
 
 from __future__ import annotations
@@ -44,63 +47,14 @@ def get_more_walks(
     With ``randomized_lengths=False`` this reproduces the PODC'09 variant:
     fixed-length ``λ`` walks, still count-aggregated, ``λ`` rounds.
     """
-    if count < 1:
-        raise WalkError(f"count must be >= 1, got {count}")
-    if lam < 1:
-        raise WalkError(f"lambda must be >= 1, got {lam}")
-    graph = network.graph
-
-    positions = np.full(count, source, dtype=np.int64)
-    max_len = 2 * lam - 1 if randomized_lengths else lam
-    paths = None
-    if record_paths:
-        paths = np.empty((count, max_len + 1), dtype=np.int64)
-        paths[:, 0] = source
-    final_length = np.full(count, lam, dtype=np.int64)
-
-    rounds_before = network.rounds
-    with network.phase(phase):
-        # Common prefix: λ hops, counts aggregated per edge (1 round each).
-        for step in range(1, lam + 1):
-            slots = graph.step_walk_slots(positions, rng)
-            network.deliver_step(slots, aggregate=True, words=2)  # (source ID, count)
-            positions = graph.csr_target[slots]
-            if paths is not None:
-                paths[:, step] = positions
-
-        if randomized_lengths:
-            # Reservoir extension: at step i each live token stops w.p. 1/(λ−i).
-            alive = np.ones(count, dtype=bool)
-            for i in range(lam):
-                stop_prob = 1.0 / (lam - i)
-                stops = alive & (rng.random(count) < stop_prob)
-                final_length[stops] = lam + i
-                alive &= ~stops
-                if not np.any(alive):
-                    break
-                idx = np.nonzero(alive)[0]
-                slots = graph.step_walk_slots(positions[idx], rng)
-                network.deliver_step(slots, aggregate=True, words=2)
-                positions[idx] = graph.csr_target[slots]
-                if paths is not None:
-                    # Retired tokens keep their final position in columns
-                    # past their length, which no reader slices; a full
-                    # column store beats an index scatter.
-                    paths[:, lam + 1 + i] = positions
-            # Step i = λ−1 has stop probability 1, so nothing survives.
-            if np.any(alive):
-                raise WalkError("reservoir extension must retire every token")
-
-    # Columnar handover, same as Phase 1: one add_batch call, path matrix
-    # transferred wholesale, records materialized lazily on pop.
-    store.add_batch(
-        np.full(count, source, dtype=np.int64), final_length, positions, paths=paths
+    return get_more_walks_batch(
+        network, store, np.array([source]), np.array([count]), lam, rng,
+        randomized_lengths=randomized_lengths, record_paths=record_paths, phase=phase,
     )
-    return network.rounds - rounds_before
 
 
 @charged_fast_path(
-    equivalence_test="tests/test_pool_manager.py::test_single_source_matches_legacy_refill"
+    equivalence_test="tests/test_token_loops.py::test_get_more_walks_batch_bills_its_recorded_hops"
 )
 def get_more_walks_batch(
     network: Network,
@@ -126,10 +80,9 @@ def get_more_walks_batch(
     ``r·O(λ)`` of serial per-node GET-MORE-WALKS — the batched refill the
     pool manager's background ``maintain()`` sweep relies on.
 
-    Length randomization is the same per-token reservoir extension as
-    :func:`get_more_walks` (stop w.p. ``1/(λ−i)`` at extension step ``i``),
-    so every token's length stays uniform on ``[λ, 2λ−1]`` regardless of
-    which source launched it.
+    Length randomization is the per-token reservoir extension (stop w.p.
+    ``1/(λ−i)`` at extension step ``i``), so every token's length stays
+    uniform on ``[λ, 2λ−1]`` regardless of which source launched it.
     """
     src = np.ascontiguousarray(sources, dtype=np.int64)
     cnt = np.ascontiguousarray(counts, dtype=np.int64)
@@ -164,8 +117,7 @@ def get_more_walks_batch(
                 paths[:, step] = positions
 
         if randomized_lengths:
-            # Reservoir extension, identical per-token law to the
-            # single-source path; only the charging is grouped.
+            # Reservoir extension: at step i each live token stops w.p. 1/(λ−i).
             alive = np.ones(total, dtype=bool)
             for i in range(lam):
                 stop_prob = 1.0 / (lam - i)

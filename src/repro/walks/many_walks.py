@@ -8,7 +8,9 @@ Theorem 2.8's case split, implemented exactly:
   the same tail stepper that finishes the stitched branch
   (:func:`_parallel_tails`, billed to ``"naive-parallel"`` here and in
   ``engine.walks()``), each iteration charged by its worst per-edge
-  congestion (tokens of different sources cannot aggregate); then each
+  congestion (tokens of different sources cannot aggregate) — Phase 1's
+  rule, so the tails run Phase 1's loop,
+  :func:`~repro.walks.short_walks.walk_tokens`; then each
   destination reports to its source over a BFS tree (the ``Ω(k)`` term:
   the tree root may relay up to ``k`` IDs, pipelined one per round).
 * Otherwise run **one** Phase 1 at the enlarged
@@ -35,7 +37,7 @@ from repro.engine.model import ResultBase
 from repro.errors import WalkError
 from repro.graphs.graph import Graph
 from repro.walks.params import WalkParams, many_walks_params
-from repro.walks.short_walks import perform_short_walks, token_counts
+from repro.walks.short_walks import perform_short_walks, token_counts, walk_tokens
 from repro.walks.single_walk import estimate_diameter, stitch_walk
 from repro.walks.store import WalkStore
 
@@ -75,33 +77,16 @@ def _parallel_tails(
     and Theorem 2.8's naive branch — every walk one full-length tail — to
     ``"naive-parallel"``.
     """
-    k = len(pre_tails)
-    positions = np.array([node for node, _ in pre_tails], dtype=np.int64)
+    starts = np.array([node for node, _ in pre_tails], dtype=np.int64)
     remaining = np.array([r for _, r in pre_tails], dtype=np.int64)
-    max_rem = int(remaining.max()) if k else 0
-    paths = None
-    if record_paths:
-        # One shared (k, max_rem + 1) matrix; row i's tail occupies columns
-        # 1..remaining[i] (column 0 repeats the pre-tail node).
-        paths = np.empty((k, max_rem + 1), dtype=np.int64)
-        paths[:, 0] = positions
-    graph = network.graph
-    with network.phase(phase):
-        for step in range(1, max_rem + 1):
-            active = remaining >= step
-            if not np.any(active):
-                break
-            idx = np.nonzero(active)[0]
-            slots = graph.step_walk_slots(positions[idx], rng)
-            network.deliver_step(slots, words=2)
-            positions[idx] = graph.csr_target[slots]
-            if paths is not None:
-                paths[idx, step] = positions[idx]
+    positions, paths = walk_tokens(
+        network, starts, remaining, rng, record_paths=record_paths, phase=phase
+    )
     destinations = [int(p) for p in positions]
     if paths is None:
-        return destinations, [None] * k
+        return destinations, [None] * len(pre_tails)
     # Drop the duplicated pre-tail node from each path fragment.
-    return destinations, [paths[i, 1 : int(remaining[i]) + 1].copy() for i in range(k)]
+    return destinations, [paths[i, 1 : int(r) + 1].copy() for i, r in enumerate(remaining)]
 
 
 def _run_many_walks(
@@ -120,19 +105,13 @@ def _run_many_walks(
 ) -> ManyWalksResult:
     """One-shot MANY-RANDOM-WALKS on a resolved (rng, network).
 
-    The legacy free-function body, unchanged — the golden-ledger suite
-    freezes its totals, so the :func:`many_random_walks` wrapper and the
-    engine's non-pooled batch path both funnel through it verbatim.
+    The legacy free-function body — the golden-ledger suite freezes its
+    totals, so the :func:`many_random_walks` wrapper and the engine's
+    non-pooled batch path both funnel through it verbatim.
+    :meth:`~repro.engine.core.WalkEngine.run` validates the request and
+    fills in the result's ``rounds`` and ``phase_rounds``.
     """
-    if not sources:
-        raise WalkError("need at least one source")
-    for s in sources:
-        if not 0 <= s < graph.n:
-            raise WalkError(f"source {s} out of range")
-    if length < 1:
-        raise WalkError(f"walk length must be >= 1, got {length}")
     k = len(sources)
-    rounds_before = net.rounds
     tree_cache: dict[int, BfsTree] = {}
 
     d_est, base_tree = estimate_diameter(net, sources[0], tree_cache)
@@ -172,10 +151,8 @@ def _run_many_walks(
             length=length,
             destinations=destinations,
             mode="naive-parallel",
-            rounds=net.rounds - rounds_before,
             lam=params.lam,
             positions=trajectories,
-            phase_rounds={name: st.rounds for name, st in net.ledger.phases.items()},
         )
 
     store = WalkStore()
@@ -238,10 +215,8 @@ def _run_many_walks(
         length=length,
         destinations=destinations,
         mode="stitched",
-        rounds=net.rounds - rounds_before,
         lam=params.lam,
         positions=trajectories,
-        phase_rounds={name: st.rounds for name, st in net.ledger.phases.items()},
         get_more_walks_calls=total_gmw,
     )
 

@@ -92,11 +92,11 @@ def _run_metropolis_walk(
     *,
     target: np.ndarray | None = None,
 ) -> WalkResult:
-    """One-shot distributed MH walk on a resolved (rng, network) — legacy body."""
-    if length < 1:
-        raise WalkError(f"walk length must be >= 1, got {length}")
-    rounds_before = net.rounds
+    """One-shot distributed MH walk on a resolved (rng, network) — legacy body.
 
+    :meth:`~repro.engine.core.WalkEngine.run` validates the request and
+    fills in the result's ``rounds`` and ``phase_rounds``.
+    """
     with net.phase(MH_SETUP):
         # Every node tells each neighbor (degree, pi); full-edge congestion 1.
         net.ledger.charge(1, messages=graph.n_slots, congestion=1)
@@ -111,10 +111,8 @@ def _run_metropolis_walk(
         length=length,
         destination=positions[-1],
         mode="metropolis-naive",
-        rounds=net.rounds - rounds_before,
         lam=length,
         positions=np.asarray(positions, dtype=np.int64),
-        phase_rounds={k: v.rounds for k, v in net.ledger.phases.items()},
     )
 
 

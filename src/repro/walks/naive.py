@@ -24,7 +24,6 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.phases import NAIVE, REPORT
 from repro.congest.protocol import Protocol, ProtocolAPI
-from repro.errors import WalkError
 from repro.graphs.graph import Graph
 from repro.walks.single_walk import WalkResult
 
@@ -77,13 +76,11 @@ def _run_naive_walk(
     record_paths: bool = True,
     report_to_source: bool = False,
 ) -> WalkResult:
-    """One-shot naive token walk on a resolved (rng, network) — legacy body."""
-    if not 0 <= source < graph.n:
-        raise WalkError(f"source {source} out of range")
-    if length < 1:
-        raise WalkError(f"walk length must be >= 1, got {length}")
-    rounds_before = net.rounds
+    """One-shot naive token walk on a resolved (rng, network) — legacy body.
 
+    :meth:`~repro.engine.core.WalkEngine.run` validates the request and
+    fills in the result's ``rounds`` and ``phase_rounds``.
+    """
     positions = graph.walk(source, length, rng)
     with net.phase(NAIVE):
         net.deliver_sequential(length, path=positions)
@@ -97,10 +94,8 @@ def _run_naive_walk(
         length=length,
         destination=positions[-1],
         mode="naive",
-        rounds=net.rounds - rounds_before,
         lam=length,
         positions=np.asarray(positions, dtype=np.int64) if record_paths else None,
-        phase_rounds={k: v.rounds for k, v in net.ledger.phases.items()},
     )
 
 

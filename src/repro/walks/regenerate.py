@@ -14,8 +14,10 @@ which steps the walk visited it.  The paper's procedure, implemented here:
    in Phase 1"), and usually much less because only the used segments
    replay.
 
-Walks computed naively need no regeneration: the token already passed
-through every node with its counter.
+Every walk that stitched segments regenerates this way, this paper's and
+the PODC'09 baseline's alike.  Walks computed naively need no
+regeneration: the token already passed through every node with its
+counter.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def regenerate_walk(
     node_positions = positions_by_node(result.positions)
     rounds_before = network.rounds
 
-    if result.mode != "stitched" or not result.segments:
+    if not result.segments:
         # Naive modes: every visited node already saw the token counter.
         return RegenerationResult(node_positions=node_positions, rounds=0)
 

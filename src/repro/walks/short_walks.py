@@ -12,10 +12,10 @@ crossing edge ``e`` (tokens of *different* sources cannot share a message,
 so congestion is real here — this is precisely the quantity Lemma 2.1
 bounds by ``O(η log n)`` w.h.p.).
 
-The loop is vectorized: one NumPy step per iteration over all live tokens,
-with the congestion charge computed from the per-slot histogram.  Storage
-is vectorized too — the finished batch (origins, lengths, endpoints, and
-the shared hop matrix) transfers to the columnar
+That charge rule has one loop, :func:`walk_tokens` — one NumPy step per
+iteration over all live tokens — which MANY-RANDOM-WALKS' parallel tails
+run too.  Storage is vectorized as well: the finished batch (origins,
+lengths, endpoints, and the shared hop matrix) transfers to the columnar
 :class:`~repro.walks.store.WalkStore` in a single :meth:`add_batch` call;
 no per-token Python objects are built on this path (they materialize
 lazily when stitching pops a token).
@@ -31,7 +31,7 @@ from repro.errors import WalkError
 from repro.util.contracts import charged_fast_path
 from repro.walks.store import WalkStore
 
-__all__ = ["perform_short_walks", "token_counts"]
+__all__ = ["perform_short_walks", "token_counts", "walk_tokens"]
 
 
 def token_counts(degrees: np.ndarray, eta: float, *, degree_proportional: bool) -> np.ndarray:
@@ -95,20 +95,43 @@ def perform_short_walks(
         target_len = lam + rng.integers(0, lam, size=total)
     else:
         target_len = np.full(total, lam, dtype=np.int64)
-    max_len = int(target_len.max())
-
-    positions = origins.copy()
-    paths = None
-    if record_paths:
-        paths = np.empty((total, max_len + 1), dtype=np.int64)
-        paths[:, 0] = origins
 
     rounds_before = network.rounds
+    positions, paths = walk_tokens(
+        network, origins, target_len, rng, record_paths=record_paths, phase=phase
+    )
+    store.add_batch(origins, target_len, positions, paths=paths)
+    return network.rounds - rounds_before
+
+
+@charged_fast_path(
+    equivalence_test="tests/test_token_loops.py::test_walk_tokens_bills_its_recorded_hops"
+)
+def walk_tokens(
+    network: Network,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    record_paths: bool,
+    phase: str,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Walk token ``i`` for ``lengths[i]`` hops from ``starts[i]``, all in lockstep.
+
+    Each iteration is charged to ``phase`` by the worst per-edge token load.
+    Returns the final positions and, with ``record_paths``, the hop matrix
+    (row ``i``: ``starts[i]``, then hop ``j`` in column ``j``).
+    """
+    graph = network.graph
+    positions = np.array(starts, dtype=np.int64)
+    max_len = int(lengths.max()) if lengths.size else 0
+    paths = None
+    if record_paths:
+        paths = np.empty((positions.size, max_len + 1), dtype=np.int64)
+        paths[:, 0] = positions
     with network.phase(phase):
         for step in range(1, max_len + 1):
-            active = target_len >= step
-            if not np.any(active):
-                break
+            active = lengths >= step
             slots = graph.step_walk_slots(positions[active], rng)
             network.deliver_step(slots, words=2)  # (source ID, remaining length)
             positions[active] = graph.csr_target[slots]
@@ -118,9 +141,4 @@ def perform_short_walks(
                 # ever slices — and a strided column store beats a
                 # boolean-mask scatter by a wide margin.
                 paths[:, step] = positions
-
-    # Hand the whole batch to the store columnar: the path matrix transfers
-    # wholesale (no per-token row copies) and TokenRecords materialize only
-    # when the stitching phase actually pops a token.
-    store.add_batch(origins, target_len, positions, paths=paths)
-    return network.rounds - rounds_before
+    return positions, paths

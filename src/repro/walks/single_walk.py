@@ -228,10 +228,12 @@ def _run_single_walk(
 ) -> WalkResult:
     """One-shot SINGLE-RANDOM-WALK execution on a resolved (rng, network).
 
-    This is the legacy free-function body, unchanged: the golden-ledger
-    suite freezes its round/message totals and sampled walks at fixed
-    seeds, so both the :func:`single_random_walk` wrapper and the
-    engine's non-pooled path funnel through it verbatim.
+    This is the legacy free-function body: the golden-ledger suite freezes
+    its round/message totals and sampled walks at fixed seeds, so both the
+    :func:`single_random_walk` wrapper and the engine's non-pooled path
+    funnel through it verbatim.  :meth:`~repro.engine.core.WalkEngine.run`
+    validates the request and fills in the result's ``rounds`` and
+    ``phase_rounds``.
 
     ``algorithm="podc09"`` runs the PODC'09 baseline through the same body
     (§2.1: it differs only in parameters): :func:`podc09_params` picks λ
@@ -239,11 +241,6 @@ def _run_single_walk(
     GET-MORE-WALKS refills ``η`` walks, and the result's mode is
     ``"podc09"``.
     """
-    if not 0 <= source < graph.n:
-        raise WalkError(f"source {source} out of range")
-    if length < 1:
-        raise WalkError(f"walk length must be >= 1, got {length}")
-    rounds_before = net.rounds
     tree_cache: dict[int, BfsTree] = {}
     podc09 = algorithm == "podc09"
 
@@ -269,10 +266,8 @@ def _run_single_walk(
             length=length,
             destination=destination,
             mode="naive",
-            rounds=net.rounds - rounds_before,
             lam=params.lam,
             positions=np.asarray(positions_list, dtype=np.int64) if record_paths else None,
-            phase_rounds={k: v.rounds for k, v in net.ledger.phases.items()},
         )
 
     store = WalkStore()
@@ -312,12 +307,10 @@ def _run_single_walk(
         length=length,
         destination=destination,
         mode="podc09" if podc09 else "stitched",
-        rounds=net.rounds - rounds_before,
         lam=params.lam,
         positions=positions,
         segments=segments,
         connectors=connectors,
-        phase_rounds={k: v.rounds for k, v in net.ledger.phases.items()},
         get_more_walks_calls=gmw_calls,
         tokens_prepared=tokens_prepared,
     )

@@ -36,14 +36,6 @@ class TestDeliverStep:
         assert net.deliver_step(slots) == 1
         assert net.messages_sent == g.n_slots
 
-    def test_aggregation_collapses_congestion(self):
-        g = star_graph(5)
-        net = Network(g)
-        slot = int(g.indptr[0])
-        rounds = net.deliver_step([slot] * 10, aggregate=True)
-        assert rounds == 1
-        assert net.messages_sent == 1  # one (source, count) message
-
     def test_capacity_divides_congestion(self):
         g = star_graph(5)
         net = Network(g, capacity=2)
@@ -69,7 +61,9 @@ class TestDeliverStep:
 class TestDeliverStepCountingPaths:
     """``deliver_step`` counts small batches on large graphs over the touched
     slots and the rest with a dense ``bincount``; both must charge and stage
-    exactly what a plain ``bincount`` reference does."""
+    exactly what a plain ``bincount`` reference does.  With one group,
+    ``deliver_step_grouped`` must charge and stage one message per touched
+    slot."""
 
     GRAPH = cycle_graph(20_000)  # 40,000 slots
 
@@ -86,10 +80,10 @@ class TestDeliverStepCountingPaths:
             out.append(rng.integers(0, pool, size=size))
         return out
 
-    @pytest.mark.parametrize("aggregate", [False, True])
+    @pytest.mark.parametrize("one_group", [False, True])
     @pytest.mark.parametrize("capacity", [1, 2])
     @pytest.mark.parametrize("with_heatmap", [False, True])
-    def test_matches_plain_bincount_reference(self, aggregate, capacity, with_heatmap):
+    def test_matches_plain_bincount_reference(self, one_group, capacity, with_heatmap):
         graph = self.GRAPH
         n_slots = graph.n_slots
         batches = self.batches()
@@ -108,13 +102,15 @@ class TestDeliverStepCountingPaths:
         rounds = messages = congestion = 0
         for batch in batches:
             counts = np.bincount(batch, minlength=n_slots)
-            if aggregate:
+            if one_group:
                 counts = np.minimum(counts, 1)
                 want_congestion = 1
+                charged = net.deliver_step_grouped(batch, np.zeros_like(batch))
             else:
                 want_congestion = int(counts.max())
+                charged = net.deliver_step(batch)
             want_rounds = max(1, -(-want_congestion // capacity))
-            assert net.deliver_step(batch, aggregate=aggregate) == want_rounds
+            assert charged == want_rounds
             rounds += want_rounds
             messages += int(counts.sum())
             congestion = max(congestion, want_congestion)
@@ -189,11 +185,6 @@ class TestDeliverPairs:
         rounds = net.deliver_pairs([0, 0, 1], [1, 1, 2])
         assert rounds == 2  # (0,1) carries two messages
         assert net.messages_sent == 3
-
-    def test_pair_aggregate(self):
-        net = Network(path_graph(4))
-        assert net.deliver_pairs([0, 0], [1, 1], aggregate=True) == 1
-        assert net.messages_sent == 1
 
     def test_mismatched_shapes(self):
         net = Network(path_graph(4))

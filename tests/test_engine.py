@@ -419,3 +419,57 @@ class TestApplications:
         engine = WalkEngine(torus_8x8, seed=33)
         assert isinstance(engine.spanning_tree(root=0), ResultBase)
         assert isinstance(engine.walk(0, 64, record_paths=False), WalkResult)
+
+
+class TestOneDeltaPerRequest:
+    """Every result bills its own ledger delta, and bad input bills nothing."""
+
+    QUERIES = [
+        ("paper-pooled", lambda e: e.walk(0, 256)),
+        ("paper-one-shot", lambda e: e.walk(0, 256, pooled=False)),
+        ("podc09", lambda e: e.walk(0, 256, algorithm="podc09")),
+        ("naive", lambda e: e.walk(0, 256, algorithm="naive")),
+        ("metropolis", lambda e: e.walk(0, 256, algorithm="metropolis")),
+        ("walks-pooled", lambda e: e.walks([0, 1, 2], 128)),
+        ("walks-one-shot", lambda e: e.walks([0, 1, 2], 128, pooled=False)),
+    ]
+
+    @pytest.mark.parametrize("name", [name for name, _ in QUERIES])
+    def test_phase_rounds_sum_to_the_request_delta(self, name):
+        # Each query runs twice on one engine: the second result must not
+        # carry the first one's phases.
+        query = dict(self.QUERIES)[name]
+        engine = WalkEngine(torus_graph(8, 8), seed=1, auto_maintain=False)
+        ledger = engine.network.ledger
+        for _ in range(2):
+            before = ledger.capture()
+            res = query(engine)
+            delta = ledger.delta_since(before)
+            assert sum(res.phase_rounds.values()) == res.rounds == delta.rounds > 0
+            assert res.phase_rounds == delta.phase_rounds
+
+    def test_auto_maintain_stays_out_of_the_pooled_delta(self):
+        engine = WalkEngine(torus_graph(8, 8), seed=1)
+        ledger = engine.network.ledger
+        for query in (lambda: engine.walk(0, 256), lambda: engine.walks([0, 1, 2], 256)):
+            before = ledger.capture()
+            res = query()
+            delta = ledger.delta_since(before)
+            maintain = delta.phase_rounds.get("pool-refill/maintain", 0)
+            assert "pool-refill/maintain" not in res.phase_rounds
+            assert res.rounds == delta.rounds - maintain
+            assert sum(res.phase_rounds.values()) == res.rounds
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("pooled", [True, False])
+    @pytest.mark.parametrize("source,length", [(16, 10), (-1, 10), (0, 0)])
+    def test_bad_query_raises_before_billing(self, algorithm, pooled, source, length):
+        engine = WalkEngine(torus_graph(4, 4), seed=0)
+        with pytest.raises(WalkError, match="out of range|must be >= 1"):
+            engine.walk(source, length, algorithm=algorithm, pooled=pooled)
+        if algorithm == "paper":
+            with pytest.raises(WalkError, match="out of range|must be >= 1"):
+                engine.walks([0, source], length, pooled=pooled)
+        assert engine.network.rounds == 0
+        assert not engine.network.ledger.phases
+        assert engine.stats().queries == 0

@@ -12,6 +12,7 @@ from repro.markov import WalkSpectrum
 from repro.util.stats import chi_square_goodness_of_fit
 from repro.walks import (
     naive_random_walk,
+    podc09_random_walk,
     positions_by_node,
     regenerate_walk,
     single_random_walk,
@@ -59,6 +60,22 @@ class TestRegenerate:
         regen = regenerate_walk(net, res)
         slack = g.n + len(res.segments)
         assert regen.rounds <= phase1 + slack
+
+    def test_podc09_walk_replays_its_segments(self, torus_8x8):
+        # PODC'09 stitches fixed-length segments; regeneration used to treat
+        # every mode but "stitched" as naive and replay none of them.
+        net = Network(torus_8x8, seed=3)
+        res = podc09_random_walk(torus_8x8, 0, 512, seed=3, network=net)
+        assert res.mode == "podc09" and res.segments
+        before = net.rounds
+        regen = regenerate_walk(net, res)
+        assert regen.rounds > 0
+        assert net.rounds == before + regen.rounds
+        assert regen.replayed_segments == len(res.segments)
+        assert regen.informed_connectors == len(res.connectors)
+        assert np.array_equal(
+            trajectory_from_positions(regen.node_positions, res.length), res.positions
+        )
 
     def test_naive_walk_is_free(self, torus_6x6):
         net = Network(torus_6x6, seed=4)

@@ -207,6 +207,39 @@ class TestBulkOnlyRule:
         report = run_rule(BulkOnlyRule(), tmp_path, src)
         assert not report.findings
 
+    @staticmethod
+    def run_at(tmp_path: Path, rel: str, source: str):
+        # The hop-loop check polices the production tree only.
+        return TestObsPassivityRule.run_at(BulkOnlyRule(), tmp_path, rel, source)
+
+    def test_true_positive_hop_loop_outside_the_two_loops(self, tmp_path):
+        src = (
+            "def parallel_tails(graph, positions, rng):\n"
+            "    for _ in range(3):\n"
+            "        positions = graph.csr_target[graph.step_walk_slots(positions, rng)]\n"
+            "    return positions\n"
+            "def walk_tokens(graph, positions, rng):\n"
+            "    def step():\n"  # a helper nested in an allowed loop is its own function
+            "        return graph.step_walk_slots(positions, rng)\n"
+            "    return step\n"
+        )
+        report = self.run_at(tmp_path, "src/repro/walks/x.py", src)
+        assert [f.lineno for f in report.findings] == [3, 7]
+        assert all("walk_tokens" in f.message for f in report.findings)
+
+    def test_true_negative_the_two_loops_graph_module_and_outside_src(self, tmp_path):
+        src = (
+            "def walk_tokens(graph, positions, rng):\n"
+            "    for _ in range(3):\n"
+            "        positions = graph.csr_target[graph.step_walk_slots(positions, rng)]\n"
+            "def get_more_walks_batch(graph, positions, rng):\n"
+            "    return graph.step_walk_slots(positions, rng)\n"
+        )
+        assert not self.run_at(tmp_path, "src/repro/walks/y.py", src).findings
+        defining = "def step_walks(self, positions, rng):\n    return self.step_walk_slots(positions, rng)\n"
+        assert not self.run_at(tmp_path, "src/repro/graphs/graph.py", defining).findings
+        assert not run_rule(BulkOnlyRule(), tmp_path, defining).findings  # benches, tests
+
 
 # ----------------------------------------------------------------------
 # Rule 3: seeded-rng
