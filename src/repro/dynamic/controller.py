@@ -13,11 +13,12 @@ only the churn report and telemetry.  In order:
    topology, so BFS trees re-read the CSR slots they stage on.
 2. **Caches** — the engine's BFS-tree cache drops wholesale: tree shape,
    heights, and charged flood costs are all topology functions.
-3. **Pool invalidation** — one vectorized scan of the
+3. **Pool invalidation** — one blocked scan of the
    :class:`~repro.walks.store.WalkStore` path matrices
    (:meth:`~repro.walks.store.WalkStore.find_invalid_rows`) finds every
    pooled token whose recorded walk stepped *from* a node whose sampling
-   law changed (or traversed a deleted edge), and evicts exactly those.
+   law changed, and evicts exactly those.  Both endpoints of a deleted
+   edge are such nodes, so a hop across a deleted edge is caught too.
    Tokens that never touched a mutated node keep the identical law on the
    new graph, so they keep serving — that selectivity is the whole win
    over discarding the pool.  A pool prepared with ``record_paths=False``

@@ -19,10 +19,9 @@ a :class:`DeltaRemap` describing what moved:
   These are exactly the nodes whose one-step transition law changed; the
   pool invalidation scan evicts any token whose recorded walk *stepped
   from* one of them (a step from a non-mutated node has the identical law
-  on the old and new graphs, so the token stays exact).
-* ``deleted_edge_keys`` — orientation-free ``min·n + max`` keys of the
-  deleted undirected edges, pre-sorted for the store's vectorized
-  hop-traversal scan.
+  on the old and new graphs, so the token stays exact).  Both endpoints of
+  every deleted edge are in it, so a hop across a deleted edge is such a
+  step and needs no scan of its own.
 
 This module is deliberately import-light (numpy + errors only) so the
 graph substrate can consume deltas without a dependency cycle on the
@@ -103,14 +102,12 @@ class DeltaRemap:
 
     ``slot_remap[j]`` is the new directed slot of old slot ``j`` (``-1``
     when the slot's edge was deleted); ``mutated_nodes`` the sorted node
-    IDs whose incident edge set (and hence walk-sampling law) changed;
-    ``deleted_edge_keys`` the sorted ``min·n + max`` keys of the removed
-    undirected edges, ready for vectorized searchsorted probes.
+    IDs whose incident edge set (and hence walk-sampling law) changed,
+    both endpoints of every deleted edge among them.
     """
 
     slot_remap: np.ndarray
     mutated_nodes: np.ndarray
-    deleted_edge_keys: np.ndarray
     edges_deleted: int
     edges_inserted: int
     old_n_slots: int

@@ -1200,23 +1200,27 @@ class WalkEngine:
         from repro.apps.mixing_time import estimate_mixing_time
 
         kwargs.setdefault("lambda_constant", self.lambda_constant)
+        result = estimate_mixing_time(self.graph, source, seed=self.rng, network=self.network, **kwargs)
         self._queries += 1
-        return estimate_mixing_time(self.graph, source, seed=self.rng, network=self.network, **kwargs)
+        return result
 
     def spanning_tree(self, root: int = 0, **kwargs):
         """Section 4.1's distributed random spanning tree on this session."""
         from repro.apps.spanning_tree import random_spanning_tree
 
         kwargs.setdefault("lambda_constant", self.lambda_constant)
+        result = random_spanning_tree(self.graph, root=root, seed=self.rng, network=self.network, **kwargs)
         self._queries += 1
-        return random_spanning_tree(self.graph, root=root, seed=self.rng, network=self.network, **kwargs)
+        return result
 
     def regenerate(self, result: WalkResult, **kwargs) -> RegenerationResult:
         """Re-announce a recorded walk so every node learns its positions (§2.2)."""
         # Session accounting is uniform across every serving entry point:
-        # regeneration is a query like mixing_time/spanning_tree are.
+        # regeneration is a query like mixing_time/spanning_tree are, and
+        # like them it counts once served, so a rejected call counts nothing.
+        regenerated = regenerate_walk(self.network, result, tree_cache=self._tree_cache, **kwargs)
         self._queries += 1
-        return regenerate_walk(self.network, result, tree_cache=self._tree_cache, **kwargs)
+        return regenerated
 
     # ------------------------------------------------------------------
     # Telemetry

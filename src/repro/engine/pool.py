@@ -537,17 +537,18 @@ class PoolManager:
         node (:meth:`~repro.walks.store.WalkStore.rows_held_at`), whatever
         their law.
 
-        On a path-recording pool one vectorized scan
+        On a path-recording pool one blocked scan
         (:meth:`~repro.walks.store.WalkStore.find_invalid_rows`) finds every
         token whose recorded walk stepped *from* a node whose sampling law
-        changed, or crossed a deleted edge; tokens that never touched a
-        mutated node keep their law on the new graph and keep serving.  A
-        pathless pool has no hops to scan and evicts everything — correct,
-        just not incremental.  Quotas then re-derive from the new degrees
-        (a crashed, isolated node's ``⌈η·0⌉ = 0`` allocation drops it out of
-        every refill plan), and every shard that lost a token or holds a
-        mutated node is restored in one batched sweep billed to ``phase``
-        under ``round_budget`` (:meth:`restore_shards`).
+        changed.  The remap's mutated nodes include both endpoints of every
+        deleted edge, so a hop across one is such a step.  Tokens that never
+        stepped from a mutated node keep their law on the new graph and keep
+        serving.  A pathless pool has no hops to scan and evicts everything
+        — correct, just not incremental.  Quotas then re-derive from the
+        new degrees (a crashed, isolated node's ``⌈η·0⌉ = 0`` allocation
+        drops it out of every refill plan), and every shard that lost a
+        token or holds a mutated node is restored in one batched sweep
+        billed to ``phase`` under ``round_budget`` (:meth:`restore_shards`).
         """
         store = self.store
         n = self.graph.n
@@ -557,7 +558,7 @@ class PoolManager:
             if remap is not None:
                 mutated = np.zeros(n, dtype=bool)
                 mutated[remap.mutated_nodes] = True
-                rows = store.find_invalid_rows(mutated, remap.deleted_edge_keys, n)
+                rows = store.find_invalid_rows(mutated)
             else:
                 rows = np.empty(0, dtype=np.int64)
             if held is not None:

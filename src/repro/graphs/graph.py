@@ -372,7 +372,8 @@ class Graph:
         edge, exactly the nodes whose one-step sampling law changed.  That
         set is what the pool-invalidation scan keys on: a recorded walk
         step taken *from* a non-mutated node has the identical law on the
-        old and new graphs.
+        old and new graphs, and a hop across a deleted edge is a step from
+        one of its (mutated) endpoints.
 
         Mutating the topology invalidates everything derived from it that
         lives *outside* this object (a network's tree-slot stamp, BFS
@@ -455,16 +456,9 @@ class Graph:
             mutated[old_edges[~keep].ravel()] = True
         if len(ins):
             mutated[ins.ravel()] = True
-        deleted = old_edges[~keep]
-        deleted_keys = (
-            np.sort(np.minimum(deleted[:, 0], deleted[:, 1]) * n + np.maximum(deleted[:, 0], deleted[:, 1]))
-            if len(deleted)
-            else np.empty(0, dtype=np.int64)
-        )
         return DeltaRemap(
             slot_remap=slot_remap,
             mutated_nodes=np.nonzero(mutated)[0],
-            deleted_edge_keys=deleted_keys,
             edges_deleted=int(len(dels)),
             edges_inserted=int(len(ins)),
             old_n_slots=int(old_n_slots),

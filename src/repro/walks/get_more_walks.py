@@ -92,10 +92,12 @@ def get_more_walks_batch(
         raise WalkError("per-source refill counts must be >= 1")
     if lam < 1:
         raise WalkError(f"lambda must be >= 1, got {lam}")
+    graph = network.graph
+    if src.size and (src.min() < 0 or src.max() >= graph.n):
+        raise WalkError(f"refill sources must be nodes in [0, {graph.n})")
     total = int(cnt.sum())
     if total == 0:
         return 0
-    graph = network.graph
 
     origins = np.repeat(src, cnt)
     positions = origins.copy()

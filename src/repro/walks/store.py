@@ -72,6 +72,8 @@ from repro.errors import WalkError
 __all__ = ["TokenRecord", "WalkStore"]
 
 _INITIAL_CAPACITY = 64
+#: Path-matrix cells :meth:`WalkStore.find_invalid_rows` gathers per block.
+_SCAN_BLOCK = 1 << 16
 
 
 class _Run:
@@ -503,64 +505,47 @@ class WalkStore:
         """Row indices of every unused token, ascending (= creation order)."""
         return np.nonzero(self._alive[: self._size])[0]
 
-    def find_invalid_rows(
-        self, mutated: np.ndarray, deleted_edge_keys: np.ndarray, n: int
-    ) -> np.ndarray:
+    def find_invalid_rows(self, mutated: np.ndarray) -> np.ndarray:
         """Rows of live tokens whose recorded walk no longer has the right law.
 
-        ``mutated`` is a length-``n`` boolean mask of nodes whose one-step
-        transition law changed (endpoints of inserted/deleted edges);
-        ``deleted_edge_keys`` the sorted ``min·n + max`` keys of deleted
-        undirected edges.  A token is invalid when any of its recorded
-        steps was sampled *from* a mutated node, or any recorded hop
-        traverses a deleted edge (the latter is implied by the former —
-        both endpoints of a deleted edge are mutated — but is checked
-        explicitly so a caller passing only edge deletions still evicts
-        correctly).  Final positions are exempt: a token *resting* at a
-        mutated node sampled nothing there.
+        ``mutated`` is a boolean mask over the nodes, set where a node's
+        one-step transition law changed.  It must mark both endpoints of
+        every deleted edge (the ``mutated_nodes`` of
+        :meth:`~repro.graphs.graph.Graph.apply_delta` do).  A token is
+        invalid when any of its recorded steps was sampled *from* a marked
+        node; a hop across a deleted edge {u, v} is a step from u, so it is
+        one of those.  Final positions are exempt: a token *resting* at a
+        marked node sampled nothing there.
 
-        The scan is one vectorized pass per shared path matrix — no
-        per-token Python work, matching the store's columnar contract.
-        Tokens stored without paths cannot be scanned; callers hold the
-        pool-level policy for those (see
-        :meth:`~repro.engine.core.WalkEngine.apply_churn`).
+        Each shared path matrix is scanned once, its live rows gathered in
+        blocks of about :data:`_SCAN_BLOCK` cells and mapped through the
+        mask; a row is invalid when its first marked column lies below its
+        length.  Columns past a row's length are scratch (uninitialised
+        memory in refill batches that stopped early): clipping keeps every
+        index in range, and a scratch column can only move the first mark
+        to a column at or past the length, which never flags.  The
+        temporaries scale with the block, not the pool.  Tokens stored
+        without paths cannot be scanned; callers hold the pool-level policy
+        for those (see :meth:`~repro.engine.pool.PoolManager.invalidate`).
         """
         size = self._size
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        alive = self._alive[:size]
-        batch_of = self._path_batch[:size]
-        hits: list[np.ndarray] = []
-        for b, matrix in enumerate(self._path_batches):
-            if matrix is None:
-                continue
-            rows = np.nonzero(alive & (batch_of == b))[0]
-            if not rows.size:
-                continue
-            paths = matrix[self._path_row[rows]]
-            lengths = self._len[rows]
-            # Column j holds a node iff j <= length; later columns are
-            # scratch — and in refill batches (np.empty matrices whose
-            # reservoir loop broke early) genuinely uninitialized memory,
-            # so they must be neutralized BEFORE any fancy indexing, not
-            # just masked out of the vote.
-            cols = np.arange(paths.shape[1], dtype=np.int64)[None, :]
-            paths = np.where(cols <= lengths[:, None], paths, 0)
-            # Column j is a step-from position iff j < length.
-            steps = cols < lengths[:, None]
-            bad = (mutated[paths] & steps).any(axis=1)
-            if deleted_edge_keys.size and paths.shape[1] > 1:
-                u, v = paths[:, :-1], paths[:, 1:]
-                keys = np.minimum(u, v) * n + np.maximum(u, v)
-                idx = np.searchsorted(deleted_edge_keys, keys)
-                found = (idx < deleted_edge_keys.size) & (
-                    deleted_edge_keys[np.minimum(idx, deleted_edge_keys.size - 1)] == keys
-                )
-                bad |= (found & steps[:, :-1]).any(axis=1)
-            hits.append(rows[bad])
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(hits))
+        # Rows of one matrix are contiguous and matrices are numbered in
+        # row order, so the live path rows come out grouped by matrix.
+        rows = np.flatnonzero(self._alive[:size] & (self._path_batch[:size] >= 0))
+        if not rows.size:
+            return rows
+        batch_of = self._path_batch[rows]
+        hits = []
+        for part in np.split(rows, np.flatnonzero(batch_of[1:] != batch_of[:-1]) + 1):
+            matrix = self._path_batches[int(self._path_batch[part[0]])]
+            step = max(1, _SCAN_BLOCK // matrix.shape[1])
+            for lo in range(0, part.size, step):
+                block = part[lo : lo + step]
+                marked = mutated.take(matrix.take(self._path_row[block], axis=0), mode="clip")
+                first = marked.argmax(axis=1)
+                bad = marked[np.arange(block.size), first] & (first < self._len[block])
+                hits.append(block[bad])
+        return np.concatenate(hits)
 
     def rows_held_at(self, node_mask: np.ndarray) -> np.ndarray:
         """Rows of live tokens physically resting at a flagged node.

@@ -25,14 +25,16 @@ The load-bearing claims of PR 5:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.congest import Network
+from repro.congest import FaultStep, Network
 from repro.dynamic import ChurnSpec, GraphDelta, run_churn_loop, sample_churn_delta
 from repro.engine import WalkEngine
 from repro.errors import GraphError, WalkError
-from repro.graphs import Graph, complete_graph, is_connected, torus_graph
+from repro.graphs import Graph, barbell_graph, complete_graph, is_connected, torus_graph
 from repro.markov import WalkSpectrum
 from repro.serve import TrafficSpec
 from repro.util.rng import make_rng
@@ -94,6 +96,19 @@ class TestGraphDelta:
         u, v = g.edges()[0]
         remap = _apply(g, insert=[(7, 13)], delete=[(u, v)])
         assert set(remap.mutated_nodes.tolist()) == {u, v, 7, 13}
+
+    def test_crash_shaped_delete_marks_every_endpoint(self):
+        # A crash deletes every incident edge of the victim, a parallel
+        # pair and a self-loop included.  The scan's contract needs both
+        # endpoints of every deleted edge among the mutated nodes.
+        g = Graph(6, [(0, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 4), (4, 5), (5, 0), (2, 5)])
+        edges = g.edge_array
+        incident = edges[(edges[:, 0] == 2) | (edges[:, 1] == 2)]
+        remap = _apply(g, delete=incident.tolist())
+        assert remap.edges_deleted == len(incident) == 5
+        assert set(incident.ravel().tolist()) <= set(remap.mutated_nodes.tolist())
+        assert set(remap.mutated_nodes.tolist()) == {1, 2, 3, 5}
+        assert g.degrees[2] == 0
 
     def test_delete_absent_edge_raises(self):
         g = torus_graph(5, 5)
@@ -166,15 +181,18 @@ class TestStoreInvalidation:
         store = self._store_with_paths([[5, 1, 2], [3, 4, 5], [6, 7, 8]])
         mutated = np.zeros(10, dtype=bool)
         mutated[5] = True
-        rows = store.find_invalid_rows(mutated, np.empty(0, dtype=np.int64), 10)
+        rows = store.find_invalid_rows(mutated)
         assert rows.tolist() == [0]
 
     def test_scan_flags_deleted_edge_traversal(self):
-        store = self._store_with_paths([[1, 2, 3], [3, 4, 6]])
+        # Deleting {2, 3} marks both endpoints.  Token 0 crosses the edge
+        # (a step from 2): invalid.  Token 2 only *ends* at endpoint 3:
+        # valid.  Token 1 starts at 3, so it steps from an endpoint.
+        store = self._store_with_paths([[1, 2, 3], [3, 4, 6], [5, 4, 3]])
         mutated = np.zeros(10, dtype=bool)
-        deleted = np.array([2 * 10 + 3], dtype=np.int64)  # undirected edge {2, 3}
-        rows = store.find_invalid_rows(mutated, deleted, 10)
-        assert rows.tolist() == [0]
+        mutated[[2, 3]] = True  # the endpoints of the deleted edge {2, 3}
+        rows = store.find_invalid_rows(mutated)
+        assert rows.tolist() == [0, 1]
 
     def test_scratch_columns_do_not_vote(self):
         # A length-1 token whose scratch columns repeat a mutated endpoint
@@ -182,7 +200,7 @@ class TestStoreInvalidation:
         store = self._store_with_paths([[1, 9]])
         mutated = np.zeros(10, dtype=bool)
         mutated[9] = True
-        rows = store.find_invalid_rows(mutated, np.empty(0, dtype=np.int64), 10)
+        rows = store.find_invalid_rows(mutated)
         assert rows.size == 0
 
     def test_evict_rows_bookkeeping(self):
@@ -214,7 +232,7 @@ class TestStoreInvalidation:
             get_more_walks(Network(g, seed=seed), store, 0, 1, 4, make_rng(seed))
         mutated = np.zeros(g.n, dtype=bool)
         mutated[3] = True
-        rows = store.find_invalid_rows(mutated, np.empty(0, dtype=np.int64), g.n)
+        rows = store.find_invalid_rows(mutated)
         for row in rows.tolist():  # flagged tokens really stepped from node 3
             token = next(t for t in store.iter_all() if t.token_id == int(store._ids[row]))
             assert 3 in token.path[: token.length].tolist()
@@ -382,6 +400,83 @@ class TestChurnCascade:
             return out, engine.network.rounds
 
         assert run() == run()
+
+
+def _edge_multiset(graph: Graph) -> Counter:
+    return Counter((min(u, v), max(u, v)) for u, v in graph.edge_array.tolist())
+
+
+def _reference_invalid(tokens, deleted, endpoints, crashed) -> set[int]:
+    """Token ids a brute-force reading of the eviction rule removes."""
+    out = set()
+    for token in tokens:
+        hops = token.path.tolist()
+        steps = range(token.length)
+        if (
+            any(hops[j] in endpoints for j in steps)
+            or any((min(hops[j], hops[j + 1]), max(hops[j], hops[j + 1])) in deleted for j in steps)
+            or token.destination in crashed
+        ):
+            out.add(token.token_id)
+    return out
+
+
+class TestEvictionMatchesReference:
+    """Real churn and crash/recover steps evict exactly what a per-token check names.
+
+    The reference never reads the :class:`DeltaRemap`: it diffs the edge
+    multisets before and after the step and walks every recorded path.
+    """
+
+    @pytest.mark.parametrize(
+        "graph,crashable",
+        [
+            (torus_graph(6, 6), list(range(36))),
+            # Any barbell node but the bridge's endpoints leaves the rest connected.
+            (barbell_graph(6, 1), [v for v in range(12) if v not in (5, 6)]),
+        ],
+        ids=["torus6x6", "barbell"],
+    )
+    def test_evicted_tokens_equal_the_reference(self, graph, crashable):
+        engine = WalkEngine(graph, seed=17)
+        engine.prepare(lam=4, record_paths=True)
+        store = engine.pool.store
+        rng = make_rng(23)
+        crashed: list[int] = []
+        steps = ["churn", "crash", "recover", "churn", "crash", "crash", "recover", "churn"]
+        checked = 0
+        for kind in steps:
+            live = [v for v in range(graph.n) if v not in crashed]
+            engine.walks(rng.choice(live, size=4).tolist(), 24)
+            before = _edge_multiset(graph)
+            tokens = list(store.iter_all())
+            evicted_before = store.tokens_evicted
+            down: set[int] = set()
+            if kind == "churn":
+                engine.apply_churn(sample_churn_delta(graph, rng, deletes=3, inserts=2))
+            elif kind == "crash":
+                victim = int(rng.choice([v for v in crashable if v not in crashed]))
+                crashed.append(victim)
+                down = {victim}
+                engine.apply_faults(FaultStep(at_round=engine.network.rounds, crash=(victim,)))
+            else:
+                engine.apply_faults(
+                    FaultStep(at_round=engine.network.rounds, recover=tuple(crashed))
+                )
+                crashed.clear()
+            after = _edge_multiset(graph)
+            deleted, inserted = before - after, after - before
+            endpoints = {v for edge in deleted + inserted for v in edge}
+            want = _reference_invalid(tokens, set(deleted), endpoints, down)
+            survivors = {t.token_id for t in store.iter_all()}
+            got = {t.token_id for t in tokens} - survivors
+            assert got == want, kind
+            assert store.tokens_evicted - evicted_before == len(want)
+            assert store.live_rows().size == (
+                store.tokens_created - store.tokens_consumed - store.tokens_evicted
+            )
+            checked += len(want)
+        assert checked > 0
 
 
 class TestChurnWorkload:

@@ -19,13 +19,14 @@ The load-bearing claims:
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
 from repro.congest import Network
 from repro.engine import ALGORITHMS, EngineStats, ResultBase, WalkEngine, WalkRequest
-from repro.errors import WalkError
+from repro.errors import GraphError, WalkError
 from repro.graphs import complete_graph, torus_graph
 from repro.markov import WalkSpectrum
 from repro.util.stats import chi_square_goodness_of_fit
@@ -298,6 +299,24 @@ class TestAccountingFixes:
         assert engine.stats().queries == 1
         engine.regenerate(res)
         assert engine.stats().queries == 2
+
+    def test_rejected_application_calls_are_not_queries(self):
+        # A call whose input is rejected bills nothing and counts nothing,
+        # as a rejected walk request does.
+        engine = WalkEngine(torus_graph(8, 8), seed=1)
+        endpoint_only = engine.walk(0, 32, record_paths=False)
+        queries = engine.stats().queries
+        phases = copy.deepcopy(engine.network.ledger.phases)
+        rounds = engine.network.rounds
+        with pytest.raises(GraphError, match="out of range"):
+            engine.mixing_time(64)
+        with pytest.raises(GraphError, match="out of range"):
+            engine.spanning_tree(-1)
+        with pytest.raises(WalkError, match="without record_paths"):
+            engine.regenerate(endpoint_only)
+        assert engine.stats().queries == queries == 1
+        assert engine.network.rounds == rounds
+        assert engine.network.ledger.phases == phases
 
 
 class TestRequestModel:

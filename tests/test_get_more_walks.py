@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.congest import Network
@@ -11,6 +12,7 @@ from repro.markov import WalkSpectrum
 from repro.util.rng import make_rng
 from repro.util.stats import chi_square_goodness_of_fit
 from repro.walks import WalkStore, get_more_walks
+from repro.walks.get_more_walks import get_more_walks_batch
 
 
 class TestReservoirLengths:
@@ -115,6 +117,20 @@ class TestCorrectness:
             get_more_walks(net, store, 0, 0, 4, make_rng(0))
         with pytest.raises(WalkError):
             get_more_walks(net, store, 0, 5, 0, make_rng(0))
+
+    @pytest.mark.parametrize("source", [6, -1])
+    def test_non_node_source_rejected_before_billing(self, source):
+        net = Network(cycle_graph(6), seed=0)
+        store = WalkStore()
+        with pytest.raises(WalkError, match="sources must be nodes"):
+            get_more_walks(net, store, source, 3, 4, make_rng(0))
+        with pytest.raises(WalkError, match="sources must be nodes"):
+            get_more_walks_batch(
+                net, store, np.array([0, source]), np.array([2, 3]), 4, make_rng(0)
+            )
+        assert net.rounds == 0
+        assert "get-more-walks" not in net.ledger.phases
+        assert store.total_unused() == 0
 
     def test_lambda_one(self):
         g = cycle_graph(6)

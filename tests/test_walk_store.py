@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import WalkError
 from repro.walks import TokenRecord, WalkStore
+from repro.walks.store import _SCAN_BLOCK
 
 
 def record(tid: int, source: int = 0, length: int = 3, destination: int = 2) -> TokenRecord:
@@ -291,6 +294,30 @@ class TestPathMemoryReclamation:
         assert store.tokens_at(2, 0)[0].path.tolist() == [0, 1, 2]
         store.remove(rec)
         assert store._path_batches[0] is None
+
+
+class TestScanMemory:
+    def test_scan_temporaries_scale_with_the_block(self):
+        # One path matrix 32 scan blocks long.  The churn scan's peak must
+        # stay far below the matrix, so no whole-pool copy of it (gathered
+        # rows, a cleaned copy, a steps mask) can come back.
+        width, n = 64, 1000
+        rows = 32 * _SCAN_BLOCK // width
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(width // 2, width, rows)
+        paths = rng.integers(0, n, (rows, width))
+        store = WalkStore()
+        store.add_batch(paths[:, 0].copy(), lengths, paths[np.arange(rows), lengths], paths=paths)
+        mutated = np.zeros(n, dtype=bool)
+        mutated[::97] = True
+        tracemalloc.start()
+        try:
+            flagged = store.find_invalid_rows(mutated)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < flagged.size < rows
+        assert peak < paths.nbytes / 4
 
 
 class TestTokenRecordEquality:

@@ -227,12 +227,16 @@ class StoreMachine(RuleBasedStateMachine):
         deleted=st.sets(st.tuples(nodes, nodes), max_size=3),
     )
     def find_invalid_rows(self, mutated, deleted):
-        mask = np.zeros(N_NODES, dtype=bool)
-        mask[list(mutated)] = True
+        # The scan's contract: the mask marks both endpoints of every
+        # deleted edge, so widen the drawn set by them.
         edges = {(min(u, v), max(u, v)) for u, v in deleted}
-        keys = np.array(sorted(u * N_NODES + v for u, v in edges), dtype=np.int64)
-        got = self.store.find_invalid_rows(mask, keys, N_NODES)
-        assert got.tolist() == self.ref.invalid_rows(mutated, edges)
+        widened = mutated | {node for edge in edges for node in edge}
+        mask = np.zeros(N_NODES, dtype=bool)
+        mask[list(widened)] = True
+        got = self.store.find_invalid_rows(mask).tolist()
+        assert got == self.ref.invalid_rows(widened, edges)
+        # Every token that crosses a drawn edge is among them.
+        assert set(self.ref.invalid_rows(set(), edges)) <= set(got)
 
     @rule(crashed=st.sets(nodes, max_size=3))
     def rows_held_at(self, crashed):
