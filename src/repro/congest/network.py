@@ -207,7 +207,8 @@ class Network:
     def _as_slot_array(self, slots: np.ndarray | Iterable[int]) -> np.ndarray:
         """Coerce to an int64 slot array and validate the CSR slot range."""
         arr = np.asarray(list(slots) if not isinstance(slots, np.ndarray) else slots, dtype=np.int64)
-        if arr.size and (np.any(arr < 0) or np.any(arr >= self.graph.n_slots)):
+        # One pass: a negative int64 reads as a uint64 of at least 2⁶³.
+        if arr.size and arr.view(np.uint64).max() >= self.graph.n_slots:
             raise ProtocolError("slot index out of range")
         return arr
 
@@ -289,9 +290,12 @@ class Network:
         if slot_arr.size == 0:
             return 0
         self._check_words(words)
-        span = int(group_arr.max()) - int(group_arr.min()) + 1
-        keys = slot_arr * span + (group_arr - int(group_arr.min()))
-        pair_slots = sorted_unique(keys) // span
+        low = int(group_arr.min())
+        span = int(group_arr.max()) - low + 1
+        if span == 1:  # one group: one message per distinct slot
+            used = sorted_unique(slot_arr)
+            return self._deliver_loads(used, np.ones(used.size, dtype=np.int64), int(used.size))
+        pair_slots = sorted_unique(slot_arr * span + (group_arr - low)) // span
         used, per_edge = np.unique(pair_slots, return_counts=True)
         return self._deliver_loads(used, per_edge, int(pair_slots.size))
 

@@ -22,6 +22,7 @@ tree; re-simulating identical floods adds nothing but wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Collection, Iterable, Sequence
 
 import numpy as np
@@ -81,18 +82,18 @@ class TreeSlots:
 class BfsTree:
     """A rooted BFS tree produced by the flood protocol.
 
-    ``parent[root] == root``; ``depth`` is hop distance from the root;
-    ``height`` is the eccentricity of the root (max depth).  A tree is
-    never mutated after construction, so ``height`` and ``n`` are computed
-    once, here.  The tree's CSR slots are a function of the topology as
-    well, so :meth:`slots` caches them stamped with the topology they were
-    read on.
+    ``parent[root] == root``; ``depth`` is hop distance from the root, ``-1``
+    for an unreached node of an ``allow_unreached`` tree; ``height`` is the
+    eccentricity of the root (max depth).  A tree is never mutated after
+    construction, so ``height`` and ``n`` are computed once, here, and
+    :attr:`children` on its first read.  The tree's CSR slots are a function
+    of the topology as well, so :meth:`slots` caches them stamped with the
+    topology they were read on.
     """
 
     root: int
     parent: list[int]
     depth: list[int]
-    children: list[list[int]] = field(repr=False)
     build_rounds: int = 0
     build_messages: int = 0
     height: int = field(init=False)
@@ -102,6 +103,20 @@ class BfsTree:
     def __post_init__(self) -> None:
         self.height = max(self.depth)
         self.n = len(self.parent)
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """Each node's children in ascending order; unreached nodes are in no list.
+
+        Only the event-driven protocols and the funnel's root-child lookup
+        read it, so it is grouped from ``parent`` on first read, not at build.
+        """
+        children: list[list[int]] = [[] for _ in range(self.n)]
+        depth = self.depth
+        for v, p in enumerate(self.parent):
+            if depth[v] > 0:
+                children[p].append(v)
+        return children
 
     def path_to_root(self, node: int) -> list[int]:
         """Tree path ``node -> ... -> root`` (inclusive both ends)."""
@@ -213,11 +228,7 @@ class BfsFloodProtocol(Protocol):
             )
         parent = [self.parent[v] for v in range(n)]
         depth = [self.depth[v] for v in range(n)]
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if v != self.root:
-                children[parent[v]].append(v)
-        return BfsTree(root=self.root, parent=parent, depth=depth, children=children)
+        return BfsTree(root=self.root, parent=parent, depth=depth)
 
 
 def _vectorized_bfs(
@@ -392,6 +403,9 @@ def build_bfs_tree(
     nodes — the crash-recovery regime where crashed nodes are isolated by
     construction.  Unreached nodes carry depth ``-1`` and join no
     children list; callers must not route to or through them.
+
+    Neither path builds the tree's child lists; :attr:`BfsTree.children`
+    groups them from ``parent`` when something first reads them.
     """
     if cache is not None and root in cache:
         tree = cache[root]
@@ -410,17 +424,10 @@ def build_bfs_tree(
         graph = network.graph
         depth, parent = _vectorized_bfs(graph, root, allow_unreached=allow_unreached)
         rounds, messages = _flood_cost(graph, root, depth)
-        children: list[list[int]] = [[] for _ in range(graph.n)]
-        parent_list = parent.tolist()
-        depth_list = depth.tolist()
-        for v, p in enumerate(parent_list):
-            if v != root and depth_list[v] >= 0:
-                children[p].append(v)
         tree = BfsTree(
             root=root,
-            parent=parent_list,
+            parent=parent.tolist(),
             depth=depth.tolist(),
-            children=children,
             build_rounds=rounds,
             build_messages=messages,
         )

@@ -127,7 +127,9 @@ class Graph:
         dst_dir = np.concatenate([ev, eu[non_loop]])
         eid_dir = np.concatenate([eids, eids[non_loop]])
         w_dir = np.concatenate([weight_arr, weight_arr[non_loop]])
-        order = np.lexsort((eid_dir, src_dir))
+        # Each (source, edge id) pair is unique, so one sort of the combined
+        # key gives the (source, edge id) order; keys stay below n·m < 2⁶³.
+        order = np.argsort(src_dir * max(m, 1) + eid_dir)
         sources = src_dir[order]
         targets = dst_dir[order]
         slot_weight = w_dir[order]
@@ -144,6 +146,8 @@ class Graph:
         self.csr_edge = slot_edge
         self.n_slots = n_slots
         self._degree = degree
+        self._min_degree = int(degree.min())
+        self._max_degree = int(degree.max())
         self._weighted_degree = np.zeros(n, dtype=np.float64)
         np.add.at(self._weighted_degree, sources, slot_weight)
         self._uniform_weights = bool(np.allclose(weight_arr, weight_arr[0])) if self.m else True
@@ -264,7 +268,14 @@ class Graph:
         return self._cumweights
 
     def random_slot(self, v: int, rng: np.random.Generator) -> int:
-        """Sample an outgoing slot at ``v`` with probability ∝ its weight."""
+        """Sample an outgoing slot at ``v`` with probability ∝ its weight.
+
+        Raises :class:`GraphError` when ``v`` is not a node or is isolated.
+        A weighted draw that rounding carries past the node's last
+        cumulative weight takes that last slot, never a slot of ``v + 1``.
+        """
+        if not 0 <= v < self.n:
+            raise GraphError(f"node {v} out of range for n={self.n}")
         lo, hi = int(self.indptr[v]), int(self.indptr[v + 1])
         if lo == hi:
             raise GraphError(f"node {v} is isolated; random walk undefined")
@@ -272,7 +283,8 @@ class Graph:
             return int(rng.integers(lo, hi))
         weights = self.csr_weight[lo:hi]
         total = weights.sum()
-        return lo + int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
+        offset = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
+        return lo + min(offset, hi - lo - 1)
 
     def random_neighbor(self, v: int, rng: np.random.Generator) -> int:
         """One step of the (weighted) simple random walk from ``v``."""
@@ -282,15 +294,28 @@ class Graph:
         """Vectorized single step: sample one outgoing slot per position.
 
         Returns an array of slot indices parallel to ``positions``.  The
-        corresponding next positions are ``self.csr_target[slots]``.  For
-        unweighted graphs this is a single vectorized draw; weighted graphs
-        fall back to an inverse-CDF draw per position (still vectorized via
-        searchsorted over per-node cumulative weights).
+        corresponding next positions are ``self.csr_target[slots]``.  A
+        position that is not a node, or is isolated, raises
+        :class:`GraphError`.
+
+        The draw depends on the graph.  On a ``d``-regular unweighted graph
+        node ``v``'s slots start at ``v·d``, so one scalar-bound draw serves
+        every position; it yields the same slots and generator state as the
+        per-position bound draw that other unweighted graphs use.  Weighted
+        graphs draw inverse-CDF (searchsorted over per-node cumulative
+        weights).
         """
         positions = np.asarray(positions, dtype=np.int64)
+        # One pass: a negative int64 reads as a uint64 of at least 2⁶³.
+        if positions.size and positions.view(np.uint64).max() >= self.n:
+            bad = positions[(positions < 0) | (positions >= self.n)].flat[0]
+            raise GraphError(f"node {int(bad)} out of range for n={self.n}")
+        d = self._max_degree
+        if self._uniform_weights and self._min_degree == d > 0:
+            return positions * d + rng.integers(0, d, size=positions.shape)
         lo = self.indptr[positions]
         deg = self.indptr[positions + 1] - lo
-        if np.any(deg == 0):
+        if self._min_degree == 0 and np.any(deg == 0):
             bad = positions[deg == 0][0]
             raise GraphError(f"node {int(bad)} is isolated; random walk undefined")
         if self._uniform_weights:
@@ -318,6 +343,8 @@ class Graph:
         """
         if length < 0:
             raise GraphError(f"walk length must be non-negative, got {length}")
+        if not 0 <= start < self.n:
+            raise GraphError(f"node {start} out of range for n={self.n}")
         path = [int(start)]
         current = int(start)
         for _ in range(length):

@@ -121,20 +121,34 @@ def walk_tokens(
     Each iteration is charged to ``phase`` by the worst per-edge token load.
     Returns the final positions and, with ``record_paths``, the hop matrix
     (row ``i``: ``starts[i]``, then hop ``j`` in column ``j``).
+
+    The loop has two stages.  While ``step ≤ min(lengths)`` every token
+    walks, so those steps take ``positions`` whole, with no mask.  After
+    that a live-index array, compacted stably each step, names the tokens
+    still walking.  Either way the live tokens draw in index order, so the
+    RNG stream is the one a per-step mask over all tokens would consume.
     """
     graph = network.graph
     positions = np.array(starts, dtype=np.int64)
     max_len = int(lengths.max()) if lengths.size else 0
+    prefix = max(int(lengths.min()), 0) if lengths.size else 0
     paths = None
     if record_paths:
         paths = np.empty((positions.size, max_len + 1), dtype=np.int64)
         paths[:, 0] = positions
     with network.phase(phase):
-        for step in range(1, max_len + 1):
-            active = lengths >= step
-            slots = graph.step_walk_slots(positions[active], rng)
+        for step in range(1, prefix + 1):
+            slots = graph.step_walk_slots(positions, rng)
             network.deliver_step(slots, words=2)  # (source ID, remaining length)
-            positions[active] = graph.csr_target[slots]
+            positions = graph.csr_target[slots]
+            if paths is not None:
+                paths[:, step] = positions
+        live = np.arange(positions.size)
+        for step in range(prefix + 1, max_len + 1):
+            live = live[lengths[live] >= step]
+            slots = graph.step_walk_slots(positions[live], rng)
+            network.deliver_step(slots, words=2)
+            positions[live] = graph.csr_target[slots]
             if paths is not None:
                 # Full-column write: rows of finished tokens hold their
                 # final position, in columns past `length` that no reader

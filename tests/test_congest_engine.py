@@ -430,3 +430,13 @@ class TestEventDrivenEngine:
             Network(path_graph(3), capacity=0)
         with pytest.raises(ProtocolError):
             Network(path_graph(3), max_words=0)
+
+
+@pytest.mark.parametrize("bad", [-1, -(2**62), 4, 2**40])
+def test_slots_outside_the_csr_range_are_rejected(bad):
+    net = Network(path_graph(3))  # slots 0..3
+    with pytest.raises(ProtocolError, match="out of range"):
+        net.deliver_step([0, bad])
+    with pytest.raises(ProtocolError, match="out of range"):
+        net.deliver_step_grouped([bad, 1], [0, 1])
+    assert net.rounds == 0

@@ -7,6 +7,9 @@ agree with the event-driven protocol versions in both result and cost.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -317,3 +320,41 @@ class TestBfsFastPathEquivalence:
         assert res_f == res_p
         assert net_f.rounds == net_p.rounds
         assert net_f.messages_sent == net_p.messages_sent
+
+
+class TestChildListsOnDemand:
+    """A built tree carries ``parent`` and ``depth``; child lists wait for a reader."""
+
+    def test_built_tree_retains_under_80_bytes_per_node(self):
+        g = torus_graph(100, 100)
+        net = Network(g)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = build_bfs_tree(net, 0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert "children" not in vars(tree)
+        assert isinstance(tree.parent, list) and isinstance(tree.depth, list)
+        assert retained / g.n < 80
+
+    def test_protocol_tree_builds_no_child_lists(self):
+        tree = build_bfs_tree(Network(grid_graph(3, 4)), 5, use_protocol=True)
+        assert "children" not in vars(tree)
+        assert tree.children[5] == sorted(tree.children[5])
+
+    def test_children_group_reached_nodes_only(self):
+        # Node 6 is isolated, so it stays unreached (depth -1, parent = root).
+        g = Graph(7, [(0, 4), (4, 1), (0, 2), (2, 5), (1, 3), (5, 3), (4, 5)])
+        tree = build_bfs_tree(Network(g), 0, allow_unreached=True)
+        assert tree.depth[6] == -1 and tree.parent[6] == 0
+        want: list[list[int]] = [[] for _ in range(g.n)]
+        for v in range(g.n):
+            if v != tree.root and tree.depth[v] >= 0:
+                want[tree.parent[v]].append(v)
+        assert tree.children == want
+        assert all(kids == sorted(kids) for kids in tree.children)
+        assert 6 not in {v for kids in tree.children for v in kids}
+        assert tree.children is tree.children  # derived once, then cached

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graphs import Graph, cycle_graph, path_graph
+from repro.graphs import Graph, cycle_graph, path_graph, star_graph, torus_graph
 from repro.util.rng import make_rng
 
 
@@ -227,3 +227,134 @@ class TestHypothesisCrossChecks:
             slots = g.step_walk_slots(pos, rng)
             assert np.array_equal(g.csr_source[slots], pos)
             pos = g.csr_target[slots]
+
+
+def _weighted_star() -> Graph:
+    # Nine weights whose pairwise sum exceeds their last cumulative sum.
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        weights = rng.random(9) + 0.01
+    assert weights.sum() > np.cumsum(weights)[-1]
+    return Graph(10, [(0, i) for i in range(1, 10)], weights=weights)
+
+
+STEPPER_GRAPHS = {
+    "regular": lambda: torus_graph(4, 4),
+    "irregular": lambda: star_graph(6),
+    "weighted": _weighted_star,
+}
+
+
+class TestPositionsMustBeNodes:
+    """Every draw path rejects a position outside ``[0, n)``."""
+
+    @pytest.mark.parametrize("kind", sorted(STEPPER_GRAPHS))
+    def test_steppers_reject_non_nodes(self, kind):
+        g = STEPPER_GRAPHS[kind]()
+        for bad in (g.n, -1, -(g.n + 1)):
+            with pytest.raises(GraphError, match="out of range"):
+                g.step_walk_slots(np.array([0, bad]), make_rng(0))
+            with pytest.raises(GraphError, match="out of range"):
+                g.step_walks(np.array([bad]), make_rng(0))
+            with pytest.raises(GraphError, match="out of range"):
+                g.random_slot(bad, make_rng(0))
+            with pytest.raises(GraphError, match="out of range"):
+                g.random_neighbor(bad, make_rng(0))
+            with pytest.raises(GraphError, match="out of range"):
+                g.walk(bad, 3, make_rng(0))
+
+    def test_empty_positions_draw_nothing(self):
+        g = torus_graph(4, 4)
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        assert g.step_walk_slots(np.empty(0, dtype=np.int64), rng).size == 0
+        assert rng.bit_generator.state == before
+
+
+class _TopDraw:
+    """A generator stub whose uniform draw is the largest float below 1."""
+
+    def random(self):
+        return float(np.nextafter(1.0, 0.0))
+
+
+class TestWeightedDrawStaysOnItsNode:
+    def test_random_slot_clamps_to_the_last_slot(self):
+        g = _weighted_star()
+        last = int(g.indptr[1]) - 1
+        assert g.random_slot(0, _TopDraw()) == last
+        assert g.random_neighbor(0, _TopDraw()) == 9
+
+
+class TestRegularDraw:
+    """On a d-regular unweighted graph one scalar-bound draw replays the per-node draw."""
+
+    REGULAR = {
+        "cycle": lambda: cycle_graph(9),
+        "torus": lambda: torus_graph(5, 6),
+        # 3-regular multigraph with self-loops and a parallel pair.
+        "multigraph": lambda: Graph(
+            4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 3)]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REGULAR))
+    def test_matches_the_per_node_bound(self, name):
+        g = self.REGULAR[name]()
+        d = int(g.degrees[0])
+        assert np.all(g.degrees == d) and not g.is_weighted
+        positions = np.random.default_rng(7).integers(0, g.n, size=5001)
+        rng, ref = make_rng(11), make_rng(11)
+        for _ in range(3):
+            slots = g.step_walk_slots(positions, rng)
+            want = g.indptr[positions] + ref.integers(0, g.degrees[positions])
+            assert np.array_equal(slots, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            positions = g.csr_target[slots]
+
+    def test_degree_bounds_follow_the_topology(self):
+        from repro.dynamic.delta import GraphDelta
+
+        g = torus_graph(4, 4)
+        incident = g.edge_array[(g.edge_array == 5).any(axis=1)]
+        g.apply_delta(GraphDelta(delete_edges=incident))  # crash-shaped: isolate node 5
+        with pytest.raises(GraphError, match="isolated"):
+            g.step_walk_slots(np.array([0, 5]), make_rng(0))
+        others = np.array([v for v in range(g.n) if v != 5])
+        rng, ref = make_rng(2), make_rng(2)
+        slots = g.step_walk_slots(others, rng)
+        assert np.array_equal(slots, g.indptr[others] + ref.integers(0, g.degrees[others]))
+
+        g.apply_delta(GraphDelta(insert_edges=incident))  # recover: 4-regular again
+        positions = np.arange(g.n)
+        rng, ref = make_rng(4), make_rng(4)
+        slots = g.step_walk_slots(positions, rng)
+        assert np.array_equal(slots, 4 * positions + ref.integers(0, 4, size=g.n))
+        assert np.array_equal(g.csr_source[slots], positions)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(1, 9))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    return n, edges
+
+
+class TestCsrOrder:
+    @given(multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_slots_sort_by_source_then_edge_id(self, data):
+        n, edges = data
+        g = Graph(n, edges)
+        arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        eu, ev = arr[:, 0], arr[:, 1]
+        non_loop = eu != ev
+        eids = np.arange(len(arr), dtype=np.int64)
+        src = np.concatenate([eu, ev[non_loop]])
+        dst = np.concatenate([ev, eu[non_loop]])
+        eid = np.concatenate([eids, eids[non_loop]])
+        order = np.lexsort((eid, src))
+        assert np.array_equal(g.csr_source, src[order])
+        assert np.array_equal(g.csr_target, dst[order])
+        assert np.array_equal(g.csr_edge, eid[order])

@@ -27,7 +27,7 @@ import pytest
 
 from repro.congest import Network
 from repro.congest.phases import GET_MORE_WALKS, PHASE1
-from repro.graphs import barbell_graph, torus_graph
+from repro.graphs import Graph, barbell_graph, torus_graph
 from repro.util.rng import make_rng
 from repro.walks import WalkStore
 from repro.walks.get_more_walks import get_more_walks_batch
@@ -146,3 +146,79 @@ def test_get_more_walks_batch_bills_its_recorded_hops(graph, capacity, randomize
     assert max(c[3] for c in want) > capacity  # distinct sources congest
     assert_ledger_sums(net, log, want, GET_MORE_WALKS)
     assert rounds == net.rounds
+
+
+def masked_walk_tokens(network, starts, lengths, rng, *, record_paths, phase):
+    """The one-stage loop :func:`walk_tokens` replaced: a full mask every step.
+
+    Unweighted graphs draw with per-position bounds, the draw that precedes
+    the scalar draw of regular graphs, so the reference fixes the stream.
+    """
+    graph = network.graph
+
+    def draw(positions):
+        if graph.is_weighted:
+            return graph.step_walk_slots(positions, rng)
+        lo = graph.indptr[positions]
+        return lo + rng.integers(0, graph.indptr[positions + 1] - lo)
+
+    positions = np.array(starts, dtype=np.int64)
+    max_len = int(lengths.max()) if lengths.size else 0
+    paths = None
+    if record_paths:
+        paths = np.empty((positions.size, max_len + 1), dtype=np.int64)
+        paths[:, 0] = positions
+    with network.phase(phase):
+        for step in range(1, max_len + 1):
+            active = lengths >= step
+            slots = draw(positions[active])
+            network.deliver_step(slots, words=2)
+            positions[active] = graph.csr_target[slots]
+            if paths is not None:
+                paths[:, step] = positions
+    return positions, paths
+
+
+def _weighted_torus() -> Graph:
+    g = torus_graph(6, 6)
+    weights = np.random.default_rng(3).random(g.m) + 0.1
+    return Graph(g.n, g.edge_array, weights=weights)
+
+
+REPLAY_GRAPHS = {**GRAPHS, "weighted-torus6x6": _weighted_torus}
+LAM = 6
+LENGTH_SETS = {
+    "phase1": lambda rng, size: LAM + rng.integers(0, LAM, size=size),
+    "some-zeros": lambda rng, size: np.where(
+        rng.random(size) < 0.3, 0, rng.integers(1, 2 * LAM, size=size)
+    ),
+    "all-equal": lambda rng, size: np.full(size, LAM, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("record_paths", [True, False])
+@pytest.mark.parametrize("lengths", sorted(LENGTH_SETS))
+@pytest.mark.parametrize("graph", sorted(REPLAY_GRAPHS))
+def test_walk_tokens_replays_the_masked_loop(graph, lengths, record_paths):
+    g = REPLAY_GRAPHS[graph]()
+    starts = np.repeat(np.arange(g.n, dtype=np.int64), 4)
+    token_lengths = LENGTH_SETS[lengths](np.random.default_rng(8), starts.size)
+    runs = []
+    for loop in (walk_tokens, masked_walk_tokens):
+        net = Network(g, capacity=2)
+        log = ChargeLog()
+        net.ledger.observer = log
+        rng = make_rng(21)
+        positions, paths = loop(
+            net, starts, token_lengths, rng, record_paths=record_paths, phase=PHASE1
+        )
+        runs.append((positions, paths, log.charges, rng.bit_generator.state))
+    (pos, paths, charges, state), (ref_pos, ref_paths, ref_charges, ref_state) = runs
+    assert np.array_equal(pos, ref_pos)
+    assert charges == ref_charges and charges
+    assert state == ref_state
+    if record_paths:
+        for i, length in enumerate(token_lengths):
+            assert np.array_equal(paths[i, : length + 1], ref_paths[i, : length + 1])
+    else:
+        assert paths is None and ref_paths is None
