@@ -49,7 +49,7 @@ class PipelinedUpcastProtocol(Protocol):
         if node == self.tree.root or not self._queues[node]:
             return
         item = self._queues[node].popleft()
-        api.send(node, self.tree.parent[node], ("up", item), words=self.words)
+        api.send(node, int(self.tree.parent[node]), ("up", item), words=self.words)
 
     def _pump_all(self, api: ProtocolAPI) -> None:
         for node in range(self.tree.n):

@@ -32,7 +32,6 @@ from repro.congest.network import Network
 from repro.congest.protocol import Protocol, ProtocolAPI
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
-from repro.util.arrays import sorted_unique
 from repro.util.contracts import charged_fast_path
 
 __all__ = [
@@ -65,7 +64,7 @@ class TreeSlots:
     to the root).  The root's own entries are never read.  ``flood`` counts
     the flood's explore sends per slot and ``flood_first`` is the slot of
     its lowest ``(src, dst)`` pair, where :func:`_stage_flood` folds count
-    drift.  ``parent`` is the tree's parent list as an array.  ``topology``
+    drift.  ``parent`` is the tree's own int32 parent array.  ``topology``
     is the stamp of the network topology the slots were read on, which
     :meth:`~repro.congest.network.Network.refresh_topology` replaces.
     """
@@ -78,31 +77,39 @@ class TreeSlots:
     flood_first: int
 
 
-@dataclass
+@dataclass(eq=False)
 class BfsTree:
     """A rooted BFS tree produced by the flood protocol.
 
-    ``parent[root] == root``; ``depth`` is hop distance from the root, ``-1``
-    for an unreached node of an ``allow_unreached`` tree; ``height`` is the
-    eccentricity of the root (max depth).  A tree is never mutated after
-    construction, so ``height`` and ``n`` are computed once, here, and
-    :attr:`children` on its first read.  The tree's CSR slots are a function
-    of the topology as well, so :meth:`slots` caches them stamped with the
-    topology they were read on.
+    ``parent`` and ``depth`` are int32 arrays (a list passed in is
+    converted).  ``parent[root] == root``; ``depth`` is hop distance from
+    the root, ``-1`` for an unreached node of an ``allow_unreached`` tree;
+    ``height`` is the eccentricity of the root (max depth).  A tree is never
+    mutated after construction, so ``height`` and ``n`` are computed once,
+    here, and :attr:`children` and the deepest-first order on their first
+    read.  The tree's CSR slots are a function of the topology as well, so
+    :meth:`slots` caches them stamped with the topology they were read on.
+
+    The climbs (:meth:`closure`, :meth:`path_to_root`) read the arrays
+    through a ``memoryview``, which yields Python ints without a copy.  A
+    climb is a few parent reads per holder, so it stays a Python loop: one
+    numpy call costs more than a whole climb.
     """
 
     root: int
-    parent: list[int]
-    depth: list[int]
+    parent: np.ndarray
+    depth: np.ndarray
     build_rounds: int = 0
     build_messages: int = 0
     height: int = field(init=False)
     n: int = field(init=False)
-    _slots: TreeSlots | None = field(default=None, init=False, repr=False, compare=False)
+    _slots: TreeSlots | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.height = max(self.depth)
-        self.n = len(self.parent)
+        self.parent = np.ascontiguousarray(self.parent, dtype=np.int32)
+        self.depth = np.ascontiguousarray(self.depth, dtype=np.int32)
+        self.height = int(self.depth.max())
+        self.n = int(self.parent.size)
 
     @cached_property
     def children(self) -> list[list[int]]:
@@ -111,16 +118,15 @@ class BfsTree:
         Only the event-driven protocols and the funnel's root-child lookup
         read it, so it is grouped from ``parent`` on first read, not at build.
         """
-        children: list[list[int]] = [[] for _ in range(self.n)]
-        depth = self.depth
-        for v, p in enumerate(self.parent):
-            if depth[v] > 0:
-                children[p].append(v)
-        return children
+        reached = np.flatnonzero(self.depth > 0)
+        parents = self.parent[reached]
+        kids = reached[np.argsort(parents, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(parents, minlength=self.n)).tolist()
+        return [kids[start:end] for start, end in zip([0, *ends], ends)]
 
     def path_to_root(self, node: int) -> list[int]:
         """Tree path ``node -> ... -> root`` (inclusive both ends)."""
-        parent, root, limit = self.parent, self.root, self.n
+        parent, root, limit = memoryview(self.parent), self.root, self.n
         path = [node]
         while node != root:
             node = parent[node]
@@ -129,16 +135,26 @@ class BfsTree:
                 raise ProtocolError("parent pointers contain a cycle")
         return path
 
-    def nodes_by_depth_desc(self) -> list[int]:
-        """All nodes ordered deepest-first (convergecast schedule order)."""
-        return sorted(range(self.n), key=lambda v: -self.depth[v])
+    @cached_property
+    def _deepest_first(self) -> np.ndarray:
+        order = np.argsort(-self.depth, kind="stable").astype(np.int32)
+        order.flags.writeable = False
+        return order
+
+    def nodes_by_depth_desc(self) -> np.ndarray:
+        """All nodes deepest-first, ties by ascending id, unreached nodes last.
+
+        The convergecast schedule order, computed once per tree; a read-only
+        int32 array.
+        """
+        return self._deepest_first
 
     def closure(self, nodes: Iterable[int]) -> set[int]:
         """Non-root nodes on the paths from ``nodes`` to the root: a convergecast's reporters.
 
         A climb stops at the first node already in the closure.
         """
-        parent, root = self.parent, self.root
+        parent, root = memoryview(self.parent), self.root
         closure: set[int] = set()
         for node in nodes:
             while node != root and node not in closure:
@@ -161,7 +177,7 @@ class BfsTree:
 def _read_slots(tree: BfsTree, network: Network) -> TreeSlots:
     """Read ``tree``'s slots off the pair index of ``network``'s graph."""
     nodes = np.arange(tree.n, dtype=np.int64)
-    parent = np.asarray(tree.parent, dtype=np.int64)
+    parent = tree.parent
     up = network.edge_slots_for_pairs(nodes, parent)
     down = network.edge_slots_for_pairs(parent, nodes)
     # The flood sends one explore per distinct directed non-loop pair, except
@@ -244,8 +260,8 @@ def _vectorized_bfs(
     nodes then keep depth ``-1`` and stay out of the tree.
     """
     n = graph.n
-    depth = np.full(n, -1, dtype=np.int64)
-    parent = np.full(n, root, dtype=np.int64)
+    depth = np.full(n, -1, dtype=np.int32)
+    parent = np.full(n, root, dtype=np.int32)
     depth[root] = 0
     frontier = np.array([root], dtype=np.int64)
     reached = 1
@@ -293,10 +309,7 @@ def _flood_cost(graph: Graph, root: int, depth: np.ndarray) -> tuple[int, int]:
     directed node pair means queues never exceed one, so congestion is 1
     every delivering round, exactly as the engine observes.
     """
-    n = graph.n
-    non_loop = graph.csr_source != graph.csr_target
-    pair_keys = sorted_unique(graph.csr_source[non_loop] * n + graph.csr_target[non_loop])
-    distinct = np.bincount(pair_keys // n, minlength=n)
+    distinct = graph.distinct_neighbor_counts()
     sends = distinct - 1  # every non-root node skips its parent...
     sends[root] = distinct[root]  # ...the root skips only itself
     messages = int(sends.sum())
@@ -366,7 +379,8 @@ def stage_tree_hops(
     n = network.graph.n
     up = np.asarray(climbs, dtype=np.int64)
     down = np.asarray(descents, dtype=np.int64)
-    keys = np.concatenate([up * n + parent[up], parent[down] * n + down])
+    # ``parent`` is int32: widen it before forming a pair key.
+    keys = np.concatenate([up * n + parent[up], parent[down].astype(np.int64) * n + down])
     hop_slots = np.concatenate([slots.up[up], slots.down[down]])
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     network._stage_slots(hop_slots[first], counts, np.ones(first.size, dtype=np.int64))
@@ -426,8 +440,8 @@ def build_bfs_tree(
         rounds, messages = _flood_cost(graph, root, depth)
         tree = BfsTree(
             root=root,
-            parent=parent.tolist(),
-            depth=depth.tolist(),
+            parent=parent,
+            depth=depth,
             build_rounds=rounds,
             build_messages=messages,
         )
@@ -470,7 +484,7 @@ class ConvergecastProtocol(Protocol):
         if node == self.tree.root:
             self.result = self.acc[node]
         else:
-            api.send(node, self.tree.parent[node], ("agg", self.acc[node]), words=self.words)
+            api.send(node, int(self.tree.parent[node]), ("agg", self.acc[node]), words=self.words)
 
     def on_start(self, api: ProtocolAPI) -> None:
         ready = [v for v in range(self.tree.n) if self.pending[v] == 0]
@@ -536,10 +550,10 @@ def charged_convergecast(
     if words > network.max_words:
         raise ProtocolError(f"convergecast payload of {words} words exceeds cap")
     acc = list(values)
-    for node in tree.nodes_by_depth_desc():
-        if node == tree.root:
-            continue
-        acc[tree.parent[node]] = combine(acc[tree.parent[node]], acc[node])
+    parent, root = memoryview(tree.parent), tree.root
+    for node in memoryview(tree.nodes_by_depth_desc()):
+        if node != root:
+            acc[parent[node]] = combine(acc[parent[node]], acc[node])
     if participants is None:
         reporters: Collection[int] = [v for v in range(tree.n) if v != tree.root]
     else:
@@ -586,7 +600,7 @@ def deliver_tree_path(network: Network, tree: BfsTree, node: int, *, upward: boo
         path = tree.path_to_root(node)
         if not upward:
             path.reverse()
-    return network.deliver_sequential(tree.depth[node], path=path)
+    return network.deliver_sequential(int(tree.depth[node]), path=path)
 
 
 def charge_tree_routes(network: Network, tree: BfsTree, routes: Sequence[tuple[int, int]]) -> int:
@@ -594,7 +608,7 @@ def charge_tree_routes(network: Network, tree: BfsTree, routes: Sequence[tuple[i
 
     One message per hop, congestion 1.
     """
-    depth = tree.depth
+    depth = memoryview(tree.depth)
     hops = [depth[start] + depth[end] for start, end in routes]
     if network.heatmap is not None:
         climbs = [hop for start, _ in routes for hop in tree.path_to_root(start)[:-1]]

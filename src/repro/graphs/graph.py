@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import GraphError
+from repro.util.arrays import sorted_unique
 
 __all__ = ["Graph"]
 
@@ -108,6 +109,12 @@ class Graph:
         degree profiles, and every lazily built view are derived state, so
         a topology change is one call to this method with the new edge
         list.  Node count and identity never change here.
+
+        The CSR arrays come from one sorted int64 key per slot, ``source·m +
+        edge id``: the key alone yields each slot's source and edge, and the
+        edge's endpoints its target and weight, so no directed copy of the
+        edge list is built.  The CSR arrays stay int64, since pair keys
+        ``src·n + dst`` are formed from them.
         """
         n = self.n
         m = len(edge_arr)
@@ -115,26 +122,30 @@ class Graph:
         self._edge_array = edge_arr
         self._edge_weights = weight_arr
 
-        # Build CSR by vectorized scatter.  Each non-loop edge contributes a
-        # slot at both ends; each self-loop contributes one slot.  Within a
-        # node, slots are ordered by undirected edge index — the same order
-        # the legacy per-edge fill loop produced, which keeps slot IDs (and
-        # hence every RNG draw over slots) stable across the rewrite.
+        # Each non-loop edge contributes a slot at both ends; each self-loop
+        # contributes one slot.  Within a node, slots are ordered by
+        # undirected edge index — the same order the legacy per-edge fill
+        # loop produced, which keeps slot IDs (and hence every RNG draw over
+        # slots) stable across the rewrite.  Each (source, edge id) pair is
+        # unique, so sorting the key gives that order; keys stay below
+        # n·m < 2⁶³.
         eu, ev = edge_arr[:, 0], edge_arr[:, 1]
-        non_loop = eu != ev
-        eids = np.arange(m, dtype=np.int64)
-        src_dir = np.concatenate([eu, ev[non_loop]])
-        dst_dir = np.concatenate([ev, eu[non_loop]])
-        eid_dir = np.concatenate([eids, eids[non_loop]])
-        w_dir = np.concatenate([weight_arr, weight_arr[non_loop]])
-        # Each (source, edge id) pair is unique, so one sort of the combined
-        # key gives the (source, edge id) order; keys stay below n·m < 2⁶³.
-        order = np.argsort(src_dir * max(m, 1) + eid_dir)
-        sources = src_dir[order]
-        targets = dst_dir[order]
-        slot_weight = w_dir[order]
-        slot_edge = eid_dir[order]  # undirected edge index
-        degree = np.bincount(src_dir, minlength=n)
+        span = max(m, 1)
+        other_end = np.flatnonzero(eu != ev)
+        key = np.empty(m + other_end.size, dtype=np.int64)
+        np.multiply(eu, span, out=key[:m])
+        key[:m] += np.arange(m, dtype=np.int64)
+        np.multiply(ev[other_end], span, out=key[m:])
+        key[m:] += other_end
+        key.sort()
+        sources = key // span
+        slot_edge = np.remainder(key, span, out=key)  # undirected edge index
+        # A slot's target is the edge's other end; a self-loop's is itself.
+        targets = eu[slot_edge]
+        targets += ev[slot_edge]
+        targets -= sources
+        slot_weight = weight_arr[slot_edge]
+        degree = np.bincount(sources, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degree, out=indptr[1:])
         n_slots = int(indptr[-1])
@@ -150,11 +161,13 @@ class Graph:
         self._max_degree = int(degree.max())
         self._weighted_degree = np.zeros(n, dtype=np.float64)
         np.add.at(self._weighted_degree, sources, slot_weight)
-        self._uniform_weights = bool(np.allclose(weight_arr, weight_arr[0])) if self.m else True
+        # Exact equality: weights that differ at all are sampled as weights.
+        self._uniform_weights = bool((weight_arr == weight_arr[0]).all()) if self.m else True
         # Per-node cumulative weights for weighted sampling, lazily built.
         self._cumweights: np.ndarray | None = None
         self._reverse_slot: np.ndarray | None = None
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self._distinct: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -218,6 +231,18 @@ class Graph:
             order = np.argsort(keys, kind="stable")
             index = self._pairs = (keys[order], order)
         return index
+
+    def distinct_neighbor_counts(self) -> np.ndarray:
+        """Each node's number of distinct neighbours other than itself, int32 (do not mutate).
+
+        What a BFS flood's explore count per node depends on.  Built on
+        first use and dropped when the edges change.
+        """
+        if self._distinct is None:
+            non_loop = self.csr_source != self.csr_target
+            keys = sorted_unique(self.csr_source[non_loop] * self.n + self.csr_target[non_loop])
+            self._distinct = np.bincount(keys // self.n, minlength=self.n).astype(np.int32)
+        return self._distinct
 
     def pair_slots(self, keys: np.ndarray) -> np.ndarray:
         """First CSR slot of each directed pair key ``src·n + dst``; -1 where none."""

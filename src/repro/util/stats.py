@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "ChiSquareResult",
@@ -83,7 +82,11 @@ def chi_square_goodness_of_fit(
     if len(obs_main) < 2:
         raise ValueError("fewer than two effective categories after pooling")
 
-    statistic, p_value = _scipy_stats.chisquare(obs_main, exp_main)
+    # Imported here, not at module level: scipy.stats is most of the
+    # package's import time and memory, and only this test needs it.
+    from scipy import stats
+
+    statistic, p_value = stats.chisquare(obs_main, exp_main)
     return ChiSquareResult(statistic=float(statistic), p_value=float(p_value), dof=len(obs_main) - 1)
 
 

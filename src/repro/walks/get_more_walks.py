@@ -104,7 +104,7 @@ def get_more_walks_batch(
     max_len = 2 * lam - 1 if randomized_lengths else lam
     paths = None
     if record_paths:
-        paths = np.empty((total, max_len + 1), dtype=np.int64)
+        paths = np.empty((total, max_len + 1), dtype=np.int32)
         paths[:, 0] = origins
     final_length = np.full(total, lam, dtype=np.int64)
 

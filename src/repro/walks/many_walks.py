@@ -86,7 +86,7 @@ def _parallel_tails(
     if paths is None:
         return destinations, [None] * len(pre_tails)
     # Drop the duplicated pre-tail node from each path fragment.
-    return destinations, [paths[i, 1 : int(r) + 1].copy() for i, r in enumerate(remaining)]
+    return destinations, [paths[i, 1 : int(r) + 1].astype(np.int64) for i, r in enumerate(remaining)]
 
 
 def _run_many_walks(

@@ -90,11 +90,13 @@ def perform_short_walks(
     if total == 0:
         return 0
 
-    origins = np.repeat(np.arange(graph.n, dtype=np.int64), counts)
+    # int32, the store's column width.  The int32 draw yields the values
+    # and the generator state of the int64 one.
+    origins = np.repeat(np.arange(graph.n, dtype=np.int32), counts)
     if randomized_lengths:
-        target_len = lam + rng.integers(0, lam, size=total)
+        target_len = lam + rng.integers(0, lam, size=total, dtype=np.int32)
     else:
-        target_len = np.full(total, lam, dtype=np.int64)
+        target_len = np.full(total, lam, dtype=np.int32)
 
     rounds_before = network.rounds
     positions, paths = walk_tokens(
@@ -119,8 +121,9 @@ def walk_tokens(
     """Walk token ``i`` for ``lengths[i]`` hops from ``starts[i]``, all in lockstep.
 
     Each iteration is charged to ``phase`` by the worst per-edge token load.
-    Returns the final positions and, with ``record_paths``, the hop matrix
-    (row ``i``: ``starts[i]``, then hop ``j`` in column ``j``).
+    Returns the final positions (int64) and, with ``record_paths``, the
+    int32 hop matrix (row ``i``: ``starts[i]``, then hop ``j`` in column
+    ``j``), the width the store keeps it at.
 
     The loop has two stages.  While ``step ≤ min(lengths)`` every token
     walks, so those steps take ``positions`` whole, with no mask.  After
@@ -134,7 +137,7 @@ def walk_tokens(
     prefix = max(int(lengths.min()), 0) if lengths.size else 0
     paths = None
     if record_paths:
-        paths = np.empty((positions.size, max_len + 1), dtype=np.int64)
+        paths = np.empty((positions.size, max_len + 1), dtype=np.int32)
         paths[:, 0] = positions
     with network.phase(phase):
         for step in range(1, prefix + 1):

@@ -18,7 +18,7 @@ Everything in it corresponds to node-local knowledge:
 Layout
 ------
 The store is **columnar** (struct-of-arrays): token ``source`` / ``length``
-/ ``destination`` / ``token_id`` live in parallel int64 arrays that grow by
+/ ``destination`` / ``token_id`` live in parallel arrays that grow by
 amortized doubling, and recorded hop sequences live in shared
 ``(rows, max_len + 1)`` path matrices handed over *wholesale* by
 :func:`~repro.walks.short_walks.perform_short_walks` /
@@ -28,6 +28,14 @@ amortized doubling, and recorded hop sequences live in shared
 :class:`TokenRecord` objects are built lazily at the API edge
 (:meth:`tokens_at` / :meth:`token_at` / :meth:`iter_all`) — never during
 Phase 1, which is the paper's hot path.
+
+Widths: the pool lives for the whole session, so each column is as wide
+as its values need.  Node ids, lengths, row numbers and path-matrix
+references are int32 (one CONGEST word each; :meth:`add_batch` rejects
+values that do not fit), token ids stay int64, and the token loops hand
+over int32 path matrices.  Everything the store hands out is int64:
+``TokenRecord.path`` copies, the sources :meth:`evict_rows` returns and
+every row array.
 
 Lookups by source go through a lazily built per-source holder index
 (``source -> holder -> [row, ...]``), making :meth:`holders_for_source` and
@@ -72,8 +80,16 @@ from repro.errors import WalkError
 __all__ = ["TokenRecord", "WalkStore"]
 
 _INITIAL_CAPACITY = 64
+#: Node ids, lengths and row numbers are stored as int32.
+_INT32 = np.iinfo(np.int32)
 #: Path-matrix cells :meth:`WalkStore.find_invalid_rows` gathers per block.
 _SCAN_BLOCK = 1 << 16
+
+
+def _check_fits(*columns, rows: int) -> None:
+    """Raise :class:`WalkError` unless every value, and the row count, fits int32."""
+    if rows > _INT32.max or any(np.min(c) < _INT32.min or np.max(c) > _INT32.max for c in columns):
+        raise WalkError("token sources, lengths, destinations and rows must fit in int32")
 
 
 class _Run:
@@ -82,6 +98,8 @@ class _Run:
     ``keys`` holds the distinct sources ascending; source ``keys[j]`` owns
     ``rows[ptr[j]:ptr[j + 1]]``, in ascending row order.  ``start`` is the
     first row the run covers and ``live`` how many of its rows are unused.
+    ``rows`` is int32 like the store's columns; ``keys`` stays int64, so
+    :meth:`rows_of` searches it with a Python int and no cast of the array.
     """
 
     __slots__ = ("start", "keys", "ptr", "rows", "live", "lo", "hi")
@@ -96,7 +114,7 @@ class _Run:
         self.start = start
         self.live = int(rows.size)
         self.rows = rows
-        self.keys = sources[first]
+        self.keys = sources[first].astype(np.int64)
         self.ptr = np.append(first, sources.size)
         self.lo = int(self.keys[0])
         self.hi = int(self.keys[-1])
@@ -156,16 +174,22 @@ class TokenRecord:
 
 
 class WalkStore:
-    """All unused short-walk tokens, stored columnar, indexed by source."""
+    """All unused short-walk tokens, stored columnar, indexed by source.
+
+    The columns are int32 inside and int64 at the API edge (see the
+    module's *Widths*).  A held token costs 33 bytes (an int64 id, five
+    int32 columns, an alive flag and an int32 run entry) plus the doubling
+    slack, and its path-matrix row when paths are recorded.
+    """
 
     def __init__(self) -> None:
         cap = _INITIAL_CAPACITY
         self._ids = np.empty(cap, dtype=np.int64)
-        self._src = np.empty(cap, dtype=np.int64)
-        self._len = np.empty(cap, dtype=np.int64)
-        self._dst = np.empty(cap, dtype=np.int64)
-        self._path_batch = np.empty(cap, dtype=np.int64)  # -1 = no path
-        self._path_row = np.empty(cap, dtype=np.int64)
+        self._src = np.empty(cap, dtype=np.int32)
+        self._len = np.empty(cap, dtype=np.int32)
+        self._dst = np.empty(cap, dtype=np.int32)
+        self._path_batch = np.empty(cap, dtype=np.int32)  # -1 = no path
+        self._path_row = np.empty(cap, dtype=np.int32)
         self._alive = np.empty(cap, dtype=bool)
         self._size = 0
         # Shared path matrices; an entry is dropped (set to None) once every
@@ -265,28 +289,30 @@ class WalkStore:
     ) -> np.ndarray:
         """Absorb a whole Phase-1 (or GET-MORE-WALKS) output in one call.
 
-        ``sources`` / ``lengths`` / ``destinations`` are parallel int64
-        arrays, one entry per token.  ``paths``, when given, is the shared
-        ``(total, width)`` hop matrix produced by the vectorized walk loop;
-        row ``i`` holds token ``i``'s ``lengths[i] + 1`` hops (columns past
-        that are scratch).  Ownership of the matrix transfers to the store —
-        no per-row copies are made until a record is materialized.
+        ``sources`` / ``lengths`` / ``destinations`` are parallel integer
+        arrays of any width, one entry per token; they are written straight
+        into the int32 columns, so a value that does not fit int32, or a
+        store that would pass 2³¹ − 1 rows, raises :class:`WalkError`.
+        ``paths``, when given, is the shared ``(total, width)`` hop matrix
+        produced by the vectorized walk loop; row ``i`` holds token ``i``'s
+        ``lengths[i] + 1`` hops (columns past that are scratch).  Ownership
+        of the matrix transfers to the store — no per-row copies are made
+        until a record is materialized.
 
         Token IDs are assigned sequentially (equivalent to one
         :meth:`new_token_id` per token, in order) and returned.
         """
-        src = np.ascontiguousarray(sources, dtype=np.int64)
-        lng = np.ascontiguousarray(lengths, dtype=np.int64)
-        dst = np.ascontiguousarray(destinations, dtype=np.int64)
+        src, lng, dst = np.asarray(sources), np.asarray(lengths), np.asarray(destinations)
         if src.ndim != 1 or src.shape != lng.shape or src.shape != dst.shape:
             raise WalkError("add_batch columns must be 1-D arrays of equal length")
         total = int(src.size)
         if total == 0:
             return np.empty(0, dtype=np.int64)
-        if np.any(lng < 0):
+        if lng.min() < 0:
             raise WalkError("token lengths must be >= 0")
-        if np.any(src < 0):
+        if src.min() < 0:
             raise WalkError("token sources must be >= 0")
+        _check_fits(src, lng, dst, rows=self._size + total)
         if paths is not None:
             if paths.ndim != 2 or paths.shape[0] != total:
                 raise WalkError(f"paths must be (total, width), got {paths.shape}")
@@ -306,7 +332,7 @@ class WalkStore:
         self._alive[rows] = True
         if paths is not None:
             self._path_batch[rows] = len(self._path_batches)
-            self._path_row[rows] = np.arange(total, dtype=np.int64)
+            self._path_row[rows] = np.arange(total, dtype=np.int32)
             self._path_batches.append(paths)
             self._batch_live.append(total)
         else:
@@ -316,7 +342,7 @@ class WalkStore:
         self._next_token_id += total
         self.tokens_created += total
 
-        run = _Run(base, np.arange(base, base + total, dtype=np.int64), src)
+        run = _Run(base, np.arange(base, base + total, dtype=np.int32), self._src[rows])
         keys, ptr = run.keys, run.ptr
         self._grow_sources(run.hi + 1)
         self._counts[keys] += np.diff(ptr)
@@ -333,6 +359,7 @@ class WalkStore:
         """Add one token (API edge; bulk producers use :meth:`add_batch`)."""
         if record.source < 0:
             raise WalkError("token sources must be >= 0")
+        _check_fits(record.source, record.length, record.destination, rows=self._size + 1)
         base = self._size
         self._grow_to(base + 1)
         self._ids[base] = record.token_id
@@ -356,7 +383,7 @@ class WalkStore:
         if record.source in self._index:
             self._index[record.source].setdefault(record.destination, []).append(base)
         self._push_run(
-            _Run(base, np.array([base], dtype=np.int64), np.array([record.source], dtype=np.int64))
+            _Run(base, np.array([base], dtype=np.int32), self._src[base : base + 1])
         )
         self.tokens_created += 1
 
@@ -412,7 +439,7 @@ class WalkStore:
         length = int(self._len[row])
         path = None
         if batch >= 0:
-            path = self._path_batches[batch][int(self._path_row[row]), : length + 1].copy()
+            path = self._path_batches[batch][int(self._path_row[row]), : length + 1].astype(np.int64)
         return TokenRecord(
             token_id=int(self._ids[row]),
             source=int(self._src[row]),
@@ -579,7 +606,7 @@ class WalkStore:
         if not np.all(self._alive[rows]):
             raise WalkError("evict_rows called on a token that is not live")
         self._alive[rows] = False
-        sources = self._src[rows].copy()
+        sources = self._src[rows].astype(np.int64)
         touched, counts = np.unique(sources, return_counts=True)
         self._counts[touched] -= counts
         for s in touched[self._indexed[touched]].tolist():

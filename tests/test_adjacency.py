@@ -74,3 +74,36 @@ class TestAdjacencyAgreesWithTheEdgeList:
         graph.apply_delta(GraphDelta(insert_edges=inserts, delete_edges=deletes))
         net.refresh_topology()
         check_adjacency(graph, net)
+
+
+def brute_distinct(graph: Graph, v: int) -> int:
+    """Distinct neighbours of ``v`` other than itself, from ``edge_array``."""
+    ends = {b for a, b in graph.edge_array.tolist() if a == v}
+    ends |= {a for a, b in graph.edge_array.tolist() if b == v}
+    return len(ends - {v})
+
+
+class TestDistinctNeighborCounts:
+    """The flood's per-node explore counts, kept once per topology."""
+
+    def check(self, graph: Graph) -> None:
+        counts = graph.distinct_neighbor_counts()
+        assert counts.dtype == np.int32
+        assert counts.tolist() == [brute_distinct(graph, v) for v in range(graph.n)]
+
+    @given(churned_multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_before_and_after_churn(self, data):
+        n, edges, deletes, inserts = data
+        graph = Graph(n, edges)
+        self.check(graph)
+        graph.apply_delta(GraphDelta(insert_edges=inserts, delete_edges=deletes))
+        self.check(graph)
+
+    def test_a_parallel_edge_and_a_self_loop_add_no_neighbour(self):
+        graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        self.check(graph)
+        assert graph.distinct_neighbor_counts() is graph.distinct_neighbor_counts()
+        graph.apply_delta(GraphDelta(insert_edges=[(0, 1), (3, 3), (0, 2)]))
+        self.check(graph)
+        assert graph.distinct_neighbor_counts().tolist() == [2, 2, 3, 1]

@@ -274,8 +274,8 @@ class TestBfsFastPathEquivalence:
 
         # Identical BfsTree: parent ties broken lowest-ID, same depths,
         # same children ordering.
-        assert tree_f.parent == tree_p.parent
-        assert tree_f.depth == tree_p.depth
+        assert np.array_equal(tree_f.parent, tree_p.parent)
+        assert np.array_equal(tree_f.depth, tree_p.depth)
         assert tree_f.children == tree_p.children
         assert tree_f.root == tree_p.root
 
@@ -325,7 +325,8 @@ class TestBfsFastPathEquivalence:
 class TestChildListsOnDemand:
     """A built tree carries ``parent`` and ``depth``; child lists wait for a reader."""
 
-    def test_built_tree_retains_under_80_bytes_per_node(self):
+    def test_built_tree_retains_int32_arrays_only(self):
+        # int32 parent and depth arrays: 8 bytes a node, plus small overheads.
         g = torus_graph(100, 100)
         net = Network(g)
         gc.collect()
@@ -337,8 +338,17 @@ class TestChildListsOnDemand:
         finally:
             tracemalloc.stop()
         assert "children" not in vars(tree)
-        assert isinstance(tree.parent, list) and isinstance(tree.depth, list)
-        assert retained / g.n < 80
+        assert tree.parent.dtype == np.int32 and tree.depth.dtype == np.int32
+        assert retained / g.n < 24
+
+    def test_deepest_first_order_is_cached_and_sorted(self):
+        # Ties at every depth, and node 6 is unreached (depth -1).
+        g = Graph(7, [(0, 4), (4, 1), (0, 2), (2, 5), (1, 3), (5, 3), (4, 5)])
+        tree = build_bfs_tree(Network(g), 0, allow_unreached=True)
+        want = sorted(range(g.n), key=lambda v: -int(tree.depth[v]))
+        assert tree.nodes_by_depth_desc().tolist() == want
+        assert want[-1] == 6
+        assert tree.nodes_by_depth_desc() is tree.nodes_by_depth_desc()
 
     def test_protocol_tree_builds_no_child_lists(self):
         tree = build_bfs_tree(Network(grid_graph(3, 4)), 5, use_protocol=True)

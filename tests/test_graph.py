@@ -358,3 +358,36 @@ class TestCsrOrder:
         assert np.array_equal(g.csr_source, src[order])
         assert np.array_equal(g.csr_target, dst[order])
         assert np.array_equal(g.csr_edge, eid[order])
+
+    @given(multigraphs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_weights_and_degrees_follow_the_directed_copies(self, data, seed):
+        n, edges = data
+        weights = np.random.default_rng(seed).random(len(edges)) + 0.5
+        g = Graph(n, edges, weights=weights)
+        arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        non_loop = arr[:, 0] != arr[:, 1]
+        src = np.concatenate([arr[:, 0], arr[:, 1][non_loop]])
+        eid = np.concatenate([np.arange(len(arr)), np.flatnonzero(non_loop)])
+        order = np.lexsort((eid, src))
+        assert np.array_equal(g.csr_weight, np.concatenate([weights, weights[non_loop]])[order])
+        assert np.array_equal(g.degrees, np.bincount(src, minlength=n))
+        assert np.array_equal(g.indptr, np.concatenate([[0], np.cumsum(g.degrees)]))
+
+
+class _FloatDrawsOnly:
+    """A generator stub with no ``integers``: only the weighted draw can use it."""
+
+    def random(self, size=None):
+        return 0.5 if size is None else np.full(size, 0.5)
+
+
+class TestNearEqualWeights:
+    """Weights that differ at all are sampled as weights, however close."""
+
+    def test_a_relative_gap_of_nine_millionths_takes_the_weighted_draw(self):
+        g = Graph(3, [(0, 1), (0, 2)], weights=[1.0, 1.000009])
+        assert g.is_weighted
+        # A draw at half the total weight, 1.0000045, lies past the first slot's 1.0.
+        assert g.step_walk_slots(np.array([0]), _FloatDrawsOnly()).tolist() == [1]
+        assert g.random_slot(0, _FloatDrawsOnly()) == 1

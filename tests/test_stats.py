@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,3 +99,19 @@ class TestQuantiles:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             sample_quantiles([], [0.5])
+
+
+class TestImportCost:
+    def test_importing_the_package_loads_no_scipy(self):
+        # scipy.stats is most of a cold import's time and memory; only the
+        # chi-square test needs it, so it is imported there.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, repro, repro.engine, repro.serve, repro.obs; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
