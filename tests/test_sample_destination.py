@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
+import pytest
 
 from repro.congest import Network
+from repro.engine import WalkEngine
 from repro.graphs import eccentricity, grid_graph, path_graph, torus_graph
+from repro.obs import HeatmapSink
 from repro.util.rng import make_rng
 from repro.util.stats import chi_square_goodness_of_fit
 from repro.walks import TokenRecord, WalkStore, sample_destination
 from repro.walks.sample_destination import make_sample_combine, sample_destination_protocol
+from repro.walks.short_walks import perform_short_walks
 
 
 def seeded_store(layout: dict[int, int], source: int = 0) -> WalkStore:
@@ -25,6 +32,62 @@ def seeded_store(layout: dict[int, int], source: int = 0) -> WalkStore:
                 )
             )
     return store
+
+
+def phase1_store(graph) -> WalkStore:
+    """Phase 1 on ``graph``, four tokens per node, billed to a throwaway network."""
+    store = WalkStore()
+    perform_short_walks(Network(graph, seed=0), store, 3, make_rng(5), counts=np.full(graph.n, 4))
+    return store
+
+
+#: name -> (graph, store of source 0).
+BILL_CASES = {
+    "grid3x3-4:2,7:1": (lambda: grid_graph(3, 3), lambda g: seeded_store({4: 2, 7: 1})),
+    "grid3x3-8:3,4:1": (lambda: grid_graph(3, 3), lambda g: seeded_store({8: 3, 4: 1})),
+    "grid3x3-1:1,5:1": (lambda: grid_graph(3, 3), lambda g: seeded_store({1: 1, 5: 1})),
+    "grid3x3-5:1": (lambda: grid_graph(3, 3), lambda g: seeded_store({5: 1})),
+    "grid3x3-empty": (lambda: grid_graph(3, 3), lambda g: WalkStore()),
+    "path5-2:2,4:1": (lambda: path_graph(5), lambda g: seeded_store({2: 2, 4: 1})),
+    "torus4x4-6:1": (lambda: torus_graph(4, 4), lambda g: seeded_store({6: 1})),
+    "grid4x4-3:5": (lambda: grid_graph(4, 4), lambda g: seeded_store({3: 5})),
+    "grid4x5-7:2,13:1,19:3": (
+        lambda: grid_graph(4, 5),
+        lambda g: seeded_store({7: 2, 13: 1, 19: 3}),
+    ),
+    "torus6x6-phase1": (lambda: torus_graph(6, 6), phase1_store),
+}
+
+#: One call's bill: rounds, messages, max congestion, and a digest of the
+#: per-slot message counts the heatmap staged.  The bill depends on the
+#: source's holder set, not on which of its tokens is drawn.
+BILLS = {
+    "grid3x3-4:2,7:1": (13, 27, 1, "f23800b0b870ca62"),
+    "grid3x3-8:3,4:1": (13, 29, 1, "13871c80b580aa23"),
+    "grid3x3-1:1,5:1": (13, 27, 1, "8d04b77c2a6934af"),
+    "grid3x3-5:1": (13, 27, 1, "8d04b77c2a6934af"),
+    "grid3x3-empty": (9, 16, 1, "a740987047f1508a"),
+    "path5-2:2,4:1": (12, 12, 1, "cc0b691e2d632efd"),
+    "torus4x4-6:1": (13, 67, 1, "b77c0ca6aeec1872"),
+    "grid4x4-3:5": (19, 51, 1, "c3f2be4051cb681f"),
+    "grid4x5-7:2,13:1,19:3": (22, 72, 1, "f39a55d017880624"),
+    "torus6x6-phase1": (19, 151, 1, "2354ea06209f910a"),
+}
+
+
+def observed_bill(name: str) -> tuple[int, int, int, str]:
+    """Run one ``sample_destination`` call of :data:`BILL_CASES` with a heatmap attached."""
+    factory, fill = BILL_CASES[name]
+    graph = factory()
+    store = fill(graph)
+    engine = WalkEngine(graph, seed=0)
+    heatmap = HeatmapSink()
+    engine.attach_observability(heatmap=heatmap)
+    net = engine.network
+    sample_destination(net, store, 0, make_rng(1))
+    slots = np.ascontiguousarray(heatmap.slot_totals(), dtype="<i8").tobytes()
+    digest = hashlib.sha256(slots).hexdigest()[:16]
+    return net.ledger.rounds, net.ledger.messages, net.ledger.max_congestion, digest
 
 
 class TestSampling:
@@ -111,6 +174,12 @@ class TestRounds:
         r2, _ = sample_destination(net, store, 0, make_rng(2), tree_cache=cache)
         assert net.rounds == 2 * rounds_first  # identical charge both times
         assert r1.token_id != r2.token_id
+
+
+class TestBillPinned:
+    @pytest.mark.parametrize("name", sorted(BILL_CASES))
+    def test_one_call_bills_the_pinned_cost(self, name):
+        assert observed_bill(name) == BILLS[name]
 
 
 class TestProtocolEquivalence:
