@@ -544,7 +544,8 @@ class PoolManager:
         deleted edge, so a hop across one is such a step.  Tokens that never
         stepped from a mutated node keep their law on the new graph and keep
         serving.  A pathless pool has no hops to scan and evicts everything
-        — correct, just not incremental.  Quotas then re-derive from the
+        once any node mutated — correct, just not incremental; a step that
+        mutated no node leaves it whole.  Quotas then re-derive from the
         new degrees (a crashed, isolated node's ``⌈η·0⌉ = 0`` allocation
         drops it out of every refill plan), and every shard that lost a
         token or holds a mutated node is restored in one batched sweep
@@ -554,17 +555,17 @@ class PoolManager:
         n = self.graph.n
         scanned = store.total_unused()
         held = store.rows_held_at(crashed) if crashed is not None else None
-        if self.record_paths:
-            if remap is not None:
-                mutated = np.zeros(n, dtype=bool)
-                mutated[remap.mutated_nodes] = True
-                rows = store.find_invalid_rows(mutated)
-            else:
-                rows = np.empty(0, dtype=np.int64)
-            if held is not None:
-                rows = np.union1d(rows, held)
+        full = False
+        if remap is None or not remap.num_mutated:
+            rows = np.empty(0, dtype=np.int64)
+        elif self.record_paths:
+            mutated = np.zeros(n, dtype=bool)
+            mutated[remap.mutated_nodes] = True
+            rows = store.find_invalid_rows(mutated)
         else:
-            rows = store.live_rows()
+            rows, full = store.live_rows(), True
+        if held is not None:
+            rows = np.union1d(rows, held)
         sources = store.evict_rows(rows)
         self.rebuild_quotas()
         affected = set(sorted_unique(sources % self.num_shards).tolist())
@@ -575,7 +576,7 @@ class PoolManager:
             tokens_scanned=scanned,
             tokens_evicted=int(sources.size),
             tokens_lost_at_crashed=int(held.size) if held is not None else 0,
-            full_eviction=not self.record_paths,
+            full_eviction=full,
             shards_affected=tuple(sorted(affected)),
             regen=regen,
         )

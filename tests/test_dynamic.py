@@ -316,6 +316,19 @@ class TestChurnCascade:
         assert report.tokens_regenerated > 0
         assert engine.walk(0, 64).mode == "stitched"
 
+    @pytest.mark.parametrize("record_paths", [False, True])
+    def test_an_empty_delta_evicts_nothing(self, torus_8x8, record_paths):
+        # sample_churn_delta returns an empty delta when every sampled
+        # deletion would disconnect the graph and it inserts nothing.  No
+        # node's law changed, so no token may go, pathless pool or not.
+        engine = WalkEngine(torus_8x8, seed=9, record_paths=record_paths, auto_maintain=False)
+        engine.prepare(lam=8)
+        before, rounds = engine.pool.store.total_unused(), engine.network.rounds
+        report = engine.apply_churn(GraphDelta())
+        assert report.tokens_evicted == 0 and not report.full_eviction
+        assert report.rounds == 0 and engine.network.rounds == rounds
+        assert engine.pool.store.total_unused() == before
+
     def test_budgeted_churn_defers_and_prices_into_admission(self, torus_8x8):
         engine = WalkEngine(torus_8x8, seed=21, record_paths=False, auto_maintain=False)
         engine.prepare(lam=5)
