@@ -82,7 +82,8 @@ def get_more_walks_batch(
 
     Length randomization is the per-token reservoir extension (stop w.p.
     ``1/(λ−i)`` at extension step ``i``), so every token's length stays
-    uniform on ``[λ, 2λ−1]`` regardless of which source launched it.
+    uniform on ``[λ, 2λ−1]`` regardless of which source launched it.  Each
+    extension step draws one uniform per token still walking.
     """
     src = np.ascontiguousarray(sources, dtype=np.int64)
     cnt = np.ascontiguousarray(counts, dtype=np.int64)
@@ -119,22 +120,22 @@ def get_more_walks_batch(
                 paths[:, step] = positions
 
         if randomized_lengths:
-            # Reservoir extension: at step i each live token stops w.p. 1/(λ−i).
-            alive = np.ones(total, dtype=bool)
+            # Reservoir extension: at step i each live token stops w.p.
+            # 1/(λ−i).  ``live`` names the walking tokens, compacted stably,
+            # and only they draw.
+            live = np.arange(total)
             for i in range(lam):
-                stop_prob = 1.0 / (lam - i)
-                stops = alive & (rng.random(total) < stop_prob)
-                final_length[stops] = lam + i
-                alive &= ~stops
-                if not np.any(alive):
+                stops = rng.random(live.size) < 1.0 / (lam - i)
+                final_length[live[stops]] = lam + i
+                live = live[~stops]
+                if not live.size:
                     break
-                idx = np.nonzero(alive)[0]
-                slots = graph.step_walk_slots(positions[idx], rng)
-                network.deliver_step_grouped(slots, origins[idx], words=2)
-                positions[idx] = graph.csr_target[slots]
+                slots = graph.step_walk_slots(positions[live], rng)
+                network.deliver_step_grouped(slots, origins[live], words=2)
+                positions[live] = graph.csr_target[slots]
                 if paths is not None:
                     paths[:, lam + 1 + i] = positions
-            if np.any(alive):
+            if live.size:
                 raise WalkError("reservoir extension must retire every token")
 
     store.add_batch(origins, final_length, positions, paths=paths)

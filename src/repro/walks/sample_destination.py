@@ -16,11 +16,15 @@ Total ``O(D)`` rounds per invocation (Lemma 2.3), and the returned length is
 uniform on ``[λ, 2λ−1]`` because Phase 1 / GET-MORE-WALKS made it so
 (Lemma 2.4).
 
-Sweep 2 runs through :func:`~repro.congest.primitives.charged_convergecast`,
-which charges the exact protocol cost while computing the merge centrally;
-``tests/test_sample_destination.py`` additionally runs the event-driven
-:class:`~repro.congest.primitives.ConvergecastProtocol` version and checks
-both the sampling law and the round counts agree.
+The fast path, :func:`sample_destination`, bills Sweep 2 by
+:func:`~repro.congest.primitives.charge_closures` over the ancestor closure
+of the source's holders (the convergecast's reporters) and draws the token
+centrally by the store's one draw rule
+(:meth:`~repro.walks.store.WalkStore.sample_uniform_token`), whose law is
+the merge's (Lemma A.2).  The event-driven
+:func:`sample_destination_protocol` keeps the weighted merge, and
+``tests/test_sample_destination.py`` checks that the two agree on both the
+sampling law and the round count.
 """
 
 from __future__ import annotations
@@ -29,10 +33,15 @@ import numpy as np
 
 from repro.congest.network import Network
 from repro.congest.phases import SAMPLE_DESTINATION
-from repro.congest.primitives import BfsTree, build_bfs_tree, charged_broadcast, charged_convergecast
+from repro.congest.primitives import BfsTree, build_bfs_tree, charge_closures, charged_broadcast
+from repro.errors import ProtocolError
+from repro.util.contracts import charged_fast_path
 from repro.walks.store import TokenRecord, WalkStore
 
 __all__ = ["sample_destination", "make_sample_combine"]
+
+#: Sweep 2's payload: (owner ID, token id, length, count).
+_SWEEP2_WORDS = 4
 
 
 def make_sample_combine(rng: np.random.Generator):
@@ -62,17 +71,15 @@ def make_sample_combine(rng: np.random.Generator):
 def _leaf_values(store: WalkStore, source: int, n: int, rng: np.random.Generator):
     """Per-node (count, own-nominee) pairs — Algorithm 3 line 3.
 
-    Uses the store's per-source holder index (O(1) per holder lookup) and
-    materializes exactly one nominee record per holder; the RNG draw order
-    (one uniform per holder, in first-token holder order) is identical to
-    the legacy bucket-scanning implementation.
+    Materializes exactly one nominee record per holder, drawing one
+    uniform per holder in the store's holder order.
     """
     values: list[tuple[int, TokenRecord | None]] = [(0, None)] * n
     holders = store.holders_for_source(source)
     for holder, count in holders.items():
         nominee = store.token_at(holder, source, int(rng.integers(0, count)))
         values[holder] = (count, nominee)
-    return values, set(holders)
+    return values
 
 
 def sample_destination_protocol(
@@ -104,8 +111,8 @@ def sample_destination_protocol(
 
     rounds_before = network.rounds
     tree = build_bfs_tree(network, source, use_protocol=True)  # Sweep 1 (event-driven flood)
-    values, _participants = _leaf_values(store, source, network.graph.n, rng)
-    sweep2 = ConvergecastProtocol(tree, values, make_sample_combine(rng), words=4)
+    values = _leaf_values(store, source, network.graph.n, rng)
+    sweep2 = ConvergecastProtocol(tree, values, make_sample_combine(rng), words=_SWEEP2_WORDS)
     network.run(sweep2)  # Sweep 2
     count, record = sweep2.result
     if count == 0 or record is None:
@@ -116,6 +123,9 @@ def sample_destination_protocol(
     return record, network.rounds - rounds_before
 
 
+@charged_fast_path(
+    equivalence_test="tests/test_sample_destination.py::TestProtocolEquivalence::test_rounds_agree"
+)
 def sample_destination(
     network: Network,
     store: WalkStore,
@@ -133,22 +143,19 @@ def sample_destination(
     GET-MORE-WALKS, cf. Algorithm 1 lines 7–10).  The BFS tree is returned
     so the caller can route the walk token to the sampled destination along
     tree edges (the "stitch" costing ``depth(destination) ≤ D`` rounds).
+    A source with no tokens still pays Sweep 2's ``height`` rounds; Sweep 3
+    runs only when a token was drawn.
     """
     with network.phase(phase):
         tree = build_bfs_tree(  # Sweep 1
             network, source, cache=tree_cache, allow_unreached=allow_unreached
         )
-        values, participants = _leaf_values(store, source, network.graph.n, rng)
-        count, record = charged_convergecast(  # Sweep 2
-            network,
-            tree,
-            values,
-            make_sample_combine(rng),
-            words=4,  # (owner ID, token id, length, count)
-            participants=participants,
-        )
-        if count == 0 or record is None:
+        if _SWEEP2_WORDS > network.max_words:
+            raise ProtocolError(f"convergecast payload of {_SWEEP2_WORDS} words exceeds cap")
+        # Sweep 2: the holders' closure reports once; the draw is central.
+        charge_closures(network, tree, [(tree.closure(store.holders_for_source(source)), 1)])
+        record = store.sample_uniform_token(source, rng)
+        if record is None:
             return None, tree
         charged_broadcast(network, tree, words=3)  # Sweep 3: delete directive
-        store.remove(record)
     return record, tree

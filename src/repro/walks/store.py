@@ -37,31 +37,22 @@ over int32 path matrices.  Everything the store hands out is int64:
 ``TokenRecord.path`` copies, the sources :meth:`evict_rows` returns and
 every row array.
 
-Lookups by source go through a lazily built per-source holder index
-(``source -> holder -> [row, ...]``), making :meth:`holders_for_source` and
-:meth:`tokens_at` O(#tokens of that source).  Building one source's entry
-costs only that source's rows: every add keeps its rows stably sorted by
-source (a *run*: the add's distinct sources, their offsets, and the grouped
-rows), so a build is one binary search per run plus a slice.  Small runs
+Lookups by source read the source's live rows.  Every add keeps its rows
+stably sorted by source (a *run*: the add's distinct sources, their
+offsets, and the grouped rows), so a source's rows are one binary search
+per run plus a slice, ascending, filtered by the alive flags.  Small runs
 merge stably with their predecessor (each merge drops retired rows), and a
 run whose rows are all retired leaves the search, so the number of runs
 stays logarithmic over a long session.  Per-source unused counts are a
 dense array indexed by source.
 
-Order rule — the orders RNG-driven consumers (SAMPLE-DESTINATION's
-reservoir merge, :meth:`sample_uniform_token`) draw through:
-
-* within a holder's bucket, tokens are in creation (row) order;
-* a source's holder order is computed at its first read or removal —
-  holders ordered by their first *live* row — and then frozen;
-* later adds append: a new holder goes to the end, a new token to the end
-  of its bucket;
-* a holder whose bucket empties leaves the order and re-enters at the end;
-* :meth:`evict_rows` forgets the order of every source it touches; the next
-  read recomputes it from the live rows.
-
-This reproduces the legacy per-object store, so fixed seeds replay the
-exact same stream as before the columnar rewrite.
+The one draw rule: a source's unused tokens are its live rows in ascending
+(creation) order, and a draw (:meth:`WalkStore.sample_uniform_token`) is
+``pick = rng.integers(0, count)``, taking the pick-th of them.  Every
+SAMPLE-DESTINATION draw, one-shot or pooled, goes through it.  A source's
+holders (:meth:`WalkStore.holders_for_source`) are listed in order of their
+first live row, and a holder's tokens (:meth:`WalkStore.tokens_at`) in row
+order.  Nothing about the order is remembered between calls.
 
 The store never touches the round ledger; moving its information around is
 the algorithms' job.
@@ -70,6 +61,7 @@ the algorithms' job.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -84,6 +76,7 @@ _INITIAL_CAPACITY = 64
 _INT32 = np.iinfo(np.int32)
 #: Path-matrix cells :meth:`WalkStore.find_invalid_rows` gathers per block.
 _SCAN_BLOCK = 1 << 16
+_NO_ROWS = np.empty(0, dtype=np.int32)
 
 
 def _check_fits(*columns, rows: int) -> None:
@@ -197,16 +190,11 @@ class WalkStore:
         # tokens rather than growing for the store's lifetime.
         self._path_batches: list[np.ndarray | None] = []
         self._batch_live: list[int] = []
-        # source -> holder -> [row, ...]; built lazily per source from the
-        # runs, then maintained incrementally (see the module's order rule).
-        self._index: dict[int, dict[int, list[int]]] = {}
         self._runs: list[_Run] = []
         self._run_starts: list[int] = []  # parallel to _runs, ascending
-        # Dense per-source state over source ids [0, _span): unused counts,
-        # and whether the source has an entry in _index.
+        # Unused counts per source id in [0, _span).
         self._span = 0
         self._counts = np.zeros(0, dtype=np.int64)
-        self._indexed = np.zeros(0, dtype=bool)
         self._next_token_id = 0
         self.tokens_created = 0
         self.tokens_consumed = 0
@@ -236,16 +224,13 @@ class WalkStore:
             setattr(self, name, new)
 
     def _grow_sources(self, span: int) -> None:
-        """Extend the dense per-source arrays to cover source ids below ``span``."""
+        """Extend the dense per-source counts to cover source ids below ``span``."""
         if span <= self._span:
             return
         if span > self._counts.size:
-            cap = max(span, 2 * self._counts.size)
-            counts = np.zeros(cap, dtype=np.int64)
+            counts = np.zeros(max(span, 2 * self._counts.size), dtype=np.int64)
             counts[: self._span] = self._counts[: self._span]
-            indexed = np.zeros(cap, dtype=bool)
-            indexed[: self._span] = self._indexed[: self._span]
-            self._counts, self._indexed = counts, indexed
+            self._counts = counts
         self._span = span
 
     def _push_run(self, run: _Run) -> None:
@@ -343,15 +328,8 @@ class WalkStore:
         self.tokens_created += total
 
         run = _Run(base, np.arange(base, base + total, dtype=np.int32), self._src[rows])
-        keys, ptr = run.keys, run.ptr
         self._grow_sources(run.hi + 1)
-        self._counts[keys] += np.diff(ptr)
-        for j in np.flatnonzero(self._indexed[keys]).tolist():
-            # Source already indexed: splice the new rows in add order.
-            buckets = self._index[int(keys[j])]
-            added = run.rows[ptr[j] : ptr[j + 1]]
-            for row, holder in zip(added.tolist(), self._dst[added].tolist()):
-                buckets.setdefault(holder, []).append(row)
+        self._counts[run.keys] += np.diff(run.ptr)
         self._push_run(run)
         return ids
 
@@ -380,8 +358,6 @@ class WalkStore:
         self._size = base + 1
         self._grow_sources(record.source + 1)
         self._counts[record.source] += 1
-        if record.source in self._index:
-            self._index[record.source].setdefault(record.destination, []).append(base)
         self._push_run(
             _Run(base, np.array([base], dtype=np.int32), self._src[base : base + 1])
         )
@@ -389,50 +365,38 @@ class WalkStore:
 
     def remove(self, record: TokenRecord) -> None:
         """Delete a consumed token (Sweep 3 of SAMPLE-DESTINATION)."""
-        buckets = self._ensure_index(record.source)
-        bucket = buckets.get(record.destination)
-        if bucket is not None:
-            for i, row in enumerate(bucket):
-                if int(self._ids[row]) == record.token_id:
-                    bucket.pop(i)
-                    if not bucket:
-                        del buckets[record.destination]
-                    self._alive[row] = False
-                    self._counts[record.source] -= 1
-                    self.tokens_consumed += 1
-                    batch = int(self._path_batch[row])
-                    if batch >= 0:
-                        self._batch_live[batch] -= 1
-                        if self._batch_live[batch] == 0:
-                            self._path_batches[batch] = None  # free the matrix
-                    self._run_lost(bisect_right(self._run_starts, row) - 1, 1)
-                    return
-        raise WalkError(f"token {record.token_id} not stored at node {record.destination}")
+        rows = self._rows_of(record.source)
+        rows = rows[(self._ids[rows] == record.token_id) & (self._dst[rows] == record.destination)]
+        if not rows.size:
+            raise WalkError(f"token {record.token_id} not stored at node {record.destination}")
+        self._consume(int(rows[0]))
+
+    def _consume(self, row: int) -> None:
+        """Retire live ``row`` as consumed."""
+        self._alive[row] = False
+        self._counts[self._src[row]] -= 1
+        self.tokens_consumed += 1
+        batch = int(self._path_batch[row])
+        if batch >= 0:
+            self._batch_live[batch] -= 1
+            if self._batch_live[batch] == 0:
+                self._path_batches[batch] = None  # free the matrix
+        self._run_lost(bisect_right(self._run_starts, row) - 1, 1)
 
     # ------------------------------------------------------------------
-    # Index maintenance / materialization
+    # Lookup / materialization
     # ------------------------------------------------------------------
-    def _ensure_index(self, source: int) -> dict[int, list[int]]:
-        """``source``'s holder buckets, built from its runs on first use.
+    def _rows_of(self, source: int) -> np.ndarray:
+        """``source``'s live rows, ascending: one binary search per run.
 
-        The runs yield the source's rows in ascending order, so holders
-        come out ordered by their first live row.  A source never added
-        has no rows and gets no entry.
+        Runs cover ascending row ranges, so their parts concatenate in
+        order.
         """
-        buckets = self._index.get(source)
-        if buckets is None:
-            buckets = {}
-            if not 0 <= source < self._span:
-                return buckets
-            parts = [rows for run in self._runs if (rows := run.rows_of(source)) is not None]
-            if parts:
-                rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                rows = rows[self._alive[rows]]
-                for row, holder in zip(rows.tolist(), self._dst[rows].tolist()):
-                    buckets.setdefault(holder, []).append(row)
-            self._index[source] = buckets
-            self._indexed[source] = True
-        return buckets
+        if not 0 <= source < self._span or not self._counts[source]:
+            return _NO_ROWS
+        parts = [rows for run in self._runs if (rows := run.rows_of(source)) is not None]
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return rows[self._alive[rows]]
 
     def _materialize(self, row: int) -> TokenRecord:
         batch = int(self._path_batch[row])
@@ -452,21 +416,22 @@ class WalkStore:
     # Queries (all reflect node-local or aggregate knowledge)
     # ------------------------------------------------------------------
     def tokens_at(self, holder: int, source: int) -> list[TokenRecord]:
-        """Unused tokens of ``source`` currently stored at ``holder``."""
-        bucket = self._ensure_index(source).get(holder, [])
-        return [self._materialize(row) for row in bucket]
+        """Unused tokens of ``source`` currently stored at ``holder``, in row order."""
+        rows = self._rows_of(source)
+        return [self._materialize(row) for row in rows[self._dst[rows] == holder].tolist()]
 
     def token_at(self, holder: int, source: int, index: int) -> TokenRecord:
-        """The ``index``-th unused token of ``source`` held at ``holder``.
+        """The ``index``-th unused token of ``source`` held at ``holder``, in row order.
 
-        O(1) single-record materialization — SAMPLE-DESTINATION's leaf
-        nomination uses this so drawing one nominee never materializes the
-        whole bucket.
+        Single-record materialization — the event-driven SAMPLE-DESTINATION
+        protocol's leaf nomination uses this so drawing one nominee never
+        materializes the whole bucket.
         """
-        bucket = self._ensure_index(source).get(holder)
-        if bucket is None or not 0 <= index < len(bucket):
+        rows = self._rows_of(source)
+        rows = rows[self._dst[rows] == holder]
+        if not 0 <= index < rows.size:
             raise WalkError(f"node {holder} has no token #{index} of source {source}")
-        return self._materialize(bucket[index])
+        return self._materialize(int(rows[index]))
 
     def count_for_source(self, source: int) -> int:
         """Total unused tokens of ``source`` anywhere in the network."""
@@ -486,39 +451,29 @@ class WalkStore:
     def sample_uniform_token(self, source: int, rng: np.random.Generator) -> TokenRecord | None:
         """Pop one token of ``source``, uniform over all its unused tokens.
 
-        The *law* of SAMPLE-DESTINATION's weighted convergecast merge
-        (Lemma A.2: the root's survivor is uniform over all stored tokens of
-        the source) computed centrally: draw a uniform index over the
-        source's total count, locate it through the ordered holder buckets,
-        materialize and retire it.  Batch stitching uses this to draw
-        without replacement while charging the pipelined sweep cost itself;
-        returns ``None`` when the source has no unused tokens.
+        The module's one draw rule: ``pick = rng.integers(0, count)``, then
+        materialize and retire the pick-th of the source's live rows in row
+        order.  This is the law of SAMPLE-DESTINATION's weighted convergecast
+        merge (Lemma A.2: the root's survivor is uniform over all stored
+        tokens of the source) computed centrally; callers charge the sweeps
+        themselves.  Returns ``None``, drawing nothing, when the source has
+        no unused tokens.
         """
-        buckets = self._ensure_index(source)
         total = self.count_for_source(source)
         if total <= 0:
             return None
-        pick = int(rng.integers(0, total))
-        for holder, bucket in buckets.items():
-            if pick < len(bucket):
-                record = self._materialize(bucket[pick])
-                self.remove(record)
-                return record
-            pick -= len(bucket)
-        raise WalkError(f"holder index out of sync for source {source}")  # pragma: no cover
+        row = int(self._rows_of(source)[int(rng.integers(0, total))])
+        record = self._materialize(row)
+        self._consume(row)
+        return record
 
     def holders_for_source(self, source: int) -> dict[int, int]:
         """Map holder-node -> number of unused tokens of ``source`` there.
 
-        Holder order follows the module's order rule: computed at the
-        source's first read or removal (holders by their first live row),
-        then frozen; later adds append new holders at the end, a holder
-        whose bucket empties re-enters at the end, and :meth:`evict_rows`
-        forgets the order so the next read recomputes it.  This is the
-        order the legacy bucket store produced, which keeps RNG-consuming
-        sweeps reproducible across store layouts.
+        Holders are listed in order of their first live row, recomputed
+        from the live rows on every call.
         """
-        return {holder: len(bucket) for holder, bucket in self._ensure_index(source).items()}
+        return dict(Counter(self._dst[self._rows_of(source)].tolist()))
 
     def iter_all(self) -> Iterator[TokenRecord]:
         """All unused tokens, in creation order."""
@@ -595,10 +550,8 @@ class WalkStore:
 
         The churn counterpart of :meth:`remove`: counts land in
         ``tokens_evicted`` (not ``tokens_consumed`` — these tokens served
-        nothing), shared path matrices are freed once their last reference
-        dies, and each affected source's holder index is dropped wholesale
-        (bulk eviction would shred it entry by entry), frozen holder order
-        included: the next read rebuilds it from the live rows.
+        nothing), and shared path matrices are freed once their last
+        reference dies.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
@@ -609,9 +562,6 @@ class WalkStore:
         sources = self._src[rows].astype(np.int64)
         touched, counts = np.unique(sources, return_counts=True)
         self._counts[touched] -= counts
-        for s in touched[self._indexed[touched]].tolist():
-            del self._index[s]
-        self._indexed[touched] = False
         at = np.searchsorted(np.asarray(self._run_starts), rows, side="right") - 1
         lost = np.bincount(at, minlength=len(self._runs))
         for j in np.flatnonzero(lost)[::-1].tolist():  # descending: deletes keep lower indices

@@ -34,6 +34,8 @@ from repro.graphs import cycle_graph, torus_graph
 from repro.markov import WalkSpectrum
 from repro.util.stats import chi_square_goodness_of_fit
 
+from test_ledger_golden import GOLDEN_SINGLE
+
 
 def _drain_with_faults(engine, scheduler, sources, length, *, deadline=1_000_000):
     tickets = [scheduler.submit([s], length, deadline=deadline) for s in sources]
@@ -291,4 +293,4 @@ class TestFaultServing:
         from repro.walks import single_random_walk
 
         res = single_random_walk(torus_graph(8, 8), 0, 256, seed=7)
-        assert res.mode == "stitched" and res.rounds == 398
+        assert res.mode == "stitched" and res.rounds == GOLDEN_SINGLE["torus8x8-l256-s7"]["rounds"]

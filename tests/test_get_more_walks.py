@@ -138,3 +138,33 @@ class TestCorrectness:
         store = WalkStore()
         get_more_walks(net, store, 0, 20, 1, make_rng(10))
         assert all(rec.length == 1 for rec in store.iter_all())
+
+
+class CountingRng:
+    """A generator that counts the uniforms its ``random`` hands out."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = make_rng(seed)
+        self.uniforms = 0
+
+    def random(self, size=None):
+        self.uniforms += 1 if size is None else int(np.prod(size))
+        return self._rng.random(size)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+class TestReservoirDraws:
+    def test_extension_draws_only_for_live_tokens(self):
+        # On an unweighted graph the steps draw integers, so every uniform
+        # is a stop draw.  A token of length lam + j walks extension steps
+        # 0 … j, so it draws j + 1 uniforms.
+        g = torus_graph(4, 4)
+        net = Network(g, seed=0)
+        store = WalkStore()
+        lam = 6
+        rng = CountingRng(8)
+        get_more_walks_batch(net, store, np.array([0, 5, 9]), np.array([40, 25, 60]), lam, rng)
+        lengths = np.array([rec.length for rec in store.iter_all()])
+        assert rng.uniforms == int((lengths - lam + 1).sum())

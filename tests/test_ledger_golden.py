@@ -1,16 +1,26 @@
-"""Golden ledger totals, frozen from the pre-columnar seed implementation.
+"""Golden ledger totals at fixed seeds.
 
 The columnar walk-token engine, the vectorized CSR build, and the charged
 BFS fast path are *wall-clock* optimizations: the simulated complexity
 measure — rounds, messages, worst congestion, per-phase attribution, and
-the sampled walks themselves — must be **bit-identical** to the seed
-implementation at fixed seeds.  These totals were captured by running the
-seed (pre-optimization) code; any drift here means an optimization changed
-the model, not just the speed.
+the sampled walks themselves — must be **bit-identical** at fixed seeds.
+These totals were first captured by running the seed (pre-optimization)
+code; any drift here means an optimization changed the model, not just the
+speed.
 
 The pooled-batch and scheduled-drain pins freeze the session-serving
 paths the same way: one pooled ``engine.walks()`` session and one
 three-tenant scheduler drain with churn and a crash/recover step.
+
+Every pin was re-pinned once, when the RNG stream moved and no billing
+rule changed: SAMPLE-DESTINATION took the store's one draw rule (a uniform
+index into the source's live tokens in row order, where the one-shot path
+had drawn one uniform per holder plus one per merge and the pooled path
+had walked a frozen holder order), and GET-MORE-WALKS's reservoir
+extension stopped drawing for tokens that had already stopped.  A draw
+then lands on a different token, so destinations, walk lengths and every
+cost that follows them moved.  ``tests/test_sample_destination.py`` pins
+that one call's bill did not.
 """
 
 from __future__ import annotations
@@ -51,172 +61,174 @@ MANY_CASES = {
 
 GOLDEN_SINGLE = {
     "torus8x8-l256-s7": {
-        "destination": 4,
+        "destination": 18,
         "mode": "stitched",
         "gmw": 0,
-        "rounds": 398,
-        "messages": 11853,
+        "rounds": 403,
+        "messages": 11616,
         "max_congestion": 6,
         "phase_rounds": {
             "setup": 9,
             "phase1": 195,
-            "sample-destination": 150,
-            "stitch-route": 26,
-            "naive-tail": 14,
+            "sample-destination": 125,
+            "stitch-route": 23,
+            "naive-tail": 47,
             "report": 4
         },
         "phase_messages": {
             "setup": 193,
             "phase1": 10004,
-            "sample-destination": 1612,
-            "stitch-route": 26,
-            "naive-tail": 14,
+            "sample-destination": 1345,
+            "stitch-route": 23,
+            "naive-tail": 47,
             "report": 4
         }
     },
     "grid6x6-l144-s3": {
-        "destination": 18,
+        "destination": 27,
         "mode": "stitched",
         "gmw": 0,
-        "rounds": 322,
-        "messages": 4775,
+        "rounds": 312,
+        "messages": 4765,
         "max_congestion": 6,
         "phase_rounds": {
             "setup": 11,
             "phase1": 174,
             "sample-destination": 81,
-            "stitch-route": 14,
-            "naive-tail": 34,
-            "report": 8
+            "stitch-route": 13,
+            "naive-tail": 27,
+            "report": 6
         },
         "phase_messages": {
             "setup": 85,
             "phase1": 4249,
             "sample-destination": 385,
-            "stitch-route": 14,
-            "naive-tail": 34,
-            "report": 8
+            "stitch-route": 13,
+            "naive-tail": 27,
+            "report": 6
         }
     },
     "hypercube5-l300-s11": {
-        "destination": 25,
+        "destination": 14,
         "mode": "stitched",
         "gmw": 0,
-        "rounds": 366,
-        "messages": 7234,
+        "rounds": 356,
+        "messages": 7066,
         "max_congestion": 6,
         "phase_rounds": {
             "setup": 6,
             "phase1": 170,
-            "sample-destination": 128,
-            "stitch-route": 21,
-            "naive-tail": 37,
-            "report": 4
+            "sample-destination": 112,
+            "stitch-route": 19,
+            "naive-tail": 47,
+            "report": 2
         },
         "phase_messages": {
             "setup": 129,
             "phase1": 5682,
-            "sample-destination": 1361,
-            "stitch-route": 21,
-            "naive-tail": 37,
-            "report": 4
+            "sample-destination": 1187,
+            "stitch-route": 19,
+            "naive-tail": 47,
+            "report": 2
         }
     },
     "regular64-l200-s13": {
-        "destination": 29,
+        "destination": 9,
         "mode": "stitched",
         "gmw": 0,
-        "rounds": 302,
-        "messages": 9070,
+        "rounds": 268,
+        "messages": 8792,
         "max_congestion": 6,
         "phase_rounds": {
             "setup": 6,
             "phase1": 143,
-            "sample-destination": 112,
-            "stitch-route": 23,
-            "naive-tail": 15,
-            "report": 3
+            "sample-destination": 96,
+            "stitch-route": 16,
+            "naive-tail": 3,
+            "report": 4
         },
         "phase_messages": {
             "setup": 193,
             "phase1": 6977,
-            "sample-destination": 1859,
-            "stitch-route": 23,
-            "naive-tail": 15,
-            "report": 3
+            "sample-destination": 1599,
+            "stitch-route": 16,
+            "naive-tail": 3,
+            "report": 4
         }
     },
     "barbell6x3-l100-s5": {
-        "destination": 9,
+        "destination": 1,
         "mode": "stitched",
         "gmw": 0,
-        "rounds": 189,
-        "messages": 1885,
+        "rounds": 179,
+        "messages": 1816,
         "max_congestion": 5,
         "phase_rounds": {
             "setup": 6,
             "phase1": 98,
-            "sample-destination": 61,
-            "stitch-route": 7,
-            "naive-tail": 12,
-            "report": 5
+            "sample-destination": 48,
+            "stitch-route": 3,
+            "naive-tail": 23,
+            "report": 1
         },
         "phase_messages": {
             "setup": 53,
             "phase1": 1526,
-            "sample-destination": 282,
-            "stitch-route": 7,
-            "naive-tail": 12,
-            "report": 5
+            "sample-destination": 210,
+            "stitch-route": 3,
+            "naive-tail": 23,
+            "report": 1
         }
     },
     "torus6x6-l400-s17-eta0.05": {
         "destination": 30,
         "mode": "stitched",
         "gmw": 1,
-        "rounds": 417,
-        "messages": 3611,
+        "rounds": 407,
+        "messages": 3742,
         "max_congestion": 3,
         "phase_rounds": {
             "setup": 7,
             "phase1": 108,
-            "sample-destination": 165,
+            "sample-destination": 184,
             "stitch-route": 24,
-            "get-more-walks": 59,
-            "naive-tail": 50,
+            "get-more-walks": 58,
+            "naive-tail": 22,
             "report": 4
         },
         "phase_messages": {
             "setup": 109,
             "phase1": 1569,
-            "sample-destination": 1299,
+            "sample-destination": 1443,
             "stitch-route": 24,
-            "get-more-walks": 556,
-            "naive-tail": 50,
+            "get-more-walks": 571,
+            "naive-tail": 22,
             "report": 4
         }
     },
     "grid5x5-l200-s23-lam4": {
-        "destination": 16,
+        "destination": 4,
         "mode": "stitched",
-        "gmw": 0,
-        "rounds": 792,
-        "messages": 3525,
+        "gmw": 1,
+        "rounds": 841,
+        "messages": 3753,
         "max_congestion": 5,
         "phase_rounds": {
             "setup": 9,
             "phase1": 21,
-            "sample-destination": 680,
-            "stitch-route": 71,
-            "naive-tail": 7,
+            "sample-destination": 722,
+            "stitch-route": 73,
+            "get-more-walks": 7,
+            "naive-tail": 5,
             "report": 4
         },
         "phase_messages": {
             "setup": 56,
             "phase1": 422,
-            "sample-destination": 2965,
-            "stitch-route": 71,
-            "naive-tail": 7,
+            "sample-destination": 3111,
+            "stitch-route": 73,
+            "get-more-walks": 82,
+            "naive-tail": 5,
             "report": 4
         }
     }
@@ -270,61 +282,61 @@ GOLDEN_MANY = {
     },
     "torus8x8-k3-l256-s5-lam12": {
         "destinations": [
-            48,
-            63,
-            53
+            16,
+            34,
+            49
         ],
         "mode": "stitched",
         "gmw": 0,
-        "rounds": 1329,
-        "messages": 16108,
+        "rounds": 1330,
+        "messages": 16079,
         "max_congestion": 6,
         "phase_rounds": {
             "setup": 9,
             "phase1": 90,
             "sample-destination": 1050,
-            "stitch-route": 155,
-            "naive-tail": 16,
-            "report": 9
+            "stitch-route": 162,
+            "naive-tail": 8,
+            "report": 11
         },
         "phase_messages": {
             "setup": 193,
             "phase1": 4484,
-            "sample-destination": 11234,
-            "stitch-route": 155,
-            "naive-tail": 33,
-            "report": 9
+            "sample-destination": 11211,
+            "stitch-route": 162,
+            "naive-tail": 18,
+            "report": 11
         }
     },
     "grid6x6-k4-l144-s3-lam8": {
         "destinations": [
+            31,
             35,
-            0,
-            14,
-            26
+            4,
+            28
         ],
         "mode": "stitched",
-        "gmw": 3,
-        "rounds": 1527,
-        "messages": 8576,
+        "gmw": 2,
+        "rounds": 1447,
+        "messages": 8187,
         "max_congestion": 6,
         "phase_rounds": {
             "setup": 11,
             "phase1": 60,
-            "sample-destination": 1240,
-            "stitch-route": 136,
-            "get-more-walks": 45,
-            "naive-tail": 15,
-            "report": 20
+            "sample-destination": 1171,
+            "stitch-route": 134,
+            "get-more-walks": 30,
+            "naive-tail": 13,
+            "report": 28
         },
         "phase_messages": {
             "setup": 85,
             "phase1": 1380,
-            "sample-destination": 6495,
-            "stitch-route": 136,
-            "get-more-walks": 424,
-            "naive-tail": 36,
-            "report": 20
+            "sample-destination": 6237,
+            "stitch-route": 134,
+            "get-more-walks": 283,
+            "naive-tail": 40,
+            "report": 28
         }
     }
 }
@@ -334,41 +346,41 @@ GOLDEN_MANY = {
 # [rounds, messages, max_congestion].
 GOLDEN_POOLED_BATCH = {
     "modes": ["batch-stitched", "batch-stitched"],
-    "gmw": [1, 6],
-    "destinations": [[52, 7, 49, 39], [7, 42, 55]],
-    "path_sums": [4039, 6767, 6262],
+    "gmw": [1, 7],
+    "destinations": [[45, 62, 10, 37], [21, 35, 26]],
+    "path_sums": [5702, 8014, 6530],
     "phases": {
         "setup": [27, 579, 1],
         "phase1": [43, 2211, 6],
-        "batch-sample": [1585, 24020, 1],
-        "stitch-route": [702, 1480, 1],
-        "pool-refill": [77, 1335, 1],
-        "naive-tail": [21, 50, 2],
+        "batch-sample": [1583, 23934, 1],
+        "stitch-route": [702, 1488, 1],
+        "pool-refill": [88, 1524, 1],
+        "naive-tail": [19, 54, 1],
         "report": [23, 14, 4],
-        "pool-refill/maintain": [30, 321, 2],
+        "pool-refill/maintain": [35, 454, 2],
     },
 }
 
 GOLDEN_SCHEDULED_DRAIN = {
     "statuses": ["done"] * 9,
     "destinations": [
-        [52], [20, 60], [26, 57, 38], [51, 19, 54, 44], [38],
-        [17, 32], [56, 20, 6], [9, 25, 7, 58], [50],
+        [13], [44, 45], [43, 42, 48], [23, 3, 16, 7], [16],
+        [33, 3], [49, 36, 27], [48, 48, 45, 33], [5],
     ],
-    "rounds_attributed": [200, 404, 719, 803, 202, 517, 602, 808, 258],
+    "rounds_attributed": [197, 405, 703, 792, 202, 500, 594, 811, 250],
     "faults": [1, 0, 3],
     "phases": {
         "setup": [9, 193, 1],
         "phase1": [33, 1776, 5],
         "serve/setup": [23, 579, 1],
-        "serve/sample": [2771, 56881, 1],
-        "serve/stitch-route": [1371, 3857, 1],
-        "pool-refill/serve": [285, 5525, 2],
-        "serve/tail": [25, 111, 2],
+        "serve/sample": [2799, 56615, 1],
+        "serve/stitch-route": [1346, 3738, 1],
+        "pool-refill/serve": [222, 4141, 2],
+        "serve/tail": [26, 126, 1],
         "serve/report": [38, 42, 8],
-        "pool-refill/maintain": [14, 256, 2],
-        "pool-refill/churn": [30, 1103, 5],
-        "serve/recovery": [66, 1034, 3],
+        "pool-refill/maintain": [38, 507, 2],
+        "pool-refill/churn": [24, 1129, 4],
+        "serve/recovery": [64, 1280, 3],
     },
 }
 

@@ -342,35 +342,35 @@ repro_events_total{kind="recover"} 1
 repro_fault_nodes_total{kind="crash"} 1
 repro_fault_nodes_total{kind="recover"} 1
 repro_messages_total{phase="phase1"} 71242
-repro_messages_total{phase="pool-refill/churn"} 70150
-repro_messages_total{phase="pool-refill/serve"} 163
-repro_messages_total{phase="serve/recovery"} 139424
+repro_messages_total{phase="pool-refill/churn"} 70046
+repro_messages_total{phase="pool-refill/serve"} 179
+repro_messages_total{phase="serve/recovery"} 139265
 repro_messages_total{phase="serve/report"} 256
-repro_messages_total{phase="serve/sample"} 571815
+repro_messages_total{phase="serve/sample"} 565017
 repro_messages_total{phase="serve/setup"} 19779
-repro_messages_total{phase="serve/stitch-route"} 7214
-repro_messages_total{phase="serve/tail"} 2996
+repro_messages_total{phase="serve/stitch-route"} 7081
+repro_messages_total{phase="serve/tail"} 3125
 repro_messages_total{phase="setup"} 1801
 repro_queue_depth 0
 repro_requests_total{outcome="admitted",tenant="batch"} 13
 repro_requests_total{outcome="admitted",tenant="free"} 15
 repro_requests_total{outcome="admitted",tenant="pro"} 15
-repro_rounds_attributed_total{tenant="batch"} 1456
-repro_rounds_attributed_total{tenant="free"} 1883
-repro_rounds_attributed_total{tenant="pro"} 2044
+repro_rounds_attributed_total{tenant="batch"} 1442
+repro_rounds_attributed_total{tenant="free"} 1870
+repro_rounds_attributed_total{tenant="pro"} 2027
 repro_rounds_total{phase="phase1"} 196
 repro_rounds_total{phase="pool-refill/churn"} 192
 repro_rounds_total{phase="pool-refill/serve"} 37
-repro_rounds_total{phase="serve/recovery"} 475
+repro_rounds_total{phase="serve/recovery"} 523
 repro_rounds_total{phase="serve/report"} 203
-repro_rounds_total{phase="serve/sample"} 3090
+repro_rounds_total{phase="serve/sample"} 3068
 repro_rounds_total{phase="serve/setup"} 94
-repro_rounds_total{phase="serve/stitch-route"} 1560
-repro_rounds_total{phase="serve/tail"} 399
+repro_rounds_total{phase="serve/stitch-route"} 1541
+repro_rounds_total{phase="serve/tail"} 396
 repro_rounds_total{phase="setup"} 8
-repro_tenant_fairness_dev{tenant="batch"} -0.0533159947984394
-repro_tenant_fairness_dev{tenant="free"} 1.4486345903771132
-repro_tenant_fairness_dev{tenant="pro"} -0.3355006501950585
+repro_tenant_fairness_dev{tenant="batch"} -0.05469188986701623
+repro_tenant_fairness_dev{tenant="free"} 1.45176999438097
+repro_tenant_fairness_dev{tenant="pro"} -0.33559655366173435
 repro_ticket_latency_rounds_bucket{tenant="batch",le="1"} 0
 repro_ticket_latency_rounds_bucket{tenant="batch",le="2"} 0
 repro_ticket_latency_rounds_bucket{tenant="batch",le="4"} 0
@@ -389,7 +389,7 @@ repro_ticket_latency_rounds_bucket{tenant="batch",le="16384"} 13
 repro_ticket_latency_rounds_bucket{tenant="batch",le="32768"} 13
 repro_ticket_latency_rounds_bucket{tenant="batch",le="65536"} 13
 repro_ticket_latency_rounds_bucket{tenant="batch",le="+Inf"} 13
-repro_ticket_latency_rounds_sum{tenant="batch"} 14257
+repro_ticket_latency_rounds_sum{tenant="batch"} 14159
 repro_ticket_latency_rounds_count{tenant="batch"} 13
 repro_ticket_latency_rounds_bucket{tenant="free",le="1"} 0
 repro_ticket_latency_rounds_bucket{tenant="free",le="2"} 0
@@ -409,7 +409,7 @@ repro_ticket_latency_rounds_bucket{tenant="free",le="16384"} 15
 repro_ticket_latency_rounds_bucket{tenant="free",le="32768"} 15
 repro_ticket_latency_rounds_bucket{tenant="free",le="65536"} 15
 repro_ticket_latency_rounds_bucket{tenant="free",le="+Inf"} 15
-repro_ticket_latency_rounds_sum{tenant="free"} 11744
+repro_ticket_latency_rounds_sum{tenant="free"} 11651
 repro_ticket_latency_rounds_count{tenant="free"} 15
 repro_ticket_latency_rounds_bucket{tenant="pro",le="1"} 0
 repro_ticket_latency_rounds_bucket{tenant="pro",le="2"} 0
@@ -429,7 +429,7 @@ repro_ticket_latency_rounds_bucket{tenant="pro",le="16384"} 15
 repro_ticket_latency_rounds_bucket{tenant="pro",le="32768"} 15
 repro_ticket_latency_rounds_bucket{tenant="pro",le="65536"} 15
 repro_ticket_latency_rounds_bucket{tenant="pro",le="+Inf"} 15
-repro_ticket_latency_rounds_sum{tenant="pro"} 10764
+repro_ticket_latency_rounds_sum{tenant="pro"} 10691
 repro_ticket_latency_rounds_count{tenant="pro"} 15
 repro_ticket_service_rounds_bucket{tenant="batch",le="1"} 0
 repro_ticket_service_rounds_bucket{tenant="batch",le="2"} 0
@@ -449,7 +449,7 @@ repro_ticket_service_rounds_bucket{tenant="batch",le="16384"} 13
 repro_ticket_service_rounds_bucket{tenant="batch",le="32768"} 13
 repro_ticket_service_rounds_bucket{tenant="batch",le="65536"} 13
 repro_ticket_service_rounds_bucket{tenant="batch",le="+Inf"} 13
-repro_ticket_service_rounds_sum{tenant="batch"} 1456
+repro_ticket_service_rounds_sum{tenant="batch"} 1442
 repro_ticket_service_rounds_count{tenant="batch"} 13
 repro_ticket_service_rounds_bucket{tenant="free",le="1"} 0
 repro_ticket_service_rounds_bucket{tenant="free",le="2"} 0
@@ -469,7 +469,7 @@ repro_ticket_service_rounds_bucket{tenant="free",le="16384"} 15
 repro_ticket_service_rounds_bucket{tenant="free",le="32768"} 15
 repro_ticket_service_rounds_bucket{tenant="free",le="65536"} 15
 repro_ticket_service_rounds_bucket{tenant="free",le="+Inf"} 15
-repro_ticket_service_rounds_sum{tenant="free"} 1883
+repro_ticket_service_rounds_sum{tenant="free"} 1870
 repro_ticket_service_rounds_count{tenant="free"} 15
 repro_ticket_service_rounds_bucket{tenant="pro",le="1"} 0
 repro_ticket_service_rounds_bucket{tenant="pro",le="2"} 0
@@ -489,16 +489,16 @@ repro_ticket_service_rounds_bucket{tenant="pro",le="16384"} 15
 repro_ticket_service_rounds_bucket{tenant="pro",le="32768"} 15
 repro_ticket_service_rounds_bucket{tenant="pro",le="65536"} 15
 repro_ticket_service_rounds_bucket{tenant="pro",le="+Inf"} 15
-repro_ticket_service_rounds_sum{tenant="pro"} 2044
+repro_ticket_service_rounds_sum{tenant="pro"} 2027
 repro_ticket_service_rounds_count{tenant="pro"} 15
 repro_tickets_completed_total{tenant="batch"} 13
 repro_tickets_completed_total{tenant="free"} 15
 repro_tickets_completed_total{tenant="pro"} 15
-repro_ticks_total 18
+repro_ticks_total 19
 repro_tokens_added_total{kind="churn"} 2400
 repro_tokens_added_total{kind="recovery"} 4792
 repro_tokens_evicted_total{cause="churn"} 1950
-repro_tokens_evicted_total{cause="fault"} 4560
+repro_tokens_evicted_total{cause="fault"} 4570
 repro_trace_spans_dropped 0
 repro_walks_served_total{tenant="batch"} 40
 repro_walks_served_total{tenant="free"} 42

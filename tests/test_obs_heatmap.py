@@ -197,24 +197,24 @@ EDGE_MAPS = {
     "session/churn-crash": {
         "buckets": {
             "phase1": [477, 0],
-            "pool-refill/churn": [248, 0],
+            "pool-refill/churn": [240, 0],
             "serve/sample": [2856, 0],
             "serve/setup": [66, 0],
             "serve/stitch-route": [63, 0],
             "serve/tail": [15, 0],
             "setup": [9, 0]
         },
-        "cmax": "ade8f037f1a17a56",
+        "cmax": "31782485b5c0a2a2",
         "columns": {
             "phase1": "c95386db2815e040",
-            "pool-refill/churn": "a5489824c68d6aab",
-            "pool-refill/serve": "cdce017ab30f36fa",
-            "serve/recovery": "e5c1ec4e17e8365d",
+            "pool-refill/churn": "95ee6683fbf9fe6a",
+            "pool-refill/serve": "1db237a9c3d44aa5",
+            "serve/recovery": "b3c9590e19a19667",
             "serve/report": "953d980c153b83f4",
-            "serve/sample": "d4b40b4b4a0d5c27",
+            "serve/sample": "f86b873a204c65bb",
             "serve/setup": "63f59b0ff2b50e07",
-            "serve/stitch-route": "3fef77514b3e4116",
-            "serve/tail": "db42a9335c8f1a54",
+            "serve/stitch-route": "00abf2c6251aad7d",
+            "serve/tail": "e1741c9d5914c099",
             "setup": "b177167e8aec79ad"
         }
     },
@@ -225,16 +225,16 @@ EDGE_MAPS = {
             "serve/setup": [4, 0],
             "setup": [4, 0]
         },
-        "cmax": "aa8ff5085fccfab3",
+        "cmax": "3011bc668a53ef1d",
         "columns": {
             "phase1": "3bfc1fbeff4da92c",
-            "pool-refill/serve": "e74eb1f13a1069ba",
-            "serve/recovery": "b44834e2c546c031",
+            "pool-refill/serve": "4e118db449f9f14a",
+            "serve/recovery": "59bcc6b8521cdf0d",
             "serve/report": "fc0ada39770d4204",
-            "serve/sample": "a696c7bb90d22774",
+            "serve/sample": "860c8589be957806",
             "serve/setup": "e02387b786fc6ff7",
-            "serve/stitch-route": "86832433f272f416",
-            "serve/tail": "f0c88b00b92185c2",
+            "serve/stitch-route": "0fd7755aa29addd6",
+            "serve/tail": "166cdb9ffbf01994",
             "setup": "029dc25bd5f02f02"
         }
     },
@@ -242,85 +242,86 @@ EDGE_MAPS = {
         "buckets": {},
         "cmax": "3f180b8a05adf290",
         "columns": {
-            "naive-tail": "58754658ebf5bf62",
+            "naive-tail": "a2c889d84a313544",
             "phase1": "439d3d47758f543c",
-            "report": "1350529e32f4fab0",
-            "sample-destination": "d582eea7739f055d",
+            "report": "d29f78cb01e9393c",
+            "sample-destination": "cf380227e5a17781",
             "setup": "09a36767dd4b2b86",
-            "stitch-route": "d687f600f3a92085"
+            "stitch-route": "3541666017f500b0"
         }
     },
     "single/grid5x5-l200-s23-lam4": {
         "buckets": {},
         "cmax": "f68dc1ee30695e72",
         "columns": {
-            "naive-tail": "2bd2b3eec276d942",
+            "get-more-walks": "c6ef210c88f21bf2",
+            "naive-tail": "652bde1a779efac1",
             "phase1": "2ca5e9d7adc4a0de",
-            "report": "f640deaa336b6f6f",
-            "sample-destination": "8ca8c9efcccc6204",
+            "report": "2921e1efc8363a11",
+            "sample-destination": "2bc757a63c0582dc",
             "setup": "9c54db6158fb21a4",
-            "stitch-route": "0d8fe77cbb691bcd"
+            "stitch-route": "92cb6b0e4da0bda0"
         }
     },
     "single/grid6x6-l144-s3": {
         "buckets": {},
         "cmax": "f249ba2254060e42",
         "columns": {
-            "naive-tail": "c1014bc220684e84",
+            "naive-tail": "71cef35ada63f483",
             "phase1": "cae997a11c97a748",
-            "report": "88e7763307f2cef4",
+            "report": "cb94f8262477de5c",
             "sample-destination": "1c32e64d1bbf1a16",
             "setup": "70c75464caa383f4",
-            "stitch-route": "1fec412daef8f8a2"
+            "stitch-route": "9646706dcfacdd95"
         }
     },
     "single/hypercube5-l300-s11": {
         "buckets": {},
         "cmax": "8f3d1cb7c2868b6c",
         "columns": {
-            "naive-tail": "a6e51c5ce00d11b6",
+            "naive-tail": "ee616a7602d623ee",
             "phase1": "b95c320c67f93f7d",
-            "report": "ba06d16717d3e9f0",
-            "sample-destination": "43bbfc2deeba25e9",
+            "report": "cfdbcc4bd8d3c4d7",
+            "sample-destination": "fb8377e55ca4c23b",
             "setup": "4862f391d674a71d",
-            "stitch-route": "fa89ba32fffe100c"
+            "stitch-route": "b270888f4a1393d9"
         }
     },
     "single/regular64-l200-s13": {
         "buckets": {},
         "cmax": "57d59a6c625cb5e2",
         "columns": {
-            "naive-tail": "b04cb95c7546253f",
+            "naive-tail": "d4feca6bcaef425d",
             "phase1": "e63a1841f66d47bd",
-            "report": "7fe8228e7eddd2e8",
-            "sample-destination": "ec6bf5dd07c739f1",
+            "report": "0bfc3ce61b6605d6",
+            "sample-destination": "4523ad8cff54ef38",
             "setup": "67837f6c0b308bef",
-            "stitch-route": "a54a7c37d2eec5d2"
+            "stitch-route": "10abace292517ea0"
         }
     },
     "single/torus6x6-l400-s17-eta0.05": {
         "buckets": {},
         "cmax": "104545c6e45b8f2f",
         "columns": {
-            "get-more-walks": "13ec1ebe77465a60",
-            "naive-tail": "9e23d65af8f1479d",
+            "get-more-walks": "728af60068137567",
+            "naive-tail": "991ce45e25e9a370",
             "phase1": "eb3890fbdb11e568",
             "report": "253b4907c4582af0",
-            "sample-destination": "7e8b1a15fe32ffa7",
+            "sample-destination": "00df95734357923c",
             "setup": "44f0d088b13317df",
-            "stitch-route": "7ad639a0a9cd9257"
+            "stitch-route": "a93af7f7df5fe05a"
         }
     },
     "single/torus8x8-l256-s7": {
         "buckets": {},
         "cmax": "444db59943e66b73",
         "columns": {
-            "naive-tail": "a39b25a11745e036",
+            "naive-tail": "6186e249bd69e911",
             "phase1": "7dbc8862b1c1d356",
-            "report": "a2806790f490147a",
-            "sample-destination": "5bf09cc422cab667",
+            "report": "1b37c23db2cfd0aa",
+            "sample-destination": "72fdcee5997823cc",
             "setup": "11824a0907a3f5d4",
-            "stitch-route": "874a916d4a1c2e7d"
+            "stitch-route": "0e162bfa60766aab"
         }
     },
     "tree-held-across-churn": {

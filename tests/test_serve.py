@@ -44,6 +44,8 @@ from repro.serve import (
 from repro.util.rng import make_rng
 from repro.util.stats import chi_square_goodness_of_fit
 
+from test_ledger_golden import GOLDEN_SINGLE
+
 
 def _drain_until_depleted(engine, graph, length=256, limit=200):
     """Issue pooled walks (no auto-maintain) until some shard is depleted."""
@@ -265,7 +267,7 @@ class TestLedgerBalance:
         engine = WalkEngine(torus_8x8, seed=1, record_paths=False)
         engine.scheduler()
         res = single_random_walk(torus_8x8, 0, 256, seed=7)
-        assert res.mode == "stitched" and res.rounds == 398  # golden value
+        assert res.mode == "stitched" and res.rounds == GOLDEN_SINGLE["torus8x8-l256-s7"]["rounds"]
 
 
 class TestSchedulingAndResults:

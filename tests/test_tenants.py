@@ -40,6 +40,8 @@ from repro.serve import (
 from repro.util.rng import make_rng
 from repro.util.stats import chi_square_goodness_of_fit
 
+from test_ledger_golden import GOLDEN_SINGLE
+
 
 class TestTenantRegistry:
     def test_parse_spec_triples(self):
@@ -351,7 +353,7 @@ class TestTenantLedger:
             pipelined_report=True,
         )
         res = single_random_walk(torus_8x8, 0, 256, seed=7)
-        assert res.mode == "stitched" and res.rounds == 398  # golden value
+        assert res.mode == "stitched" and res.rounds == GOLDEN_SINGLE["torus8x8-l256-s7"]["rounds"]
 
 
 class TestTenantWorkload:

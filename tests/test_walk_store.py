@@ -92,43 +92,39 @@ class TestWalkStore:
 
 
 class ReferenceStore:
-    """The legacy per-object bucket store, kept as the semantic oracle.
+    """The store's one rule, spelled out as the semantic oracle.
 
-    Reimplements the pre-columnar ``WalkStore`` exactly: a dict keyed by
-    ``(holder, source)`` whose values are add-ordered record lists, with
-    bucket keys deleted on empty (so re-adding re-inserts at the end).
+    The live tokens sit in one list in row (add) order.  Holders are listed
+    in order of their first live token, a holder's tokens in row order, and
+    a pick would index the source's tokens in that list.
     """
 
     def __init__(self):
-        self.buckets = {}
+        self.live = []
         self.created = 0
         self.consumed = 0
 
     def add(self, rec):
-        self.buckets.setdefault((rec.destination, rec.source), []).append(rec)
+        self.live.append(rec)
         self.created += 1
 
     def remove(self, rec):
-        key = (rec.destination, rec.source)
-        bucket = self.buckets.get(key, [])
-        for i, existing in enumerate(bucket):
-            if existing.token_id == rec.token_id:
-                bucket.pop(i)
-                if not bucket:
-                    del self.buckets[key]
+        for i, existing in enumerate(self.live):
+            if existing.token_id == rec.token_id and existing.destination == rec.destination:
+                del self.live[i]
                 self.consumed += 1
                 return
         raise WalkError("missing")
 
     def holders_for_source(self, source):
-        return {
-            holder: len(bucket)
-            for (holder, src), bucket in self.buckets.items()
-            if src == source and bucket
-        }
+        holders = {}
+        for rec in self.live:
+            if rec.source == source:
+                holders[rec.destination] = holders.get(rec.destination, 0) + 1
+        return holders
 
     def tokens_at(self, holder, source):
-        return list(self.buckets.get((holder, source), []))
+        return [rec for rec in self.live if rec.source == source and rec.destination == holder]
 
 
 class TestColumnarStore:
@@ -210,11 +206,11 @@ class TestColumnarStore:
             assert len(store) == len(live)
 
     def test_randomized_equivalence_with_reference_store(self):
-        """Columnar store == legacy bucket store on random add/query/remove.
+        """Columnar store == the one-rule reference on random add/query/remove.
 
         Checks contents *and* iteration order of holders_for_source /
-        tokens_at — the orders RNG-consuming sweeps depend on — plus the
-        re-insertion rule when a bucket empties and refills.
+        tokens_at — holders by first live row, tokens in row order — also
+        when a bucket empties and refills.
         """
         rng = np.random.default_rng(1234)
         store, ref = WalkStore(), ReferenceStore()

@@ -3,15 +3,12 @@
 A hypothesis state machine drives one store through random interleavings of
 every call that adds, consumes, evicts or scans tokens, and mirrors each
 call on :class:`ReferenceStore`: a list of every token ever added (position
-= store row) plus a dict of frozen holder orders.  The reference spells out
-the store's order rule:
+= store row) with its alive flag.  The reference spells out the store's one
+draw rule:
 
-* a source's holder order is computed lazily — holders by their first
-  *live* row — and freezes at the first read or removal;
-* later adds append: a new holder goes to the end, a new token to the end
-  of its bucket;
-* a holder whose bucket empties leaves the order, and re-enters at the end;
-* ``evict_rows`` forgets the order of every source it touches.
+* a source's live tokens are kept in row order;
+* a pick is an index into them;
+* holders are listed in order of their first live row.
 
 After every step it checks, for every source:
 
@@ -21,7 +18,7 @@ After every step it checks, for every source:
 * ``count_for_source``;
 * ``total_unused = created − consumed − evicted``.
 
-Reads freeze a source's order, so the checks read from a deep copy and
+The pick check drains the source, so the checks read from a deep copy and
 leave the store under test as the rules left it.  Tier-1 runs a small
 derandomized profile; ``pytest -m slow`` a deep one.
 """
@@ -53,12 +50,11 @@ JUNK = 10**6
 
 
 class ReferenceStore:
-    """Dict-of-lists model of the store's contents and order rule."""
+    """List model of the store's contents and its one draw rule."""
 
     def __init__(self) -> None:
         self.tokens: list[TokenRecord] = []  # every token ever added; index = row
         self.alive: list[bool] = []
-        self.order: dict[int, list[int]] = {}  # source -> frozen holder order
         self.created = 0
         self.consumed = 0
         self.evicted = 0
@@ -68,24 +64,12 @@ class ReferenceStore:
         self.tokens.append(record)
         self.alive.append(True)
         self.created += 1
-        holders = self.order.get(record.source)
-        if holders is not None and record.destination not in holders:
-            holders.append(record.destination)
-
-    def freeze(self, source: int) -> None:
-        if source not in self.order:
-            self.order[source] = self.holders(source)
 
     def remove_row(self, row: int) -> None:
-        rec = self.tokens[row]
-        self.freeze(rec.source)
         self.alive[row] = False
         self.consumed += 1
-        if not self.bucket(rec.source, rec.destination):
-            self.order[rec.source].remove(rec.destination)
 
     def sample(self, source: int, rng: np.random.Generator) -> TokenRecord | None:
-        self.freeze(source)
         total = self.count(source)
         if total == 0:
             return None
@@ -98,7 +82,6 @@ class ReferenceStore:
         for row in rows:
             self.alive[row] = False
             sources.append(self.tokens[row].source)
-            self.order.pop(self.tokens[row].source, None)
         self.evicted += len(rows)
         return sources
 
@@ -107,28 +90,21 @@ class ReferenceStore:
         return [row for row, live in enumerate(self.alive) if live]
 
     def count(self, source: int) -> int:
-        return sum(1 for row in self.live_rows() if self.tokens[row].source == source)
+        return len(self.picks(source))
 
     def bucket(self, source: int, holder: int) -> list[int]:
-        return [
-            row
-            for row in self.live_rows()
-            if self.tokens[row].source == source and self.tokens[row].destination == holder
-        ]
+        return [row for row in self.picks(source) if self.tokens[row].destination == holder]
 
     def holders(self, source: int) -> list[int]:
-        if source in self.order:
-            return list(self.order[source])
         out: list[int] = []
-        for row in self.live_rows():
-            rec = self.tokens[row]
-            if rec.source == source and rec.destination not in out:
-                out.append(rec.destination)
+        for row in self.picks(source):
+            if self.tokens[row].destination not in out:
+                out.append(self.tokens[row].destination)
         return out
 
     def picks(self, source: int) -> list[int]:
-        """Row of the token each uniform pick ``0 … count−1`` selects."""
-        return [row for h in self.holders(source) for row in self.bucket(source, h)]
+        """Row of the token each uniform pick ``0 … count−1`` selects: the live rows in order."""
+        return [row for row in self.live_rows() if self.tokens[row].source == source]
 
     def invalid_rows(self, mutated: set[int], deleted: set[tuple[int, int]]) -> list[int]:
         out = []
@@ -264,7 +240,7 @@ class StoreMachine(RuleBasedStateMachine):
         assert store.count_for_source(10**6) == 0  # never seen
         for source in range(N_SOURCES + 1):  # source N_SOURCES is never used
             assert store.count_for_source(source) == ref.count(source)
-            # Holder and bucket order, read on a copy so nothing freezes here.
+            # Holder and bucket order, read on a copy that the pick check drains.
             peek = copy.deepcopy(store)
             holders = peek.holders_for_source(source)
             want = ref.holders(source)
