@@ -75,6 +75,7 @@ _INITIAL_CAPACITY = 64
 _INT32 = np.iinfo(np.int32)
 #: Path-matrix cells :meth:`WalkStore.find_invalid_rows` gathers per block.
 _SCAN_BLOCK = 1 << 16
+#: The live rows of a source that holds no token.
 _NO_ROWS = np.empty(0, dtype=np.int32)
 
 
