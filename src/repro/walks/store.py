@@ -61,6 +61,7 @@ the algorithms' job.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -390,13 +391,13 @@ class WalkStore:
         """``source``'s live rows, ascending: one binary search per run.
 
         Runs cover ascending row ranges, so their parts concatenate in
-        order.  The alive filter runs only when some of the rows retired.
+        order.
         """
-        if not 0 <= source < self._span or not (count := self._counts[source]):
+        if not 0 <= source < self._span or not self._counts[source]:
             return _NO_ROWS
         parts = [rows for run in self._runs if (rows := run.rows_of(source)) is not None]
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return rows if rows.size == count else rows[self._alive[rows]]
+        return rows[self._alive[rows]]
 
     def _materialize(self, row: int) -> TokenRecord:
         batch = int(self._path_batch[row])
@@ -473,10 +474,7 @@ class WalkStore:
         Holders are listed in order of their first live row, recomputed
         from the live rows on every call.
         """
-        holders: dict[int, int] = {}
-        for holder in self._dst[self._rows_of(source)].tolist():
-            holders[holder] = holders.get(holder, 0) + 1
-        return holders
+        return dict(Counter(self._dst[self._rows_of(source)].tolist()))
 
     def iter_all(self) -> Iterator[TokenRecord]:
         """All unused tokens, in creation order."""
