@@ -8,9 +8,11 @@ sampler (wrong law, off-by-one in lengths, biased stitching) fails hard.
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.graphs import (
+    Graph,
     barbell_graph,
     complete_graph,
     cycle_graph,
@@ -92,3 +94,17 @@ SMALL_FAMILIES = [
 def small_graph(request):
     _name, factory = request.param
     return factory()
+
+
+@pytest.fixture(scope="session")
+def atlas():
+    """networkx's graph atlas as ``(networkx graph, Graph)`` pairs.
+
+    Every graph of up to 7 nodes up to isomorphism, connected or not: 1,252
+    graphs once the empty one is dropped.  Atlas nodes are ``0 .. n-1``.
+    """
+    return [
+        (h, Graph(h.number_of_nodes(), list(h.edges()), name=h.name))
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes()
+    ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -24,7 +25,6 @@ from repro.congest import (
 from repro.errors import ProtocolError
 from repro.graphs import (
     Graph,
-    bfs_distances,
     cycle_graph,
     eccentricity,
     grid_graph,
@@ -47,8 +47,8 @@ class TestBfsFlood:
         g = factory()
         net = Network(g)
         tree = build_bfs_tree(net, root)
-        expected = bfs_distances(g, root)
-        assert np.array_equal(np.array(tree.depth), expected)
+        lengths = nx.single_source_shortest_path_length(g.to_networkx(), root)
+        assert tree.depth.tolist() == [lengths[v] for v in range(g.n)]
 
     def test_rounds_equal_eccentricity(self):
         g = grid_graph(5, 5)
@@ -234,9 +234,33 @@ class TestBroadcast:
             charged_broadcast(net, tree, words=4)
 
 
+def _assert_tree_and_ledger_identical(g: Graph, root: int) -> None:
+    net_p = Network(g)
+    tree_p = build_bfs_tree(net_p, root, use_protocol=True)
+
+    net_f = Network(g)
+    tree_f = build_bfs_tree(net_f, root)
+
+    # Identical BfsTree: parent ties broken lowest-ID, same depths,
+    # same children ordering.
+    where = f"{g.name} from {root}"
+    assert np.array_equal(tree_f.parent, tree_p.parent), where
+    assert np.array_equal(tree_f.depth, tree_p.depth), where
+    assert tree_f.children == tree_p.children, where
+    assert tree_f.root == tree_p.root
+
+    # Identical ledger charges.
+    assert net_f.rounds == net_p.rounds, where
+    assert net_f.messages_sent == net_p.messages_sent, where
+    assert net_f.ledger.max_congestion == net_p.ledger.max_congestion, where
+    assert tree_f.build_rounds == tree_p.build_rounds, where
+    assert tree_f.build_messages == tree_p.build_messages, where
+
+
 class TestBfsFastPathEquivalence:
     """The charged vectorized BFS must be indistinguishable — tree and
-    ledger — from a message-by-message :class:`BfsFloodProtocol` run."""
+    ledger — from a message-by-message :class:`BfsFloodProtocol` run,
+    on the hand-built zoo and on every connected graph of networkx's atlas."""
 
     ZOO = [
         ("path9", lambda: path_graph(9), [0, 4, 8]),
@@ -264,27 +288,19 @@ class TestBfsFastPathEquivalence:
         ids=[f"{name}-r{root}" for name, _f, roots in ZOO for root in roots],
     )
     def test_tree_and_ledger_identical(self, factory, root):
-        g = factory()
+        _assert_tree_and_ledger_identical(factory(), root)
 
-        net_p = Network(g)
-        tree_p = build_bfs_tree(net_p, root, use_protocol=True)
+    def test_atlas_from_root_zero(self, atlas):
+        for h, g in atlas:
+            if nx.is_connected(h):
+                _assert_tree_and_ledger_identical(g, 0)
 
-        net_f = Network(g)
-        tree_f = build_bfs_tree(net_f, root)
-
-        # Identical BfsTree: parent ties broken lowest-ID, same depths,
-        # same children ordering.
-        assert np.array_equal(tree_f.parent, tree_p.parent)
-        assert np.array_equal(tree_f.depth, tree_p.depth)
-        assert tree_f.children == tree_p.children
-        assert tree_f.root == tree_p.root
-
-        # Identical ledger charges.
-        assert net_f.rounds == net_p.rounds
-        assert net_f.messages_sent == net_p.messages_sent
-        assert net_f.ledger.max_congestion == net_p.ledger.max_congestion
-        assert tree_f.build_rounds == tree_p.build_rounds
-        assert tree_f.build_messages == tree_p.build_messages
+    @pytest.mark.slow
+    def test_atlas_from_every_root(self, atlas):
+        for h, g in atlas:
+            if nx.is_connected(h):
+                for root in range(g.n):
+                    _assert_tree_and_ledger_identical(g, root)
 
     def test_fast_path_disconnected_raises_like_protocol(self):
         g = Graph(4, [(0, 1), (2, 3)])

@@ -25,6 +25,7 @@ The load-bearing claims of PR 5:
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -34,7 +35,14 @@ from repro.congest import FaultStep, Network
 from repro.dynamic import ChurnSpec, GraphDelta, run_churn_loop, sample_churn_delta
 from repro.engine import WalkEngine
 from repro.errors import GraphError, WalkError
-from repro.graphs import Graph, barbell_graph, complete_graph, is_connected, torus_graph
+from repro.graphs import (
+    Graph,
+    barbell_graph,
+    complete_graph,
+    is_connected,
+    random_regular_graph,
+    torus_graph,
+)
 from repro.markov import WalkSpectrum
 from repro.serve import TrafficSpec
 from repro.util.rng import make_rng
@@ -508,6 +516,19 @@ class TestChurnWorkload:
         g = path_graph(8)
         delta = sample_churn_delta(g, make_rng(1), deletes=3, inserts=0)
         assert len(delta.delete_edges) == 0
+
+    def test_sample_delta_pinned(self):
+        # 100 deletions from a 4-regular graph of 400 edges: the
+        # connectivity check skips some candidates, so the pin covers it.
+        g = random_regular_graph(200, 4, 0)
+        delta = sample_churn_delta(g, make_rng(5), deletes=100, inserts=20)
+        digest = hashlib.sha256(delta.insert_edges.tobytes() + delta.delete_edges.tobytes())
+        assert (len(delta.insert_edges), len(delta.delete_edges)) == (20, 100)
+        assert digest.hexdigest()[:16] == "e332138fb240fe60"
+        unchecked = sample_churn_delta(
+            g, make_rng(5), deletes=100, inserts=20, preserve_connectivity=False
+        )
+        assert not np.array_equal(unchecked.delete_edges, delta.delete_edges)
 
     def test_churn_spec_validation(self):
         with pytest.raises(WalkError):

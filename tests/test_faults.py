@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -218,6 +221,29 @@ class TestFaultStepAndSchedule:
             if step.crash:
                 dead[list(step.crash)] = True
                 assert _live_graph_connected(g, dead)
+
+    def test_sample_pinned(self):
+        # Crash-stop on torus 8x8: with 30 crashes the connectivity check
+        # re-draws some victims, so the pin covers it.
+        g = torus_graph(8, 8)
+        kwargs = dict(crashes=30, start_round=0, end_round=100, recover_after=None, seed=3)
+        sched = FaultSchedule.sample(g, **kwargs)
+        steps = repr([(s.at_round, s.crash, s.recover) for s in sched.steps]).encode()
+        assert sched.num_crashes == 30
+        assert hashlib.sha256(steps).hexdigest()[:16] == "6abbbff45896251c"
+        assert FaultSchedule.sample(g, preserve_connectivity=False, **kwargs) != sched
+
+    def test_live_graph_connected_matches_networkx_on_the_atlas(self, atlas):
+        for h, g in atlas:
+            dead = np.zeros(g.n, dtype=bool)
+            assert _live_graph_connected(g, dead) == nx.is_connected(h), g.name
+            if g.n < 2:
+                continue
+            for v in range(g.n):
+                dead[v] = True
+                want = nx.is_connected(h.subgraph([u for u in range(g.n) if u != v]))
+                assert _live_graph_connected(g, dead) == want, f"{g.name} without {v}"
+                dead[v] = False
 
     def test_sample_crash_stop(self):
         g = torus_graph(4, 4)

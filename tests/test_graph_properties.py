@@ -140,6 +140,22 @@ class TestAgainstNetworkx:
         for v in range(n):
             assert mine[v] == lengths[v]
 
+    def test_atlas_bfs_distances_from_every_root(self, atlas):
+        for h, g in atlas:
+            for root in range(g.n):
+                want = np.full(g.n, -1)
+                for v, d in nx.single_source_shortest_path_length(h, root).items():
+                    want[v] = d
+                np.testing.assert_array_equal(
+                    bfs_distances(g, root), want, err_msg=f"{g.name} from {root}"
+                )
+
+    def test_atlas_connectivity(self, atlas):
+        for h, g in atlas:
+            assert is_connected(g) == nx.is_connected(h), g.name
+            want = sorted(sorted(c) for c in nx.connected_components(h))
+            assert connected_components(g) == want, g.name
+
     @given(connected_graphs())
     @settings(max_examples=30, deadline=None)
     def test_diameter_matches(self, data):
