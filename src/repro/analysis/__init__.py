@@ -24,6 +24,7 @@ from repro.analysis.rules import (
     DeadImportRule,
     FastPathPairingRule,
     ObsPassivityRule,
+    OneTraversalRule,
     PhaseRegistryRule,
     SeededRngRule,
     default_rules,
@@ -44,6 +45,7 @@ __all__ = [
     "DeadImportRule",
     "FastPathPairingRule",
     "ObsPassivityRule",
+    "OneTraversalRule",
     "PhaseRegistryRule",
     "SeededRngRule",
     "default_rules",

@@ -48,6 +48,12 @@ protocol's accounting discipline becomes a checkable property of the
     No ``np.unique`` call inside ``src/repro`` that asks for no index,
     inverse or counts: on numpy 2.x that form takes a hash path far slower
     than sorting.  Use :func:`repro.util.arrays.sorted_unique`.
+``one-traversal``
+    Inside ``src/repro``, only modules under ``src/repro/graphs/`` read a
+    graph's ``.indptr``.  Breadth-first search has one loop,
+    :func:`repro.graphs.properties.bfs_distances`; a frontier loop written
+    elsewhere would carry its own tie-break and its own meaning of
+    "connected".  Search a masked graph through its ``slot_mask``.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ __all__ = [
     "DeadImportRule",
     "FastPathPairingRule",
     "ObsPassivityRule",
+    "OneTraversalRule",
     "PhaseRegistryRule",
     "SeededRngRule",
     "default_rules",
@@ -787,6 +794,32 @@ class BareUniqueRule(Rule):
         )
 
 
+class OneTraversalRule(Rule):
+    """Only ``src/repro/graphs/`` reads the CSR row pointers."""
+
+    name = "one-traversal"
+    description = (
+        "in src/repro, only modules under src/repro/graphs/ read .indptr — "
+        "search through repro.graphs.properties.bfs_distances (slot_mask)"
+    )
+
+    def check(self, src: SourceFile, *, root: Path) -> list[Finding]:
+        if not _in_production_tree(src.path) or _in_subpackage(src.path, "graphs"):
+            return []
+        return [
+            self.finding(
+                src,
+                node,
+                "reads .indptr outside repro.graphs: traverse through "
+                "bfs_distances (with a slot_mask) instead of a frontier loop of its own",
+            )
+            for node in ast.walk(src.tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "indptr"
+            and isinstance(node.ctx, ast.Load)
+        ]
+
+
 def default_rules() -> list[Rule]:
     """Fresh instances of every rule, in reporting order."""
     return [
@@ -799,4 +832,5 @@ def default_rules() -> list[Rule]:
         ObsPassivityRule(),
         BareAssertRule(),
         BareUniqueRule(),
+        OneTraversalRule(),
     ]

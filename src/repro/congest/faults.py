@@ -51,7 +51,7 @@ from repro.congest.network import Network
 from repro.congest.protocol import Protocol, ProtocolAPI
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
-from repro.util.arrays import sorted_unique
+from repro.graphs.properties import bfs_distances
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -116,31 +116,10 @@ class OmissionWindow:
 
 
 def _live_graph_connected(graph: Graph, dead: np.ndarray) -> bool:
-    """BFS connectivity of the subgraph induced on the live (non-dead) nodes."""
+    """Connectivity of the subgraph induced on the live (non-dead) nodes."""
     live = ~dead
-    total = int(live.sum())
-    if total <= 1:
-        return True
-    start = int(np.argmax(live))
-    visited = np.zeros(graph.n, dtype=bool)
-    visited[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    reached = 1
-    while frontier.size and reached < total:
-        starts = graph.indptr[frontier]
-        counts = graph.indptr[frontier + 1] - starts
-        width = int(counts.sum())
-        if width == 0:
-            break
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        slots = np.repeat(starts - offsets, counts) + np.arange(width)
-        targets = graph.csr_target[slots]
-        targets = targets[live[targets]]
-        fresh = sorted_unique(targets[~visited[targets]])
-        visited[fresh] = True
-        reached += int(fresh.size)
-        frontier = fresh
-    return reached == total
+    dist = bfs_distances(graph, int(np.argmax(live)), slot_mask=live[graph.csr_target])
+    return bool((dist[live] >= 0).all())
 
 
 @dataclass(frozen=True)
@@ -225,7 +204,9 @@ class FaultSchedule:
         at the event time and not in ``protect``; with
         ``preserve_connectivity`` a victim whose removal would disconnect
         the surviving live subgraph is skipped (re-drawn), mirroring
-        :func:`repro.dynamic.workload.sample_churn_delta`.  The realized
+        :func:`repro.dynamic.workload.sample_churn_delta`.  Each candidate
+        costs one :func:`~repro.graphs.properties.bfs_distances` search
+        whose slot mask closes the slots into dead nodes.  The realized
         crash count can fall short of ``crashes`` on graphs with few
         removable nodes — the schedule records what was actually sampled.
         Same seed, same graph: identical schedule.

@@ -32,6 +32,7 @@ from repro.congest.network import Network
 from repro.congest.protocol import Protocol, ProtocolAPI
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
+from repro.graphs.properties import bfs_tree
 from repro.util.contracts import charged_fast_path
 
 __all__ = [
@@ -247,58 +248,6 @@ class BfsFloodProtocol(Protocol):
         return BfsTree(root=self.root, parent=parent, depth=depth)
 
 
-def _vectorized_bfs(
-    graph: Graph, root: int, *, allow_unreached: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR frontier BFS: ``(depth, parent)`` with lowest-ID parent ties.
-
-    Matches :class:`BfsFloodProtocol` exactly — a node's parent is the
-    lowest-ID neighbor one level closer to the root (the flood's first-round
-    tie-break).  Raises :class:`ProtocolError` on disconnected graphs with
-    the protocol's message, unless ``allow_unreached`` (the crash-recovery
-    regime, where crashed nodes are isolated by construction) — unreached
-    nodes then keep depth ``-1`` and stay out of the tree.
-    """
-    n = graph.n
-    depth = np.full(n, -1, dtype=np.int32)
-    parent = np.full(n, root, dtype=np.int32)
-    depth[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    reached = 1
-    level = 0
-    while frontier.size:
-        starts = graph.indptr[frontier]
-        counts = graph.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # Gather all outgoing slots of the frontier in one shot.
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        slots = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-        targets = graph.csr_target[slots]
-        senders = np.repeat(frontier, counts)
-        fresh = depth[targets] == -1
-        if not fresh.any():
-            break
-        cand_t = targets[fresh]
-        cand_s = senders[fresh]
-        # Lowest-ID sender per discovered node: sort by (node, sender) and
-        # keep each group's first entry (reduceat-style min per segment).
-        order = np.lexsort((cand_s, cand_t))
-        cand_t = cand_t[order]
-        cand_s = cand_s[order]
-        first = np.ones(len(cand_t), dtype=bool)
-        first[1:] = cand_t[1:] != cand_t[:-1]
-        frontier = cand_t[first]
-        parent[frontier] = cand_s[first]
-        level += 1
-        depth[frontier] = level
-        reached += int(frontier.size)
-    if reached != n and not allow_unreached:
-        raise ProtocolError(f"BFS reached {reached}/{n} nodes; graph must be connected")
-    return depth, parent
-
-
 def _flood_cost(graph: Graph, root: int, depth: np.ndarray) -> tuple[int, int]:
     """Exact ``(rounds, messages)`` the event-driven flood would charge.
 
@@ -399,12 +348,13 @@ def build_bfs_tree(
 ) -> BfsTree:
     """Build (or recall) the BFS tree rooted at ``root``, charging rounds.
 
-    By default this takes the **charged vectorized fast path**: the tree is
-    computed by CSR frontier expansion and the ledger is charged the exact
-    rounds/messages/congestion the event-driven
-    :class:`BfsFloodProtocol` run would have produced (the flood's message
-    pattern is deterministic given the topology, so re-simulating it adds
-    wall-clock and nothing else — the same "charged fast path" contract as
+    By default this takes the **charged fast path**, which has no search of
+    its own: the tree is :func:`repro.graphs.properties.bfs_tree`, whose
+    lowest-ID tie-break is the flood's, and the ledger is charged the exact
+    rounds/messages/congestion the event-driven :class:`BfsFloodProtocol`
+    run would have produced (the flood's message pattern is deterministic
+    given the topology, so re-simulating it adds wall-clock and nothing
+    else — the same "charged fast path" contract as
     :func:`charged_convergecast`, proved by
     ``tests/test_congest_primitives.py``).  ``use_protocol=True`` forces the
     message-by-message execution instead.
@@ -413,10 +363,12 @@ def build_bfs_tree(
     exact cost; later calls charge the same recorded cost without
     recomputing.
 
-    ``allow_unreached`` (vectorized path only) tolerates unreachable
-    nodes — the crash-recovery regime where crashed nodes are isolated by
-    construction.  Unreached nodes carry depth ``-1`` and join no
-    children list; callers must not route to or through them.
+    ``allow_unreached`` (fast path only) tolerates unreachable nodes — the
+    crash-recovery regime where crashed nodes are isolated by
+    construction.  Unreached nodes carry depth ``-1``, take the root as
+    parent and join no children list; callers must not route to or
+    through them.  Without it an unreached node raises
+    :class:`ProtocolError` with the protocol's message.
 
     Neither path builds the tree's child lists; :attr:`BfsTree.children`
     groups them from ``parent`` when something first reads them.
@@ -436,7 +388,12 @@ def build_bfs_tree(
         tree.build_messages = network.messages_sent - messages_before
     else:
         graph = network.graph
-        depth, parent = _vectorized_bfs(graph, root, allow_unreached=allow_unreached)
+        parent, depth = bfs_tree(graph, root)
+        unreached = depth < 0
+        if not allow_unreached and unreached.any():
+            reached = graph.n - int(np.count_nonzero(unreached))
+            raise ProtocolError(f"BFS reached {reached}/{graph.n} nodes; graph must be connected")
+        parent[unreached] = root
         rounds, messages = _flood_cost(graph, root, depth)
         tree = BfsTree(
             root=root,

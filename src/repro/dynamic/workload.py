@@ -28,8 +28,8 @@ from repro.dynamic.controller import ChurnReport
 from repro.dynamic.delta import GraphDelta
 from repro.errors import WalkError
 from repro.graphs.graph import Graph
+from repro.graphs.properties import bfs_distances
 from repro.serve.workload import TrafficSpec, sample_request_args
-from repro.util.arrays import sorted_unique
 
 __all__ = ["ChurnSpec", "run_churn_loop", "sample_churn_delta"]
 
@@ -57,30 +57,6 @@ class ChurnSpec:
             raise WalkError("round_budget must be >= 1 when given")
 
 
-def _connected_under_removal(scratch: Graph, removed: np.ndarray) -> bool:
-    """BFS connectivity of ``scratch`` minus the edges flagged in ``removed``."""
-    n = scratch.n
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    reached = 1
-    while frontier.size and reached < n:
-        starts = scratch.indptr[frontier]
-        counts = scratch.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        slots = np.repeat(starts - offsets, counts) + np.arange(total)
-        slots = slots[~removed[scratch.csr_edge[slots]]]
-        targets = scratch.csr_target[slots]
-        fresh = sorted_unique(targets[~visited[targets]])
-        visited[fresh] = True
-        reached += int(fresh.size)
-        frontier = fresh
-    return reached == n
-
-
 def sample_churn_delta(
     graph: Graph,
     rng: np.random.Generator,
@@ -96,7 +72,9 @@ def sample_churn_delta(
     candidate whose removal (on top of the already-accepted deletions and
     the insertions) would disconnect the graph is skipped, so the realized
     deletion count can fall short of ``deletes`` on sparse graphs — the
-    delta reports what was actually sampled.
+    delta reports what was actually sampled.  Each candidate costs one
+    :func:`~repro.graphs.properties.bfs_distances` search of the post-delta
+    graph whose slot mask closes the slots of the removed edges.
     """
     if deletes < 0 or inserts < 0:
         raise WalkError("deletes and inserts must be >= 0")
@@ -123,7 +101,8 @@ def sample_churn_delta(
             removed = np.zeros(scratch.m, dtype=bool)
             for e in candidates:
                 removed[e] = True
-                if _connected_under_removal(scratch, removed):
+                dist = bfs_distances(scratch, 0, slot_mask=~removed[scratch.csr_edge])
+                if (dist >= 0).all():
                     delete_rows.append(int(e))
                     if len(delete_rows) >= deletes:
                         break

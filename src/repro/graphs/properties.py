@@ -1,9 +1,18 @@
 """Centralized (analysis-side) graph properties: BFS, diameter, connectivity.
 
-These functions are *not* charged rounds — they are the offline analysis
-used by tests and benches (and by algorithm setup where the paper assumes a
-quantity such as the diameter is known).  The distributed, round-counted BFS
-used inside protocols lives in :mod:`repro.congest.primitives`.
+:func:`bfs_distances` is the library's one breadth-first traversal, a
+level-synchronous frontier loop over the CSR arrays.  Everything that
+searches a graph breadth-first is built on it: :func:`bfs_tree` and the
+properties below, the generators' connectivity checks, the crash and
+churn samplers' connectivity tests (through a per-slot mask), and the
+charged BFS of :func:`repro.congest.primitives.build_bfs_tree`, which
+reads :func:`bfs_tree` and charges the flood's exact rounds and messages
+on top of it.  So the flood's tie-break and the meaning of "connected"
+live here.
+
+These functions themselves are *not* charged rounds — they are the offline
+analysis used by tests and benches (and by algorithm setup where the paper
+assumes a quantity such as the diameter is known).
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
+from repro.util.arrays import sorted_unique
 
 __all__ = [
     "bfs_distances",
@@ -29,45 +39,73 @@ __all__ = [
 
 UNREACHED = -1
 
+#: Nodes per block of :func:`bfs_tree`'s parent pass, which bounds its
+#: temporaries to a few MiB whatever the graph's size.
+_PARENT_BLOCK = 1 << 16
 
-def bfs_distances(graph: Graph, root: int) -> np.ndarray:
-    """Hop distance from ``root`` to every node (−1 where unreachable)."""
-    dist = np.full(graph.n, UNREACHED, dtype=np.int64)
+
+def bfs_distances(graph: Graph, root: int, *, slot_mask: np.ndarray | None = None) -> np.ndarray:
+    """Hop distance from ``root`` to every node, int32, −1 where unreachable.
+
+    Each level gathers every CSR slot of the frontier in one shot and keeps
+    the targets not reached yet; the loop stops once every node is reached
+    or the frontier is empty.  ``slot_mask`` holds one flag per directed
+    CSR slot: an unflagged slot is not crossed.  Masking the slots into
+    some nodes searches the subgraph induced on the rest (the crash
+    sampler); masking the slots of some edges searches the graph without
+    them (the churn sampler).
+    """
+    n = graph.n
+    indptr, target = graph.indptr, graph.csr_target
+    dist = np.full(n, UNREACHED, dtype=np.int32)
     dist[root] = 0
-    frontier = [root]
-    level = 0
-    while frontier:
+    frontier = np.array([root], dtype=np.int64)
+    reached = level = 1
+    while frontier.size and reached < n:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        slots = np.repeat(starts - ends + counts, counts)
+        slots += np.arange(slots.size)
+        if slot_mask is not None:
+            slots = slots[slot_mask[slots]]
+        targets = target[slots]
+        frontier = sorted_unique(targets[dist[targets] == UNREACHED])
+        dist[frontier] = level
+        reached += frontier.size
         level += 1
-        next_frontier: list[int] = []
-        for v in frontier:
-            for u in graph.neighbors(v):
-                u = int(u)
-                if dist[u] == UNREACHED:
-                    dist[u] = level
-                    next_frontier.append(u)
-        frontier = next_frontier
     return dist
 
 
 def bfs_tree(graph: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """BFS parents and distances from ``root``.
+    """BFS parents and distances from ``root``, both int32.
 
     Returns ``(parent, dist)`` where ``parent[root] = root`` and
-    ``parent[v] = -1`` for unreachable ``v``.  Parent choice is the
-    lowest-ID neighbor at the previous level, making trees deterministic.
+    ``parent[v] = -1`` for unreachable ``v``.  A node's parent is its
+    lowest-ID neighbour one level closer to the root: the tie-break of the
+    flood protocol (:class:`~repro.congest.primitives.BfsFloodProtocol`),
+    whose explores from one level all arrive in the same round.  The
+    parents come from one pass over the slots after :func:`bfs_distances`,
+    a segmented minimum over each node's neighbours one level closer, run
+    in blocks of nodes so its temporaries stay small.
     """
-    parent = np.full(graph.n, UNREACHED, dtype=np.int64)
-    dist = np.full(graph.n, UNREACHED, dtype=np.int64)
+    n = graph.n
+    indptr, target = graph.indptr, graph.csr_target
+    dist = bfs_distances(graph, root)
+    parent = np.full(n, n, dtype=np.int32)
+    for lo in range(0, n, _PARENT_BLOCK):
+        hi = min(lo + _PARENT_BLOCK, n)
+        first = indptr[lo]
+        starts = indptr[lo:hi] - first
+        degree = np.diff(indptr[lo : hi + 1])
+        neighbour = target[first : indptr[hi]].astype(np.int32)
+        # A neighbour of a reached node is at most one level away, so one
+        # level closer means a smaller distance.
+        neighbour[dist[neighbour] >= np.repeat(dist[lo:hi], degree)] = n
+        some = degree > 0
+        parent[lo:hi][some] = np.minimum.reduceat(neighbour, starts[some])
+    parent[dist == UNREACHED] = UNREACHED
     parent[root] = root
-    dist[root] = 0
-    queue: deque[int] = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in sorted(int(x) for x in graph.neighbors(v)):
-            if dist[u] == UNREACHED:
-                dist[u] = dist[v] + 1
-                parent[u] = v
-                queue.append(u)
     return parent, dist
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.congest import Network, build_bfs_tree
 from repro.errors import GraphError
 from repro.graphs import (
     Graph,
@@ -22,9 +23,14 @@ from repro.graphs import (
     is_connected,
     path_graph,
     pseudo_diameter,
+    random_regular_graph,
     shortest_path,
     star_graph,
 )
+
+
+def _flood_parents(g: Graph, root: int) -> list[int]:
+    return build_bfs_tree(Network(g), root, use_protocol=True).parent.tolist()
 
 
 class TestBfs:
@@ -44,6 +50,27 @@ class TestBfs:
         for v in range(1, g.n):
             assert dist[v] == dist[parent[v]] + 1
             assert g.has_edge(v, int(parent[v]))
+
+    def test_tree_parents_are_the_floods(self):
+        # cycle_graph(6) from 1: node 4's neighbours 3 and 5 are both one
+        # level closer, and the flood adopts the lower ID.
+        assert bfs_tree(cycle_graph(6), 1)[0].tolist() == [1, 1, 1, 2, 3, 0]
+        for seed in range(3):
+            g = random_regular_graph(60, 3, seed)
+            for root in range(g.n):
+                assert bfs_tree(g, root)[0].tolist() == _flood_parents(g, root), (seed, root)
+
+    def test_atlas_tree_parents_are_the_floods(self, atlas):
+        for h, g in atlas:
+            if nx.is_connected(h):
+                assert bfs_tree(g, 0)[0].tolist() == _flood_parents(g, 0), g.name
+
+    @pytest.mark.slow
+    def test_atlas_tree_parents_are_the_floods_from_every_root(self, atlas):
+        for h, g in atlas:
+            if nx.is_connected(h):
+                for root in range(g.n):
+                    assert bfs_tree(g, root)[0].tolist() == _flood_parents(g, root), (g.name, root)
 
     def test_tree_deterministic(self):
         g = grid_graph(3, 3)

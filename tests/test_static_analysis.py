@@ -28,6 +28,7 @@ from repro.analysis import (
     DeadImportRule,
     FastPathPairingRule,
     ObsPassivityRule,
+    OneTraversalRule,
     PhaseRegistryRule,
     SeededRngRule,
     analyze_paths,
@@ -687,6 +688,39 @@ class TestBareUniqueRule:
             got = sorted_unique(values)
             want = np.unique(values)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# Rule 10: one-traversal
+# ----------------------------------------------------------------------
+class TestOneTraversalRule:
+    run_at = staticmethod(TestObsPassivityRule.run_at)
+
+    def test_true_positive_frontier_loop_outside_graphs(self, tmp_path):
+        src = (
+            "def reach(graph, frontier):\n"
+            "    starts = graph.indptr[frontier]\n"
+            "    return graph.indptr[frontier + 1] - starts\n"
+        )
+        report = self.run_at(OneTraversalRule(), tmp_path, "src/repro/congest/x.py", src)
+        assert [f.lineno for f in report.findings] == [2, 3]
+        assert all("bfs_distances" in f.message for f in report.findings)
+
+    def test_true_negative_graphs_kernel_callers_and_outside_production(self, tmp_path):
+        kernel = "def degree(graph, v):\n    return graph.indptr[v + 1] - graph.indptr[v]\n"
+        report = self.run_at(OneTraversalRule(), tmp_path, "src/repro/graphs/y.py", kernel)
+        assert not report.findings
+        caller = (
+            "from repro.graphs.properties import bfs_distances\n"
+            "def connected(graph, live):\n"
+            "    mask = live[graph.csr_target]\n"
+            "    return (bfs_distances(graph, 0, slot_mask=mask)[live] >= 0).all()\n"
+        )
+        report = self.run_at(OneTraversalRule(), tmp_path, "src/repro/congest/z.py", caller)
+        assert not report.findings
+        # Tests and benchmarks may read the CSR arrays directly.
+        report = run_rule(OneTraversalRule(), tmp_path, kernel)
+        assert not report.findings
 
 
 # ----------------------------------------------------------------------
