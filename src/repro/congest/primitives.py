@@ -494,16 +494,8 @@ def charged_convergecast(
     combine: Callable[[Any, Any], Any],
     *,
     words: int = 1,
-    participants: set[int] | None = None,
 ) -> Any:
-    """Fast-path convergecast: same result and cost as the protocol.
-
-    ``participants`` optionally marks the nodes that actually carry
-    information (e.g. holders of at least one walk token); nodes outside the
-    ancestor closure of the participants stay silent, reducing the message
-    charge — the sweep still takes ``height`` rounds because levels proceed
-    in lockstep (Algorithm 3's "for i = D down to 0").
-    """
+    """Fast-path convergecast: same result and cost as the protocol."""
     if words > network.max_words:
         raise ProtocolError(f"convergecast payload of {words} words exceeds cap")
     acc = list(values)
@@ -511,11 +503,7 @@ def charged_convergecast(
     for node in memoryview(tree.nodes_by_depth_desc()):
         if node != root:
             acc[parent[node]] = combine(acc[parent[node]], acc[node])
-    if participants is None:
-        reporters: Collection[int] = [v for v in range(tree.n) if v != tree.root]
-    else:
-        reporters = tree.closure(participants)
-    charge_closures(network, tree, [(reporters, 1)])
+    charge_closures(network, tree, [([v for v in range(tree.n) if v != tree.root], 1)])
     return acc[tree.root]
 
 
