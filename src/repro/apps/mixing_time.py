@@ -100,7 +100,6 @@ def estimate_mixing_time(
     samples: int | None = None,
     threshold: float | None = None,
     max_length: int | None = None,
-    lambda_constant: float = 1.0,
     network: Network | None = None,
 ) -> MixingTimeEstimate:
     """Estimate ``τ^x_mix`` from node ``source``; see module docstring.
@@ -139,7 +138,6 @@ def estimate_mixing_time(
             [source] * k,
             length,
             seed=int(rng.integers(0, 2**63 - 1)),
-            lambda_constant=lambda_constant,
             record_paths=False,
             report_to_source=True,
             network=net,

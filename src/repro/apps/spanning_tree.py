@@ -111,7 +111,6 @@ def random_spanning_tree(
     walks_per_phase: int | None = None,
     initial_length: int | None = None,
     max_phases: int = 40,
-    lambda_constant: float = 1.0,
     network: Network | None = None,
 ) -> RSTResult:
     """Sample a uniform random spanning tree, distributedly.
@@ -145,7 +144,6 @@ def random_spanning_tree(
             [root] * k,
             length,
             seed=int(walk_rng),
-            lambda_constant=lambda_constant,
             record_paths=True,
             report_to_source=False,
             network=net,

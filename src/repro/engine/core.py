@@ -128,9 +128,8 @@ class WalkEngine:
         session; a fixed seed replays the full query stream identically.
     capacity / max_words:
         CONGEST model knobs, forwarded to the owned :class:`Network`.
-    lambda_constant / eta:
-        Default parameter policy (λ's leading constant; Phase-1 walks per
-        unit degree).
+    eta:
+        Default Phase-1 walks per unit degree.
     record_paths:
         Default for pool preparation and one-shot single walks.
     network:
@@ -156,7 +155,6 @@ class WalkEngine:
         seed=None,
         capacity: int = 1,
         max_words: int = 8,
-        lambda_constant: float = 1.0,
         eta: float = 1.0,
         record_paths: bool = True,
         network: Network | None = None,
@@ -171,7 +169,6 @@ class WalkEngine:
             if network is not None
             else Network(graph, capacity=capacity, max_words=max_words, seed=self.rng)
         )
-        self.lambda_constant = lambda_constant
         self._default_eta = eta
         self._default_record_paths = record_paths
         self._num_shards = num_shards
@@ -425,10 +422,8 @@ class WalkEngine:
         """
         d_est = max(1, 2 * tree.height)
         if k > 1:
-            return many_walks_params(
-                k, length, d_est, constant=self.lambda_constant, eta=eta, n=self.graph.n
-            )
-        return single_walk_params(length, d_est, constant=self.lambda_constant, eta=eta, n=self.graph.n)
+            return many_walks_params(k, length, d_est, eta=eta, n=self.graph.n)
+        return single_walk_params(length, d_est, eta=eta, n=self.graph.n)
 
     def _install_pool(self, lam: int, eta: float, record_paths: bool) -> PoolManager:
         """Run Phase 1 into a fresh pool and make it the session's live pool."""
@@ -647,7 +642,6 @@ class WalkEngine:
                 params=params,
                 lam=request.lam,
                 eta=eta,
-                lambda_constant=self.lambda_constant,
                 record_paths=False if request.record_paths is None else request.record_paths,
                 report_to_source=request.report_to_source,
             )
@@ -669,7 +663,6 @@ class WalkEngine:
                 params=params,
                 lam=request.lam,
                 eta=eta,
-                lambda_constant=self.lambda_constant,
                 record_paths=True if request.record_paths is None else request.record_paths,
                 report_to_source=request.report_to_source,
             )
@@ -1199,7 +1192,6 @@ class WalkEngine:
         """Section 4.2's decentralized mixing-time estimation on this session."""
         from repro.apps.mixing_time import estimate_mixing_time
 
-        kwargs.setdefault("lambda_constant", self.lambda_constant)
         result = estimate_mixing_time(self.graph, source, seed=self.rng, network=self.network, **kwargs)
         self._queries += 1
         return result
@@ -1208,7 +1200,6 @@ class WalkEngine:
         """Section 4.1's distributed random spanning tree on this session."""
         from repro.apps.spanning_tree import random_spanning_tree
 
-        kwargs.setdefault("lambda_constant", self.lambda_constant)
         result = random_spanning_tree(self.graph, root=root, seed=self.rng, network=self.network, **kwargs)
         self._queries += 1
         return result

@@ -99,7 +99,6 @@ def _run_many_walks(
     params: WalkParams | None = None,
     lam: int | None = None,
     eta: float = 1.0,
-    lambda_constant: float = 1.0,
     record_paths: bool = False,
     report_to_source: bool = True,
 ) -> ManyWalksResult:
@@ -116,9 +115,7 @@ def _run_many_walks(
 
     d_est, base_tree = estimate_diameter(net, sources[0], tree_cache)
     if params is None:
-        params = many_walks_params(
-            k, length, d_est, constant=lambda_constant, lam=lam, eta=eta, n=graph.n
-        )
+        params = many_walks_params(k, length, d_est, lam=lam, eta=eta, n=graph.n)
         if not params.use_naive and lam is None:
             # Theorem 2.8 takes the min of the two branches; at simulation
             # scale we compare predicted costs directly (the λ > ℓ test
@@ -230,7 +227,6 @@ def many_random_walks(
     params: WalkParams | None = None,
     lam: int | None = None,
     eta: float = 1.0,
-    lambda_constant: float = 1.0,
     record_paths: bool = False,
     report_to_source: bool = True,
     network: Network | None = None,
@@ -247,9 +243,7 @@ def many_random_walks(
     """
     from repro.engine.core import WalkEngine
 
-    engine = WalkEngine(
-        graph, seed=seed, lambda_constant=lambda_constant, eta=eta, network=network
-    )
+    engine = WalkEngine(graph, seed=seed, eta=eta, network=network)
     return engine.walks(
         sources,
         length,

@@ -2,9 +2,9 @@
 
 The paper fixes its parameters inside proofs (with w.h.p. constants like
 ``λ = 24·√(ℓD)·log³n``); a practical implementation keeps the *functional
-form* and exposes the constant.  The algorithms are Las Vegas — parameter
-choice changes round counts, never output correctness — so benches sweep
-the constant while tests pin it.
+form* with a leading constant of 1.  The algorithms are Las Vegas —
+parameter choice changes round counts, never output correctness — so
+benches sweep ``λ`` itself through ``lam=`` while tests pin it.
 
 Functional forms (from Theorem 2.5, Theorem 2.8, and §2.1's recap of
 PODC'09):
@@ -68,19 +68,18 @@ def single_walk_params(
     length: int,
     diameter_estimate: int,
     *,
-    constant: float = 1.0,
     lam: int | None = None,
     eta: float = 1.0,
     n: int | None = None,
 ) -> WalkParams:
-    """Parameters for SINGLE-RANDOM-WALK: ``λ = constant·√(ℓD)``, ``η = 1``.
+    """Parameters for SINGLE-RANDOM-WALK: ``λ = √(ℓD)``, ``η = 1``.
 
     The theorem's ``λ`` carries polylog factors (``24√(ℓD)·log³n``); at
     simulation scale the operative one is Phase-1 congestion, which
     Lemma 2.1 puts at ``Θ(η log n)`` rounds per short-walk step.  When
     ``n`` is provided the default therefore balances
     ``Phase1 ≈ 2λ·log n`` against ``stitching ≈ (ℓ/λ)·Θ(D)`` by using
-    ``λ = constant·√(ℓD / log₂ n)`` — same ``Θ̃(√(ℓD))``, better constants.
+    ``λ = √(ℓD / log₂ n)`` — same ``Θ̃(√(ℓD))``, better constants.
 
     ``lam`` overrides the computed value (benches sweep it).  When
     ``λ ≥ ℓ`` the stitched algorithm cannot beat the naive ``ℓ``-round walk
@@ -92,7 +91,7 @@ def single_walk_params(
         raise WalkError(f"eta must be positive, got {eta}")
     if lam is None:
         congestion = max(1.0, math.log2(n)) if n is not None and n > 1 else 1.0
-        lam = max(1, round(constant * math.sqrt(length * diameter_estimate / congestion)))
+        lam = max(1, round(math.sqrt(length * diameter_estimate / congestion)))
     if lam < 1:
         raise WalkError(f"lambda must be >= 1, got {lam}")
     return WalkParams(
@@ -109,14 +108,13 @@ def many_walks_params(
     length: int,
     diameter_estimate: int,
     *,
-    constant: float = 1.0,
     lam: int | None = None,
     eta: float = 1.0,
     n: int | None = None,
 ) -> WalkParams:
     """Parameters for MANY-RANDOM-WALKS (Theorem 2.8).
 
-    ``λ = constant·(√(kℓD) + k)`` (with the same log₂n congestion
+    ``λ = √(kℓD) + k`` (with the same log₂n congestion
     correction as :func:`single_walk_params` when ``n`` is given); when
     ``λ > ℓ`` the theorem's own case split says to run the naive algorithm
     for all ``k`` walks concurrently (the ``O(k + ℓ)`` branch of the min).
@@ -126,10 +124,7 @@ def many_walks_params(
         raise WalkError(f"k must be >= 1, got {k}")
     if lam is None:
         congestion = max(1.0, math.log2(n)) if n is not None and n > 1 else 1.0
-        lam = max(
-            1,
-            round(constant * (math.sqrt(k * length * diameter_estimate / congestion) + k)),
-        )
+        lam = max(1, round(math.sqrt(k * length * diameter_estimate / congestion) + k))
     return WalkParams(
         lam=int(lam),
         eta=eta,
@@ -143,7 +138,6 @@ def podc09_params(
     length: int,
     diameter_estimate: int,
     *,
-    constant: float = 1.0,
     lam: int | None = None,
     eta: float | None = None,
 ) -> WalkParams:
@@ -156,7 +150,7 @@ def podc09_params(
     _validate(length, diameter_estimate)
     d = diameter_estimate
     if lam is None:
-        lam = max(1, round(constant * length ** (1 / 3) * d ** (2 / 3)))
+        lam = max(1, round(length ** (1 / 3) * d ** (2 / 3)))
     if eta is None:
         eta = max(1.0, (length / d) ** (1 / 3))
     return WalkParams(

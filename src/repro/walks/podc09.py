@@ -40,7 +40,6 @@ def podc09_random_walk(
     params: WalkParams | None = None,
     lam: int | None = None,
     eta: float | None = None,
-    lambda_constant: float = 1.0,
     record_paths: bool = True,
     report_to_source: bool = True,
     network: Network | None = None,
@@ -52,7 +51,7 @@ def podc09_random_walk(
     """
     from repro.engine.core import WalkEngine
 
-    engine = WalkEngine(graph, seed=seed, lambda_constant=lambda_constant, network=network)
+    engine = WalkEngine(graph, seed=seed, network=network)
     return engine.walk(
         source,
         length,

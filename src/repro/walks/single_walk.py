@@ -222,7 +222,6 @@ def _run_single_walk(
     params: WalkParams | None = None,
     lam: int | None = None,
     eta: float | None = 1.0,
-    lambda_constant: float = 1.0,
     record_paths: bool = True,
     report_to_source: bool = True,
 ) -> WalkResult:
@@ -247,11 +246,9 @@ def _run_single_walk(
     d_est, source_tree = estimate_diameter(net, source, tree_cache)
     if params is None:
         if podc09:
-            params = podc09_params(length, d_est, constant=lambda_constant, lam=lam, eta=eta)
+            params = podc09_params(length, d_est, lam=lam, eta=eta)
         else:
-            params = single_walk_params(
-                length, d_est, constant=lambda_constant, lam=lam, eta=eta, n=graph.n
-            )
+            params = single_walk_params(length, d_est, lam=lam, eta=eta, n=graph.n)
 
     if params.use_naive:
         positions_list = graph.walk(source, length, rng)
@@ -325,7 +322,6 @@ def single_random_walk(
     params: WalkParams | None = None,
     lam: int | None = None,
     eta: float = 1.0,
-    lambda_constant: float = 1.0,
     capacity: int = 1,
     record_paths: bool = True,
     report_to_source: bool = True,
@@ -334,8 +330,8 @@ def single_random_walk(
     """Sample the endpoint of an ℓ-step random walk from ``source``.
 
     Parameters mirror the paper: ``λ`` defaults to
-    ``lambda_constant·√(ℓ·D̂)`` using the distributed diameter estimate,
-    ``η = 1`` walk per unit of degree.  ``report_to_source=True`` also
+    :func:`~repro.walks.params.single_walk_params`'s ``Θ(√(ℓ·D̂))`` using
+    the distributed diameter estimate, ``η = 1`` walk per unit of degree.  ``report_to_source=True`` also
     routes the destination's ID back to the source (the 1-RW-SoD variant of
     the problem statement; ``≤ D`` extra rounds), so the quoted round count
     covers the full "source outputs destination" contract.
@@ -354,7 +350,6 @@ def single_random_walk(
         graph,
         seed=seed,
         capacity=capacity,
-        lambda_constant=lambda_constant,
         eta=eta,
         network=network,
     )
