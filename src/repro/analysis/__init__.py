@@ -25,6 +25,7 @@ from repro.analysis.rules import (
     FastPathPairingRule,
     ObsPassivityRule,
     OneTraversalRule,
+    PairKeyRule,
     PhaseRegistryRule,
     SeededRngRule,
     default_rules,
@@ -46,6 +47,7 @@ __all__ = [
     "FastPathPairingRule",
     "ObsPassivityRule",
     "OneTraversalRule",
+    "PairKeyRule",
     "PhaseRegistryRule",
     "SeededRngRule",
     "default_rules",

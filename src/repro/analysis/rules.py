@@ -54,6 +54,14 @@ protocol's accounting discipline becomes a checkable property of the
     :func:`repro.graphs.properties.bfs_distances`; a frontier loop written
     elsewhere would carry its own tie-break and its own meaning of
     "connected".  Search a masked graph through its ``slot_mask``.
+``pair-key``
+    Inside ``src/repro``, only modules under ``src/repro/graphs/`` form or
+    decode a directed pair key ``src·n + dst``: no ``A * n + B``, no
+    ``A // n`` and no ``.pair_index()`` call elsewhere (``n`` is a name
+    ``n`` or an attribute ``.n``).  Form keys with
+    :func:`repro.graphs.graph.pair_keys`, which widens int32 operands that
+    would otherwise wrap, and look slots up with ``Graph.pair_slots``.  A
+    modular wrap ``A % n`` is not a key and is left alone.
 """
 
 from __future__ import annotations
@@ -74,6 +82,7 @@ __all__ = [
     "FastPathPairingRule",
     "ObsPassivityRule",
     "OneTraversalRule",
+    "PairKeyRule",
     "PhaseRegistryRule",
     "SeededRngRule",
     "default_rules",
@@ -820,6 +829,54 @@ class OneTraversalRule(Rule):
         ]
 
 
+class PairKeyRule(Rule):
+    """Only ``src/repro/graphs/`` forms or decodes a directed pair key."""
+
+    name = "pair-key"
+    description = (
+        "in src/repro, outside src/repro/graphs/, no A * n + B, A // n or "
+        ".pair_index() — form keys with repro.graphs.graph.pair_keys"
+    )
+
+    def check(self, src: SourceFile, *, root: Path) -> list[Finding]:
+        if not _in_production_tree(src.path) or _in_subpackage(src.path, "graphs"):
+            return []
+        findings = []
+        for node in ast.walk(src.tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and (
+                _times_n(node.left) or _times_n(node.right)
+            ):
+                message = "forms a pair key A * n + B by hand: call pair_keys"
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) and _is_n(node.right):
+                message = "decodes a pair key A // n: ask the graph for the slots"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "pair_index"
+            ):
+                message = "reads .pair_index() outside repro.graphs: call Graph.pair_slots or has_edge"
+            else:
+                continue
+            findings.append(self.finding(src, node, message))
+        return findings
+
+
+def _is_n(node: ast.expr) -> bool:
+    """Whether ``node`` is the name ``n`` or an attribute ``.n``."""
+    return (isinstance(node, ast.Name) and node.id == "n") or (
+        isinstance(node, ast.Attribute) and node.attr == "n"
+    )
+
+
+def _times_n(node: ast.expr) -> bool:
+    """Whether ``node`` is a product with ``n`` (see :func:`_is_n`) as a factor."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and (_is_n(node.left) or _is_n(node.right))
+    )
+
+
 def default_rules() -> list[Rule]:
     """Fresh instances of every rule, in reporting order."""
     return [
@@ -833,4 +890,5 @@ def default_rules() -> list[Rule]:
         BareAssertRule(),
         BareUniqueRule(),
         OneTraversalRule(),
+        PairKeyRule(),
     ]

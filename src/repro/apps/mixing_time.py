@@ -212,6 +212,7 @@ def power_iteration_mixing_time(
     mass = np.zeros(graph.n)
     mass[source] = 1.0
     inv_wdeg = 1.0 / graph.weighted_degrees
+    sources, slot_weight = graph.slot_sources(), graph.edge_weights()[graph.csr_edge]
 
     tree_cache: dict[int, BfsTree] = {}
     with net.phase(BASELINE_SETUP):
@@ -222,7 +223,7 @@ def power_iteration_mixing_time(
     with net.phase(BASELINE_POWER_ITERATION):
         while step < limit:
             # One distributed averaging step: every edge carries one value.
-            contrib = mass[graph.csr_source] * graph.csr_weight * inv_wdeg[graph.csr_source]
+            contrib = mass[sources] * slot_weight * inv_wdeg[sources]
             new_mass = np.zeros(graph.n)
             np.add.at(new_mass, graph.csr_target, contrib)
             mass = new_mass

@@ -40,7 +40,7 @@ from repro.congest.ledger import RoundLedger
 from repro.congest.message import Message
 from repro.congest.protocol import Protocol, ProtocolAPI
 from repro.errors import ProtocolError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, pair_keys
 from repro.util.arrays import sorted_unique
 from repro.util.rng import make_rng
 
@@ -144,15 +144,6 @@ class Network:
     def messages_sent(self) -> int:
         return self.ledger.messages
 
-    def are_adjacent(self, u: int, v: int) -> bool:
-        return self.graph.has_edge(u, v)
-
-    def edge_multiplicity(self, u: int, v: int) -> int:
-        """Number of parallel edges carrying ``u -> v`` traffic."""
-        keys, _ = self.graph.pair_index()
-        key = u * self.graph.n + v
-        return int(np.searchsorted(keys, key, side="right") - np.searchsorted(keys, key))
-
     def phase(self, name: str):
         """Attribute subsequent costs to phase ``name`` (context manager)."""
         return self.ledger.phase(name)
@@ -160,14 +151,6 @@ class Network:
     # ------------------------------------------------------------------
     # Heatmap attribution support
     # ------------------------------------------------------------------
-    def edge_slots_for_pairs(
-        self, sources: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        """Representative directed CSR slot per (src, dst) pair; -1 if absent."""
-        return self.graph.pair_slots(
-            np.asarray(sources, dtype=np.int64) * self.graph.n + np.asarray(targets, dtype=np.int64)
-        )
-
     def _stage_slots(
         self,
         slots: np.ndarray,
@@ -311,7 +294,8 @@ class Network:
         Used when the caller has hop endpoints rather than CSR slots (walk
         regeneration re-sends along recorded trajectories).  Parallel edges
         between one node pair pool bandwidth here — identical to the
-        event-driven engine's per-pair FIFO queues.
+        event-driven engine's per-pair FIFO queues: loads count per
+        :func:`~repro.graphs.graph.pair_keys` key, staged on the pair's first slot.
         """
         src = np.asarray(list(sources) if not isinstance(sources, np.ndarray) else sources, dtype=np.int64)
         dst = np.asarray(list(targets) if not isinstance(targets, np.ndarray) else targets, dtype=np.int64)
@@ -320,8 +304,8 @@ class Network:
         if src.size == 0:
             return 0
         self._check_words(words)
-        pair_keys, loads = np.unique(src * self.graph.n + dst, return_counts=True)
-        slots = self.graph.pair_slots(pair_keys) if self.heatmap is not None else None
+        keys, loads = np.unique(pair_keys(src, dst, self.graph.n), return_counts=True)
+        slots = self.graph.pair_slots(keys) if self.heatmap is not None else None
         return self._deliver_loads(slots, loads, int(src.size))
 
     def deliver_sequential(
@@ -354,12 +338,12 @@ class Network:
                     dtype=np.int64,
                 )
                 if nodes.size > hop_count:
-                    keys = nodes[:hop_count] * self.graph.n + nodes[1 : hop_count + 1]
-                    pair_keys, hops = np.unique(keys, return_counts=True)
+                    keys = pair_keys(nodes[:hop_count], nodes[1 : hop_count + 1], self.graph.n)
+                    keys, hops = np.unique(keys, return_counts=True)
                     self._stage_slots(
-                        self.graph.pair_slots(pair_keys),
+                        self.graph.pair_slots(keys),
                         hops * messages_per_hop,
-                        np.ones(pair_keys.size, dtype=np.int64),
+                        np.ones(keys.size, dtype=np.int64),
                     )
             self.ledger.charge(hop_count, messages=hop_count * messages_per_hop, congestion=1)
         return hop_count
@@ -420,21 +404,21 @@ class Network:
         """Pop up to ``capacity`` messages from each directed edge; charge 1 round."""
         delivered: list[Message] = []
         congestion = 0
-        staged: list[tuple[int, int, int]] | None = [] if self.heatmap is not None else None
-        n = self.graph.n
+        staged: list[tuple[int, int, int, int]] | None = [] if self.heatmap is not None else None
         for key in list(self._queues):
             queue = self._queues[key]
             load = len(queue)
             congestion = max(congestion, load)
             take = min(self.capacity, load)
             if staged is not None and take:
-                staged.append((key[0] * n + key[1], take, load))
+                staged.append((*key, take, load))
             for _ in range(take):
                 delivered.append(queue.popleft())
             if not queue:
                 del self._queues[key]
         if staged:
             cols = np.asarray(staged, dtype=np.int64)
-            self._stage_slots(self.graph.pair_slots(cols[:, 0]), cols[:, 1], cols[:, 2])
+            slots = self.graph.pair_slots(pair_keys(cols[:, 0], cols[:, 1], self.graph.n))
+            self._stage_slots(slots, cols[:, 2], cols[:, 3])
         self.ledger.charge(1, messages=len(delivered), congestion=congestion)
         return delivered

@@ -31,7 +31,7 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.protocol import Protocol, ProtocolAPI
 from repro.errors import ProtocolError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, pair_keys
 from repro.graphs.properties import bfs_tree
 from repro.util.contracts import charged_fast_path
 
@@ -58,12 +58,12 @@ class TreeSlots:
     """A BFS tree's directed CSR slots on one network topology.
 
     ``up[v]`` and ``down[v]`` are the representative slots of ``v →
-    parent[v]`` and ``parent[v] → v`` — the first CSR slot of the pair, the
-    rule of :meth:`~repro.congest.network.Network.edge_slots_for_pairs` —
-    or ``-1`` where the pair has no live slot, which happens only for an
-    unreached node of an ``allow_unreached`` tree (its ``parent`` defaults
-    to the root).  The root's own entries are never read.  ``flood`` counts
-    the flood's explore sends per slot and ``flood_first`` is the slot of
+    parent[v]`` and ``parent[v] → v`` — the first CSR slot of the pair, as
+    :meth:`~repro.graphs.graph.Graph.pair_slots` finds it — or ``-1`` where
+    the pair has no live slot, which happens only for an unreached node of
+    an ``allow_unreached`` tree (its ``parent`` defaults to the root).  The
+    root's own entries are never read.  ``flood`` counts the flood's
+    explore sends per slot and ``flood_first`` is the slot of
     its lowest ``(src, dst)`` pair, where :func:`_stage_flood` folds count
     drift.  ``parent`` is the tree's own int32 parent array.  ``topology``
     is the stamp of the network topology the slots were read on, which
@@ -177,20 +177,15 @@ class BfsTree:
 
 def _read_slots(tree: BfsTree, network: Network) -> TreeSlots:
     """Read ``tree``'s slots off the pair index of ``network``'s graph."""
+    graph = network.graph
     nodes = np.arange(tree.n, dtype=np.int64)
     parent = tree.parent
-    up = network.edge_slots_for_pairs(nodes, parent)
-    down = network.edge_slots_for_pairs(parent, nodes)
+    up = graph.pair_slots(pair_keys(nodes, parent, graph.n))
+    down = graph.pair_slots(pair_keys(parent, nodes, graph.n))
     # The flood sends one explore per distinct directed non-loop pair, except
-    # a non-root node's pair to its own parent.  Pair keys are sorted, so the
-    # first entry of each run of equal keys is that pair's representative.
-    keys, order = network.graph.pair_index()
-    n = network.graph.n
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    first &= keys // n != keys % n
-    pair_slots = order[first]
-    flood = np.zeros(network.graph.n_slots, dtype=np.int64)
+    # a non-root node's pair to its own parent.
+    pair_slots = graph.distinct_pair_slots()
+    flood = np.zeros(graph.n_slots, dtype=np.int64)
     flood[pair_slots] = 1
     to_parent = np.delete(up, tree.root)
     flood[to_parent[to_parent >= 0]] = 0
@@ -328,8 +323,7 @@ def stage_tree_hops(
     n = network.graph.n
     up = np.asarray(climbs, dtype=np.int64)
     down = np.asarray(descents, dtype=np.int64)
-    # ``parent`` is int32: widen it before forming a pair key.
-    keys = np.concatenate([up * n + parent[up], parent[down].astype(np.int64) * n + down])
+    keys = np.concatenate([pair_keys(up, parent[up], n), pair_keys(parent[down], down, n)])
     hop_slots = np.concatenate([slots.up[up], slots.down[down]])
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     network._stage_slots(hop_slots[first], counts, np.ones(first.size, dtype=np.int64))

@@ -56,7 +56,7 @@ class ProtocolAPI:
                 f"message of {words} words exceeds the engine's {self._network.max_words}-word"
                 " bandwidth cap; split it across rounds"
             )
-        if not self._network.are_adjacent(src, dst):
+        if not self.graph.has_edge(src, dst):
             raise ProtocolError(f"node {src} tried to message non-neighbor {dst}")
         self._outbox.append(Message(src=src, dst=dst, payload=payload, words=words))
 

@@ -271,7 +271,7 @@ class WalkEngine:
         self.network.refresh_topology()
         heatmap = self.obs.heatmap
         if heatmap is not None:
-            heatmap.apply_remap(remap, n=graph.n, edge_src=graph.csr_source, edge_dst=graph.csr_target)
+            heatmap.apply_remap(remap, n=graph.n, edge_src=graph.slot_sources(), edge_dst=graph.csr_target)
         self._tree_cache.clear()
         return remap
 
@@ -346,7 +346,7 @@ class WalkEngine:
         self.network.heatmap = heatmap
         if heatmap is not None:
             graph = self.graph
-            heatmap.bind_topology(graph.n, graph.csr_source, graph.csr_target)
+            heatmap.bind_topology(graph.n, graph.slot_sources(), graph.csr_target)
         probe.attached(self.network.ledger)
         return probe
 
@@ -975,12 +975,15 @@ class WalkEngine:
         tree rebuilds (re-rooted to a live node when the root crashed), and
         in-flight slots truncate to their longest still-valid prefix —
         surviving prefixes are *replayed*, never resampled.  Slots parked
-        on a crashed connector stall rather than drop: they wait out the
-        scheduled recovery (idle rounds billed to ``"serve/recovery"``,
-        exponentially backed off), and a stalled walk whose source is
-        crashed-for-good raises :class:`~repro.errors.WalkError` instead of
-        spinning.  Without a controller the loop below is charge-identical
-        to the PR-3 code (the golden-ledger contract).
+        on a crashed connector, or on a live one the shared tree does not
+        reach (a crash that cut the live graph), stall rather than drop:
+        they wait out the scheduled recovery (idle rounds billed to
+        ``"serve/recovery"``, exponentially backed off), whose tree rebuild
+        lets them resume.  A stalled walk whose source is crashed-for-good,
+        or that is cut off with no fault step pending, raises
+        :class:`~repro.errors.WalkError` instead of spinning.  Without a
+        controller the loop below is charge-identical to the PR-3 code (the
+        golden-ledger contract).
         """
         net = self.network
         store = pool.store
@@ -1009,16 +1012,25 @@ class WalkEngine:
                 i for i in range(k) if slots[i].completed <= slots[i].length - loop_margin
             ]
             if faults is not None:
-                live = faults.live
-                # A slot on a crashed node cannot advance — and cannot run
-                # its tail either, so even within-margin slots block exit.
-                blocked = [i for i in range(k) if not live[slots[i].current]]
-                active = [i for i in active if live[slots[i].current]]
+                live, depth = faults.live, base_tree.depth
+                # A slot on a crashed node, or on a node the shared tree does
+                # not reach, cannot advance — and cannot run its tail
+                # either, so even within-margin slots block exit.
+                servable = [live[slot.current] and depth[slot.current] >= 0 for slot in slots]
+                blocked = [i for i in range(k) if not servable[i]]
+                active = [i for i in active if servable[i]]
                 if blocked and not active:
                     # Nothing serviceable: every remaining walk sits on a
-                    # crashed node.  Wait out the scheduled recovery, or
-                    # fail loudly on a permanent crash-stop.
+                    # crashed or cut-off node.  Wait out the scheduled
+                    # recovery, or fail loudly when none can come.
                     faults.require_recovery([slots[i].source for i in blocked])
+                    if faults.next_pending_round() is None:
+                        stuck = slots[blocked[0]]
+                        raise WalkError(
+                            f"walk from source {stuck.source} is cut off at node "
+                            f"{stuck.current} from the sampling root {root} with no "
+                            "fault step pending; cannot serve"
+                        )
                     faults.wait_for_next_step()
                     continue
             if not active:

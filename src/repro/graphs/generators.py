@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, pair_keys
 from repro.util.arrays import sorted_unique
 from repro.util.rng import make_rng
 
@@ -226,7 +226,7 @@ def random_regular_graph(n: int, d: int, rng=None, *, max_tries: int = 500) -> G
         if np.any(pairs[:, 0] == pairs[:, 1]):
             continue
         canon = np.sort(pairs, axis=1)
-        keys = canon[:, 0] * n + canon[:, 1]
+        keys = pair_keys(canon[:, 0], canon[:, 1], n)
         if len(sorted_unique(keys)) != len(keys):
             continue
         g = Graph(n, [tuple(map(int, e)) for e in canon], name=f"random_regular(n={n},d={d})")

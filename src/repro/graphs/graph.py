@@ -12,7 +12,9 @@ Design notes
 * Each undirected edge ``{u, v}`` is stored twice, once per direction.  The
   position of a directed edge in the CSR arrays is its **slot**, used as the
   canonical directed-edge identifier by the CONGEST engine's congestion
-  ledger (`slot j` = directed edge ``csr_source[j] -> csr_target[j]``).
+  ledger (`slot j` = directed edge ``slot_sources()[j] -> csr_target[j]``;
+  only ``indptr``, ``csr_target`` and ``csr_edge`` are stored per slot, and
+  :func:`pair_keys` forms every directed pair key).
 * Parallel edges and self-loops are allowed (the lower-bound reduction of
   Section 3.2 uses multigraph semantics; lazy walks use self-loops).  A
   self-loop occupies a single slot and contributes 1 to the degree, and is
@@ -34,7 +36,12 @@ import numpy as np
 from repro.errors import GraphError
 from repro.util.arrays import sorted_unique
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "pair_keys"]
+
+
+def pair_keys(src, dst, n: int) -> np.ndarray:
+    """Directed pair keys ``src·n + dst``, widened to int64: under NumPy 2 an int32 id would wrap."""
+    return np.asarray(src, dtype=np.int64) * n + np.asarray(dst, dtype=np.int64)
 
 
 class Graph:
@@ -112,9 +119,8 @@ class Graph:
 
         The CSR arrays come from one sorted int64 key per slot, ``source·m +
         edge id``: the key alone yields each slot's source and edge, and the
-        edge's endpoints its target and weight, so no directed copy of the
-        edge list is built.  The CSR arrays stay int64, since pair keys
-        ``src·n + dst`` are formed from them.
+        edge's endpoints its target.  Only ``indptr``, ``csr_target`` and
+        ``csr_edge`` are kept: a slot's source and weight are derived.
         """
         n = self.n
         m = len(edge_arr)
@@ -144,23 +150,20 @@ class Graph:
         targets = eu[slot_edge]
         targets += ev[slot_edge]
         targets -= sources
-        slot_weight = weight_arr[slot_edge]
         degree = np.bincount(sources, minlength=n)
+        self._weighted_degree = np.bincount(sources, weights=weight_arr[slot_edge], minlength=n)
+        del sources
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degree, out=indptr[1:])
         n_slots = int(indptr[-1])
 
         self.indptr = indptr
         self.csr_target = targets
-        self.csr_source = sources
-        self.csr_weight = slot_weight
         self.csr_edge = slot_edge
         self.n_slots = n_slots
         self._degree = degree
         self._min_degree = int(degree.min())
         self._max_degree = int(degree.max())
-        self._weighted_degree = np.zeros(n, dtype=np.float64)
-        np.add.at(self._weighted_degree, sources, slot_weight)
         # Exact equality: weights that differ at all are sampled as weights.
         self._uniform_weights = bool((weight_arr == weight_arr[0]).all()) if self.m else True
         # Per-node cumulative weights for weighted sampling, lazily built.
@@ -218,8 +221,12 @@ class Graph:
         """True when edge weights are not all identical."""
         return not self._uniform_weights
 
+    def slot_sources(self) -> np.ndarray:
+        """Each slot's source as an int64 array, ``v`` repeated ``deg(v)`` times; derived per call."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self._degree)
+
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every slot's directed pair key ``src·n + dst``, sorted, and the slots in that order.
+        """Every slot's directed pair key (:func:`pair_keys`), sorted, and the slots in that order.
 
         Built on first use and dropped when the edges change.  A pair's
         parallel slots sit together in slot order (the sort is stable): the
@@ -227,10 +234,18 @@ class Graph:
         """
         index = self._pairs
         if index is None:
-            keys = self.csr_source * self.n + self.csr_target
+            keys = pair_keys(self.slot_sources(), self.csr_target, self.n)
             order = np.argsort(keys, kind="stable")
             index = self._pairs = (keys[order], order)
         return index
+
+    def distinct_pair_slots(self) -> np.ndarray:
+        """First slot of each distinct directed non-loop pair in key order: what a BFS flood explores."""
+        keys, order = self.pair_index()
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        first &= keys // self.n != keys % self.n
+        return order[first]
 
     def distinct_neighbor_counts(self) -> np.ndarray:
         """Each node's number of distinct neighbours other than itself, int32 (do not mutate).
@@ -239,8 +254,9 @@ class Graph:
         first use and dropped when the edges change.
         """
         if self._distinct is None:
-            non_loop = self.csr_source != self.csr_target
-            keys = sorted_unique(self.csr_source[non_loop] * self.n + self.csr_target[non_loop])
+            sources = self.slot_sources()
+            non_loop = sources != self.csr_target
+            keys = sorted_unique(pair_keys(sources[non_loop], self.csr_target[non_loop], self.n))
             self._distinct = np.bincount(keys // self.n, minlength=self.n).astype(np.int32)
         return self._distinct
 
@@ -255,7 +271,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         """Whether some slot carries ``u → v``: one binary search of :meth:`pair_index`."""
         keys, _ = self.pair_index()
-        key = u * self.n + v
+        key = int(pair_keys(u, v, self.n))
         i = int(keys.searchsorted(key))
         return i < keys.size and int(keys[i]) == key
 
@@ -289,7 +305,7 @@ class Graph:
     # ------------------------------------------------------------------
     def _cumulative_weights(self) -> np.ndarray:
         if self._cumweights is None:
-            self._cumweights = np.cumsum(self.csr_weight)
+            self._cumweights = np.cumsum(self._edge_weights[self.csr_edge])
         return self._cumweights
 
     def random_slot(self, v: int, rng: np.random.Generator) -> int:
@@ -306,7 +322,7 @@ class Graph:
             raise GraphError(f"node {v} is isolated; random walk undefined")
         if self._uniform_weights:
             return int(rng.integers(lo, hi))
-        weights = self.csr_weight[lo:hi]
+        weights = self._edge_weights[self.csr_edge[lo:hi]]
         total = weights.sum()
         offset = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
         return lo + min(offset, hi - lo - 1)
@@ -451,10 +467,8 @@ class Graph:
         # stored edge with that key.
         delete_ids = np.empty(0, dtype=np.int64)
         if len(dels):
-            keys_old = np.minimum(old_edges[:, 0], old_edges[:, 1]) * n + np.maximum(
-                old_edges[:, 0], old_edges[:, 1]
-            )
-            keys_del = np.minimum(dels[:, 0], dels[:, 1]) * n + np.maximum(dels[:, 0], dels[:, 1])
+            keys_old = pair_keys(old_edges.min(axis=1), old_edges.max(axis=1), n)
+            keys_del = pair_keys(dels.min(axis=1), dels.max(axis=1), n)
             order_old = np.argsort(keys_old, kind="stable")
             sorted_old = keys_old[order_old]
             sorted_del = np.sort(keys_del, kind="stable")
@@ -483,10 +497,10 @@ class Graph:
         edge_id_map[keep] = np.arange(int(keep.sum()), dtype=np.int64)
 
         # Snapshot the old slot identity (edge id + orientation side) before
-        # the rebuild clobbers it.
+        # the rebuild clobbers it; a slot is side 1 when its target is not its edge's second end.
         old_n_slots = self.n_slots
         old_csr_edge = self.csr_edge
-        old_side = self.csr_source != old_edges[old_csr_edge, 0]
+        old_side = self.csr_target != old_edges[old_csr_edge, 1]
 
         self._install_edges(new_edges, new_weights)
 
@@ -494,7 +508,7 @@ class Graph:
         # row orientation, so the pair survives verbatim under the new ids.
         slot_of = np.full((max(1, self.m), 2), -1, dtype=np.int64)
         if self.n_slots:
-            new_side = (self.csr_source != new_edges[self.csr_edge, 0]).astype(np.int64)
+            new_side = (self.csr_target != new_edges[self.csr_edge, 1]).astype(np.int64)
             slot_of[self.csr_edge, new_side] = np.arange(self.n_slots, dtype=np.int64)
         slot_remap = np.full(old_n_slots, -1, dtype=np.int64)
         if old_n_slots:

@@ -3,12 +3,13 @@
 :func:`bfs_distances` is the library's one breadth-first traversal, a
 level-synchronous frontier loop over the CSR arrays.  Everything that
 searches a graph breadth-first is built on it: :func:`bfs_tree` and the
-properties below, the generators' connectivity checks, the crash and
-churn samplers' connectivity tests (through a per-slot mask), and the
-charged BFS of :func:`repro.congest.primitives.build_bfs_tree`, which
-reads :func:`bfs_tree` and charges the flood's exact rounds and messages
-on top of it.  So the flood's tie-break and the meaning of "connected"
-live here.
+properties below but :func:`connected_components` (which labels every
+component at once over the edge list), the generators' connectivity
+checks, the crash and churn samplers' connectivity tests (through a
+per-slot mask), and the charged BFS of
+:func:`repro.congest.primitives.build_bfs_tree`, which reads
+:func:`bfs_tree` and charges the flood's exact rounds and messages on top
+of it.  So the flood's tie-break and the meaning of "connected" live here.
 
 These functions themselves are *not* charged rounds — they are the offline
 analysis used by tests and benches (and by algorithm setup where the paper
@@ -145,17 +146,31 @@ def is_connected(graph: Graph) -> bool:
 
 
 def connected_components(graph: Graph) -> list[list[int]]:
-    """List of components, each a sorted list of node IDs."""
-    seen = np.zeros(graph.n, dtype=bool)
-    components: list[list[int]] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        dist = bfs_distances(graph, start)
-        members = sorted(int(v) for v in np.nonzero(dist != UNREACHED)[0] if not seen[v])
-        seen[dist != UNREACHED] = True
-        components.append(members)
-    return components
+    """List of components, each a sorted list of node IDs, by smallest member.
+
+    Labels every component at once, with no search per component: each
+    round hooks the larger label of every edge under the smaller
+    (``np.minimum.at``), then pointer jumping compresses the labels, until
+    both ends of every edge agree.  A label only ever moves to a smaller
+    node of its own component, so each ends up as its component's smallest
+    node.
+    """
+    label = np.arange(graph.n, dtype=np.int64)
+    u, v = graph.edge_array[:, 0], graph.edge_array[:, 1]
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            break
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    order = np.argsort(label, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), graph.n]
+    members = order.tolist()
+    return [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def is_bipartite(graph: Graph) -> bool:

@@ -48,10 +48,11 @@ def transition_matrix(graph: Graph, *, lazy: bool = False) -> np.ndarray:
     """
     n = graph.n
     p = np.zeros((n, n), dtype=np.float64)
+    sources, weights = graph.slot_sources(), graph.edge_weights()[graph.csr_edge]
     for slot in range(graph.n_slots):
-        u = int(graph.csr_source[slot])
+        u = int(sources[slot])
         v = int(graph.csr_target[slot])
-        p[u, v] += graph.csr_weight[slot] / graph.weighted_degree(u)
+        p[u, v] += weights[slot] / graph.weighted_degree(u)
     if lazy:
         p = 0.5 * (np.eye(n) + p)
     return p

@@ -1,12 +1,13 @@
 """Adjacency queries agree with a brute-force count of the edge list.
 
-Four queries answer "is there a ``u → v`` edge, and which slot carries
-it": ``Graph.has_edge``, ``Network.edge_multiplicity``,
-``Network.are_adjacent`` and ``Network.edge_slots_for_pairs``.  On random
-multigraphs with parallel edges and self-loops, before and after a churn
-event (``apply_delta`` plus ``refresh_topology``), each must match a
-count taken straight from ``edge_array``, and ``edge_slots_for_pairs``
-must name the first CSR slot of each pair, or ``-1`` when there is none.
+Three queries answer "is there a ``u → v`` edge, and which slot carries
+it": ``Graph.has_edge``, ``Graph.pair_slots`` over ``pair_keys`` and
+``Graph.distinct_pair_slots``.  On random multigraphs with parallel edges
+and self-loops, before and after a churn event (``apply_delta`` plus
+``refresh_topology``), each must match a count taken straight from
+``edge_array``: ``pair_slots`` names the first CSR slot of each pair, or
+``-1`` when there is none, and ``distinct_pair_slots`` lists that slot for
+every non-loop pair present, in pair-key order.
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Network
-from repro.dynamic import GraphDelta
-from repro.graphs import Graph
+from repro.congest.faults import FaultSchedule, FaultStep
+from repro.dynamic import GraphDelta, sample_churn_delta
+from repro.engine import WalkEngine
+from repro.graphs import Graph, path_graph, random_regular_graph, torus_graph
+from repro.graphs.graph import pair_keys
+from repro.util.rng import make_rng
 
 
 def brute_multiplicity(graph: Graph, u: int, v: int) -> int:
@@ -34,19 +39,22 @@ def brute_first_slot(graph: Graph, u: int, v: int) -> int:
     return -1
 
 
-def check_adjacency(graph: Graph, net: Network) -> None:
+def check_adjacency(graph: Graph) -> None:
     n = graph.n
     us = np.repeat(np.arange(n, dtype=np.int64), n)
     vs = np.tile(np.arange(n, dtype=np.int64), n)
-    slots = net.edge_slots_for_pairs(us, vs)
+    slots = graph.pair_slots(pair_keys(us, vs, n))
+    sources = graph.slot_sources()
+    explored = []
     for u, v, slot in zip(us.tolist(), vs.tolist(), slots.tolist()):
         count = brute_multiplicity(graph, u, v)
         assert graph.has_edge(u, v) == (count > 0), (u, v)
-        assert net.are_adjacent(u, v) == (count > 0), (u, v)
-        assert net.edge_multiplicity(u, v) == count, (u, v)
         assert slot == brute_first_slot(graph, u, v), (u, v)
         if slot >= 0:
-            assert (int(graph.csr_source[slot]), int(graph.csr_target[slot])) == (u, v)
+            assert (int(sources[slot]), int(graph.csr_target[slot])) == (u, v)
+            if u != v:
+                explored.append(slot)
+    assert graph.distinct_pair_slots().tolist() == explored
 
 
 @st.composite
@@ -70,10 +78,10 @@ class TestAdjacencyAgreesWithTheEdgeList:
         n, edges, deletes, inserts = data
         graph = Graph(n, edges)
         net = Network(graph)
-        check_adjacency(graph, net)
+        check_adjacency(graph)
         graph.apply_delta(GraphDelta(insert_edges=inserts, delete_edges=deletes))
         net.refresh_topology()
-        check_adjacency(graph, net)
+        check_adjacency(graph)
 
 
 def brute_distinct(graph: Graph, v: int) -> int:
@@ -107,3 +115,55 @@ class TestDistinctNeighborCounts:
         graph.apply_delta(GraphDelta(insert_edges=[(0, 1), (3, 3), (0, 2)]))
         self.check(graph)
         assert graph.distinct_neighbor_counts().tolist() == [2, 2, 3, 1]
+
+
+class TestTheSlotEncoding:
+    """Slot sources and pair keys are derived in ``repro.graphs``, at int64."""
+
+    def test_has_edge_widens_int32_ids(self):
+        # 49,998 · 50,000 overflows int32: an unwidened key wraps negative.
+        graph = path_graph(50_000)
+        assert graph.has_edge(np.int32(49_998), np.int32(49_999))
+        assert not graph.has_edge(np.int32(49_997), np.int32(49_999))
+
+    def test_pair_keys_of_int32_arrays_equal_the_int64_product(self):
+        n = 50_000
+        rng = np.random.default_rng(0)
+        src = rng.integers(0, n, size=1_000).astype(np.int32)
+        dst = rng.integers(0, n, size=1_000).astype(np.int32)
+        keys = pair_keys(src, dst, n)
+        assert keys.dtype == np.int64
+        np.testing.assert_array_equal(keys, src.astype(np.int64) * n + dst.astype(np.int64))
+
+    def test_slot_sources_repeat_each_node_by_its_degree_across_churn(self):
+        graph = random_regular_graph(200, 4, 1)
+        for _ in range(2):
+            sources = graph.slot_sources()
+            assert sources.dtype == np.int64
+            np.testing.assert_array_equal(
+                sources, np.repeat(np.arange(graph.n), graph.degrees)
+            )
+            graph.apply_delta(sample_churn_delta(graph, make_rng(3), deletes=5, inserts=7))
+
+    def test_an_unobserved_serving_session_never_builds_the_pair_index(self):
+        graph = torus_graph(8, 8)
+        engine = WalkEngine(graph, seed=0)
+        engine.prepare(lam=4)
+        sched = engine.scheduler()
+        sched.submit([0, 9, 27], 64)
+        sched.drain()
+        engine.walks([1, 2], 64)
+        engine.apply_churn(sample_churn_delta(graph, make_rng(1), deletes=2, inserts=2))
+        now = engine.network.rounds
+        engine.attach_faults(
+            FaultSchedule(
+                steps=(
+                    FaultStep(at_round=now + 1, crash=(5,)),
+                    FaultStep(at_round=now + 60, recover=(5,)),
+                )
+            )
+        )
+        sched.submit([3, 40], 128)
+        sched.drain()
+        assert engine.faults.cursor == 2
+        assert graph._pairs is None

@@ -92,7 +92,7 @@ class TestDeliverStepCountingPaths:
         heatmap = None
         if with_heatmap:
             heatmap = HeatmapSink()
-            heatmap.bind_topology(graph.n, graph.csr_source, graph.csr_target)
+            heatmap.bind_topology(graph.n, graph.slot_sources(), graph.csr_target)
             probe = Probe(heatmap=heatmap)
             net.ledger.observer = probe
             probe.attached(net.ledger)

@@ -32,6 +32,7 @@ from repro.graphs import (
     star_graph,
     torus_graph,
 )
+from repro.graphs.graph import pair_keys
 
 
 class TestBfsFlood:
@@ -117,11 +118,11 @@ class TestBfsFlood:
         slots = tree.slots(net)
         nodes = np.arange(g.n)
         parent = np.asarray(tree.parent)
-        np.testing.assert_array_equal(slots.up, net.edge_slots_for_pairs(nodes, parent))
-        np.testing.assert_array_equal(slots.down, net.edge_slots_for_pairs(parent, nodes))
+        np.testing.assert_array_equal(slots.up, g.pair_slots(pair_keys(nodes, parent, g.n)))
+        np.testing.assert_array_equal(slots.down, g.pair_slots(pair_keys(parent, nodes, g.n)))
         # The flood: one explore per directed pair but each child → parent.
         sent = sorted(
-            int(net.edge_slots_for_pairs([u], [v])[0])
+            int(g.pair_slots(pair_keys(u, v, g.n)))
             for u in range(g.n)
             for v in g.neighbor_set(u)
             if u == tree.root or v != tree.parent[u]

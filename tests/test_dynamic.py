@@ -32,9 +32,10 @@ import numpy as np
 import pytest
 
 from repro.congest import FaultStep, Network
+from repro.congest.protocol import ProtocolAPI
 from repro.dynamic import ChurnSpec, GraphDelta, run_churn_loop, sample_churn_delta
 from repro.engine import WalkEngine
-from repro.errors import GraphError, WalkError
+from repro.errors import GraphError, ProtocolError, WalkError
 from repro.graphs import (
     Graph,
     barbell_graph,
@@ -77,14 +78,15 @@ class TestGraphDelta:
         assert g.m == fresh.m and g.n_slots == fresh.n_slots
         assert np.array_equal(g.indptr, fresh.indptr)
         assert np.array_equal(g.csr_target, fresh.csr_target)
-        assert np.array_equal(g.csr_source, fresh.csr_source)
+        assert np.array_equal(g.slot_sources(), fresh.slot_sources())
         assert np.array_equal(g.csr_edge, fresh.csr_edge)
         assert np.array_equal(g.degrees, fresh.degrees)
         assert np.allclose(g.weighted_degrees, fresh.weighted_degrees)
 
     def test_slot_remap_preserves_identity(self):
         g = torus_graph(5, 5)
-        old_src, old_tgt, old_w = g.csr_source.copy(), g.csr_target.copy(), g.csr_weight.copy()
+        old_src, old_tgt = g.slot_sources(), g.csr_target.copy()
+        old_w = g.edge_weights()[g.csr_edge]
         victim = g.edges()[7]
         remap = _apply(g, insert=[(0, 12)], delete=[victim])
         assert remap.old_n_slots == len(old_src)
@@ -93,9 +95,9 @@ class TestGraphDelta:
             if nj < 0:
                 assert {int(old_src[j]), int(old_tgt[j])} == set(victim)
             else:
-                assert g.csr_source[nj] == old_src[j]
+                assert g.slot_sources()[nj] == old_src[j]
                 assert g.csr_target[nj] == old_tgt[j]
-                assert g.csr_weight[nj] == old_w[j]
+                assert g.edge_weights()[g.csr_edge[nj]] == old_w[j]
                 survived += 1
         assert survived == remap.old_n_slots - 2  # both directions of one edge
 
@@ -146,17 +148,22 @@ class TestGraphDelta:
         assert g.has_edge(0, 2) and g.has_edge(2, 0)
         for s in range(g.n_slots):
             r = g.reverse_slot(s)
-            assert g.csr_source[r] == g.csr_target[s] and g.csr_target[r] == g.csr_source[s]
+            sources = g.slot_sources()
+            assert sources[r] == g.csr_target[s] and g.csr_target[r] == sources[s]
 
     def test_network_refresh_topology(self):
         g = torus_graph(4, 4)
         net = Network(g, seed=1)
         u, v = g.edges()[0]
-        assert net.are_adjacent(u, v)
+        assert g.has_edge(u, v)
         _apply(g, insert=[(0, 10)], delete=[(u, v)])
         net.refresh_topology()
-        assert not net.are_adjacent(u, v)
-        assert net.edge_multiplicity(0, 10) == 1
+        assert not g.has_edge(u, v)
+        assert g.has_edge(0, 10) and g.has_edge(10, 0)
+        api = ProtocolAPI(net, net.rng)
+        api.send(0, 10, "hello")
+        with pytest.raises(ProtocolError, match="non-neighbor"):
+            api.send(u, v, "hello")
 
     def test_apply_delta_rejects_out_of_range_and_wrong_type(self):
         g = torus_graph(4, 4)

@@ -79,23 +79,26 @@ class TestAccessors:
         all_slots = sorted(s for v in range(3) for s in g.slots_of(v))
         assert all_slots == list(range(g.n_slots))
 
-    def test_csr_source_consistent(self):
+    def test_slot_sources_consistent(self):
         g = triangle()
+        sources = g.slot_sources()
+        assert sources.dtype == np.int64
         for v in range(3):
             for s in g.slots_of(v):
-                assert g.csr_source[s] == v
+                assert sources[s] == v
 
     def test_reverse_slot_involution(self):
         g = triangle()
         for s in range(g.n_slots):
             r = g.reverse_slot(s)
             assert g.reverse_slot(r) == s
-            assert g.csr_source[s] == g.csr_target[r]
-            assert g.csr_target[s] == g.csr_source[r]
+            assert g.slot_sources()[s] == g.csr_target[r]
+            assert g.csr_target[s] == g.slot_sources()[r]
 
     def test_reverse_slot_self_loop(self):
         g = Graph(2, [(0, 1), (1, 1)])
-        loop_slot = next(s for s in range(g.n_slots) if g.csr_source[s] == g.csr_target[s])
+        sources = g.slot_sources()
+        loop_slot = next(s for s in range(g.n_slots) if sources[s] == g.csr_target[s])
         assert g.reverse_slot(loop_slot) == loop_slot
 
     def test_total_weight(self):
@@ -225,7 +228,7 @@ class TestHypothesisCrossChecks:
         pos = np.arange(n, dtype=np.int64)
         for _ in range(3):
             slots = g.step_walk_slots(pos, rng)
-            assert np.array_equal(g.csr_source[slots], pos)
+            assert np.array_equal(g.slot_sources()[slots], pos)
             pos = g.csr_target[slots]
 
 
@@ -330,7 +333,7 @@ class TestRegularDraw:
         rng, ref = make_rng(4), make_rng(4)
         slots = g.step_walk_slots(positions, rng)
         assert np.array_equal(slots, 4 * positions + ref.integers(0, 4, size=g.n))
-        assert np.array_equal(g.csr_source[slots], positions)
+        assert np.array_equal(g.slot_sources()[slots], positions)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -355,7 +358,7 @@ class TestCsrOrder:
         dst = np.concatenate([ev, eu[non_loop]])
         eid = np.concatenate([eids, eids[non_loop]])
         order = np.lexsort((eid, src))
-        assert np.array_equal(g.csr_source, src[order])
+        assert np.array_equal(g.slot_sources(), src[order])
         assert np.array_equal(g.csr_target, dst[order])
         assert np.array_equal(g.csr_edge, eid[order])
 
@@ -370,9 +373,14 @@ class TestCsrOrder:
         src = np.concatenate([arr[:, 0], arr[:, 1][non_loop]])
         eid = np.concatenate([np.arange(len(arr)), np.flatnonzero(non_loop)])
         order = np.lexsort((eid, src))
-        assert np.array_equal(g.csr_weight, np.concatenate([weights, weights[non_loop]])[order])
+        slot_weight = g.edge_weights()[g.csr_edge]
+        assert np.array_equal(slot_weight, np.concatenate([weights, weights[non_loop]])[order])
         assert np.array_equal(g.degrees, np.bincount(src, minlength=n))
         assert np.array_equal(g.indptr, np.concatenate([[0], np.cumsum(g.degrees)]))
+        # Summed in slot order, exactly as an unbuffered per-slot add would.
+        by_slot = np.zeros(n)
+        np.add.at(by_slot, src[order], slot_weight)
+        assert np.array_equal(g.weighted_degrees, by_slot)
 
 
 class _FloatDrawsOnly:

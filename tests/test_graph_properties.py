@@ -183,6 +183,34 @@ class TestAgainstNetworkx:
             want = sorted(sorted(c) for c in nx.connected_components(h))
             assert connected_components(g) == want, g.name
 
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: Graph(20_000, []),
+            lambda: Graph(20_000, [(2 * i + 1, 2 * i) for i in range(10_000)]),
+        ],
+        ids=["edgeless-20k", "disjoint-edges-10k"],
+    )
+    def test_many_components(self, factory):
+        g = factory()
+        want = sorted(sorted(c) for c in nx.connected_components(g.to_networkx()))
+        assert connected_components(g) == want
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_multigraph_components(self, data):
+        n, edges = data
+        g = Graph(n, edges)
+        want = sorted(sorted(c) for c in nx.connected_components(g.to_networkx()))
+        assert connected_components(g) == want
+
     @given(connected_graphs())
     @settings(max_examples=30, deadline=None)
     def test_diameter_matches(self, data):

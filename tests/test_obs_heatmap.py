@@ -52,6 +52,7 @@ from repro.congest.primitives import (
     stage_tree_hops,
 )
 from repro.dynamic import GraphDelta, sample_churn_delta
+from repro.graphs.graph import pair_keys
 from repro.obs import HeatmapSink, Probe, SloMonitor, Tracer
 from repro.walks import single_random_walk
 
@@ -65,7 +66,7 @@ def golden_run_with_heatmap(name: str):
     graph = factory()
     net = Network(graph, seed=0)
     heatmap = HeatmapSink()
-    heatmap.bind_topology(graph.n, graph.csr_source, graph.csr_target)
+    heatmap.bind_topology(graph.n, graph.slot_sources(), graph.csr_target)
     probe = Probe(heatmap=heatmap)
     net.ledger.observer = probe
     probe.attached(net.ledger)
@@ -434,8 +435,8 @@ class TestEdgeMapPinned:
         net = engine.network
         nodes = np.array([v for v in range(tree.n) if v != tree.root], dtype=np.int64)
         parents = np.asarray(tree.parent, dtype=np.int64)[nodes]
-        up = net.edge_slots_for_pairs(nodes, parents)
-        down = net.edge_slots_for_pairs(parents, nodes)
+        up = net.graph.pair_slots(pair_keys(nodes, parents, net.graph.n))
+        down = net.graph.pair_slots(pair_keys(parents, nodes, net.graph.n))
         assert (up >= 0).all() and (down >= 0).all()
         want = np.bincount(np.concatenate([up, down]), minlength=net.graph.n_slots)
         want[up[nodes == tree.children[tree.root][0]]] += 6  # the root funnel
@@ -449,14 +450,14 @@ class TestEdgeMapPinned:
         graph = Graph(6, [(1, 2), (0, 1), (0, 3), (2, 3)])
         net = Network(graph)
         heatmap = HeatmapSink()
-        heatmap.bind_topology(graph.n, graph.csr_source, graph.csr_target)
+        heatmap.bind_topology(graph.n, graph.slot_sources(), graph.csr_target)
         probe = Probe(heatmap=heatmap)
         net.ledger.observer = probe
         probe.attached(net.ledger)
         net.heatmap = heatmap
         tree = build_bfs_tree(net, 0, allow_unreached=True)
         assert tree.parent[1] == 0 and tree.parent[2] == 1 and tree.depth[5] == -1
-        to_root, to_child = net.edge_slots_for_pairs([1, 1], [0, 2])
+        to_root, to_child = graph.pair_slots(pair_keys([1, 1], [0, 2], graph.n))
         assert to_child < to_root
         with net.phase(REPORT):
             stage_tree_hops(net, tree, [1, 5], [2])  # 5 → 0 has no slot
@@ -485,7 +486,7 @@ class TestRemap:
         rng = np.random.default_rng(5)
         graph = random_regular_graph(64, 4, 9)
         sink = HeatmapSink()
-        sink.bind_topology(graph.n, graph.csr_source, graph.csr_target)
+        sink.bind_topology(graph.n, graph.slot_sources(), graph.csr_target)
         old_slots = sink.n_slots
         sink.stage_edges(np.arange(old_slots), np.ones(old_slots, dtype=np.int64))
         sink.settle_charge("phase1", 1, old_slots, 1)
@@ -494,13 +495,13 @@ class TestRemap:
 
         remap = graph.apply_delta(sample_churn_delta(graph, rng, deletes=6, inserts=6))
         sink.apply_remap(
-            remap, n=graph.n, edge_src=graph.csr_source, edge_dst=graph.csr_target
+            remap, n=graph.n, edge_src=graph.slot_sources(), edge_dst=graph.csr_target
         )
         # Conserved: every old message is on a surviving slot or retired.
         assert sink.attributed_messages("phase1") == before
         assert sink.retired_messages("phase1") == 2 * remap.edges_deleted
         assert sink.located_messages("phase1") == before - 2 * remap.edges_deleted
-        assert sink.n_slots == remap.new_n_slots == len(graph.csr_source)
+        assert sink.n_slots == remap.new_n_slots == len(graph.slot_sources())
         # New slots (inserted edges) start with no history.
         totals = sink.slot_totals()
         assert int((totals > 1).sum()) == 0
@@ -509,24 +510,24 @@ class TestRemap:
     def test_rebind_with_wrong_slot_count_is_an_error(self):
         graph = random_regular_graph(32, 4, 3)
         sink = HeatmapSink()
-        sink.bind_topology(graph.n, graph.csr_source, graph.csr_target)
+        sink.bind_topology(graph.n, graph.slot_sources(), graph.csr_target)
         with pytest.raises(ValueError, match="apply_remap"):
-            sink.bind_topology(graph.n, graph.csr_source[:-2], graph.csr_target[:-2])
+            sink.bind_topology(graph.n, graph.slot_sources()[:-2], graph.csr_target[:-2])
 
     def test_remap_with_wrong_width_is_an_error(self):
         graph = random_regular_graph(32, 4, 3)
         sink = HeatmapSink()
-        sink.bind_topology(graph.n, graph.csr_source, graph.csr_target)
+        sink.bind_topology(graph.n, graph.slot_sources(), graph.csr_target)
         rng = np.random.default_rng(1)
         remap = graph.apply_delta(sample_churn_delta(graph, rng, deletes=0, inserts=4))
         assert remap.new_n_slots != remap.old_n_slots
         sink.apply_remap(
-            remap, n=graph.n, edge_src=graph.csr_source, edge_dst=graph.csr_target
+            remap, n=graph.n, edge_src=graph.slot_sources(), edge_dst=graph.csr_target
         )
         # Replaying the same remap is a width mismatch — caught, not folded.
         with pytest.raises(ValueError, match="slots"):
             sink.apply_remap(
-                remap, n=graph.n, edge_src=graph.csr_source, edge_dst=graph.csr_target
+                remap, n=graph.n, edge_src=graph.slot_sources(), edge_dst=graph.csr_target
             )
 
 

@@ -51,6 +51,7 @@ from hypothesis.stateful import (
 from repro.congest.faults import FaultSchedule, FaultStep
 from repro.dynamic import GraphDelta, sample_churn_delta
 from repro.engine import WalkEngine
+from repro.errors import WalkError
 from repro.graphs import barbell_graph, torus_graph
 from repro.obs import HeatmapSink, Tracer
 from repro.serve import TenantRegistry
@@ -227,16 +228,13 @@ def test_serving_machine_deep():
     _run(max_examples=300, steps=40)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ValueError,
-    reason="a scheduled crash of a node that churn made a cut vertex splits the live "
-    "graph, and the next sweep routes a token to or from a node the shared tree "
-    "cannot reach (depth -1): charge_tree_routes raises 'cannot charge negative cost' "
-    "instead of the slot waiting for the recovery",
-)
-def test_a_crash_that_churn_made_a_cut_vertex_serves():
-    engine, sched, _, _ = serving_engine(barbell_graph(8, 3), 3, lam=4, record_paths=True)
+@pytest.mark.parametrize("record_paths", [True, False])
+@pytest.mark.parametrize("sources", [[17, 0], [0, 17]])
+def test_a_crash_that_churn_made_a_cut_vertex_serves(sources, record_paths):
+    engine, sched, _, _ = serving_engine(
+        barbell_graph(8, 3), 3, lam=4, record_paths=record_paths
+    )
+    snap = engine.network.ledger.capture()
     now = engine.network.rounds
     engine.attach_faults(
         FaultSchedule(
@@ -247,10 +245,30 @@ def test_a_crash_that_churn_made_a_cut_vertex_serves():
         )
     )
     # Sampled on the barbell, the crash of 13 kept the graph connected.  This
-    # churn leaves nodes 16 and 17 joined to each other and to 13 only.
+    # churn leaves nodes 16 and 17 joined to each other and to 13 only, so
+    # the crash cuts them off: a walk parked there waits for the recovery.
     engine.apply_churn(
         GraphDelta(delete_edges=[(v, w) for v in (10, 11, 12, 14, 15) for w in (16, 17)])
     )
-    ticket = sched.submit([17, 0], 64)
+    ticket = sched.submit(sources, 64)
     sched.drain()
     assert ticket.status == DONE
+    assert engine.faults.cursor == 2
+    delta = engine.network.ledger.delta_since(snap)
+    attributed = sum(t["rounds_attributed"] for t in sched.stats().tenants.values())
+    background = sum(delta.phase_rounds.get(phase, 0) for phase in UNATTRIBUTED)
+    assert attributed + background == delta.rounds
+
+
+def test_a_walk_cut_off_with_no_step_pending_raises():
+    engine, sched, _, _ = serving_engine(barbell_graph(8, 3), 3, lam=4, record_paths=True)
+    engine.attach_faults(
+        FaultSchedule(steps=(FaultStep(at_round=engine.network.rounds + 1, crash=(13,)),))
+    )
+    engine.apply_churn(
+        GraphDelta(delete_edges=[(v, w) for v in (10, 11, 12, 14, 15) for w in (16, 17)])
+    )
+    # The tree is rooted in the walks' first source, 17, so the crash cuts 0
+    # off from it, and no recovery is scheduled.
+    with pytest.raises(WalkError, match="source 0 is cut off .* no fault step pending"):
+        engine.walks([17, 0], 64)

@@ -29,6 +29,7 @@ from repro.analysis import (
     FastPathPairingRule,
     ObsPassivityRule,
     OneTraversalRule,
+    PairKeyRule,
     PhaseRegistryRule,
     SeededRngRule,
     analyze_paths,
@@ -720,6 +721,42 @@ class TestOneTraversalRule:
         assert not report.findings
         # Tests and benchmarks may read the CSR arrays directly.
         report = run_rule(OneTraversalRule(), tmp_path, kernel)
+        assert not report.findings
+
+
+# ----------------------------------------------------------------------
+# Rule 11: pair-key
+# ----------------------------------------------------------------------
+class TestPairKeyRule:
+    run_at = staticmethod(TestObsPassivityRule.run_at)
+
+    def test_true_positive_keys_formed_or_decoded_outside_graphs(self, tmp_path):
+        src = (
+            "def slots(net, u, v, n):\n"
+            "    keys, order = net.graph.pair_index()\n"
+            "    key = u * net.graph.n + v\n"
+            "    other = v + n * u\n"
+            "    return keys // n, order, key, other\n"
+        )
+        report = self.run_at(PairKeyRule(), tmp_path, "src/repro/congest/x.py", src)
+        assert [f.lineno for f in report.findings] == [2, 3, 4, 5]
+        assert "pair_keys" in report.findings[1].message
+
+    def test_true_negative_graphs_helper_wraps_and_outside_production(self, tmp_path):
+        kernel = "def keys(src, dst, n):\n    return src * n + dst, src // n\n"
+        report = self.run_at(PairKeyRule(), tmp_path, "src/repro/graphs/y.py", kernel)
+        assert not report.findings
+        caller = (
+            "from repro.graphs.graph import pair_keys\n"
+            "def slots(graph, u, v, step):\n"
+            "    ring = (u + step) % graph.n\n"
+            "    scaled = 2 * graph.n\n"
+            "    return graph.pair_slots(pair_keys(u, v, graph.n)), ring, scaled + 1\n"
+        )
+        report = self.run_at(PairKeyRule(), tmp_path, "src/repro/congest/z.py", caller)
+        assert not report.findings
+        # Tests and benchmarks may form keys to check the graph's.
+        report = run_rule(PairKeyRule(), tmp_path, kernel)
         assert not report.findings
 
 

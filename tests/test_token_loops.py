@@ -60,7 +60,7 @@ class ChargeLog:
 
 def logged_network(name: str, capacity: int) -> tuple[Network, ChargeLog]:
     graph = GRAPHS[name]()
-    pairs = set(zip(graph.csr_source.tolist(), graph.csr_target.tolist()))
+    pairs = set(zip(graph.slot_sources().tolist(), graph.csr_target.tolist()))
     assert len(pairs) == graph.n_slots, "the recount needs a simple graph"
     net = Network(graph, capacity=capacity)
     log = ChargeLog()
