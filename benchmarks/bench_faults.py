@@ -22,15 +22,22 @@ reports
   recovery-bill ratio at 1% crash rate is the headline number
   ``tests/test_perf_smoke.py`` guards (≥ 2×).
 
+One seed's rows move with any change to the RNG stream, so the full sweep
+also runs seeds 1201–1205 (each seed draws its own graph, workload timing
+and crash schedule) and records, per crash rate, every seed's deadline
+misses and round bills with their median, min and max (``by_seed``).  The
+section's ``rows`` are seed 1201's.  ``--quick`` runs one seed.
+
 Deterministic at fixed seeds; measured in simulated rounds::
 
-    PYTHONPATH=src python benchmarks/bench_faults.py           # full sweep
-    PYTHONPATH=src python benchmarks/bench_faults.py --quick   # tiny config
+    PYTHONPATH=src python benchmarks/bench_faults.py           # full sweep, five seeds
+    PYTHONPATH=src python benchmarks/bench_faults.py --quick   # tiny config, one seed
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 import sys
 
 from repro.congest.faults import FaultSchedule
@@ -45,6 +52,10 @@ FAULT_DEGREE = 4
 FAULT_LAM = 5
 FAULT_ETA = 4.0
 FAULT_SEED = 1201
+#: Seeds of the spread block; the first is the one ``rows`` reports.
+FAULT_SEEDS = list(range(FAULT_SEED, FAULT_SEED + 5))
+#: Per-seed figures the spread block keeps for every crash rate.
+SPREAD_KEYS = ("deadline_misses", "total_rounds", "recovery_rounds", "discard_recovery_rounds")
 FAULT_CRASH_RATES = [0.0, 0.001, 0.01]
 FAULT_RECOVER_AFTER = 2_000
 FAULT_REQUESTS = 8
@@ -183,8 +194,43 @@ def bench_faults(
     }
 
 
+def seed_spread(sections: list[dict]) -> dict:
+    """Per crash rate, each section's completions, misses and round bills, and their spread.
+
+    ``sections`` are :func:`bench_faults` results at different seeds, in
+    seed order.  Each row lists one value per seed under every key of
+    :data:`SPREAD_KEYS` the rate reports (the fault-free rate has no
+    discard run), and ``spread`` gives their median, min and max.
+    """
+    rows = []
+    for i, first in enumerate(sections[0]["rows"]):
+        row = {
+            "crash_rate": first["crash_rate"],
+            "completed": [s["rows"][i]["completed"] for s in sections],
+        }
+        spread = {}
+        for key in SPREAD_KEYS:
+            if key in first:
+                values = [s["rows"][i][key] for s in sections]
+                row[key] = values
+                spread[key] = {
+                    "median": statistics.median(values), "min": min(values), "max": max(values)
+                }
+        row["spread"] = spread
+        rows.append(row)
+    return {
+        "seeds": [s["seed"] for s in sections],
+        "deadlines": [s["deadline"] for s in sections],
+        "rows": rows,
+    }
+
+
 def main(argv: list[str]) -> int:
-    section = bench_faults(**QUICK_FAULTS) if "--quick" in argv else bench_faults()
+    if "--quick" in argv:
+        sections = [bench_faults(**QUICK_FAULTS)]
+    else:
+        sections = [bench_faults(seed=seed) for seed in FAULT_SEEDS]
+    section = dict(sections[0], by_seed=seed_spread(sections))
     write_sections({"fault_recovery": section})
     print(
         f"crash-fault serving, n={section['n']} regular({section['degree']}), "
@@ -204,6 +250,13 @@ def main(argv: list[str]) -> int:
             f"recovery {r['recovery_rounds']:>6} rounds  total {r['total_rounds']:>7} "
             f"({r['round_overhead']:.2f}x clean){vs}"
         )
+    by_seed = section["by_seed"]
+    print(f"\nover seeds {by_seed['seeds']} (median [min, max]):")
+    for r in by_seed["rows"]:
+        cells = "  ".join(
+            f"{key} {v['median']:g} [{v['min']}, {v['max']}]" for key, v in r["spread"].items()
+        )
+        print(f"  crash={r['crash_rate']:.2%}  {cells}")
     print(f"\nwrote {RESULT_PATH}")
     return 0
 

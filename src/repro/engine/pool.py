@@ -202,22 +202,21 @@ class PoolManager:
             raise WalkError(
                 f"watermark_fraction must be in (0, 1], got {watermark_fraction}"
             )
-        self.store = WalkStore()
+        self.num_shards = int(min(num_shards, n))
+        self.store = WalkStore(num_shards=self.num_shards)
         self.lam = int(lam)
         self.eta = float(eta)
         self.record_paths = bool(record_paths)
         self.queries = 0
         self.graph = graph
-        self.num_shards = int(min(num_shards, n))
         self.watermark_fraction = float(watermark_fraction)
-        # Shard of every node, cached: occupancy scans bin the store's
-        # dense per-source counts through it.
-        self._shard_ids = np.arange(n, dtype=np.int64) % self.num_shards
-        members = np.bincount(self._shard_ids, minlength=self.num_shards)
-        # Quotas and watermarks come from rebuild_quotas below — ONE home
-        # for the allocation math, shared with the churn cascade.
+        # Shard s holds nodes s, s + S, s + 2S, ...  Quotas and watermarks
+        # come from rebuild_quotas below — ONE home for the allocation
+        # math, shared with the churn cascade.
         self.shards = [
-            PoolShard(shard_id=s, num_sources=int(members[s]), quota=0, low_watermark=1)
+            PoolShard(
+                shard_id=s, num_sources=len(range(s, n, self.num_shards)), quota=0, low_watermark=1
+            )
             for s in range(self.num_shards)
         ]
         # Speculative prefetch: transient per-shard demand fed by the
@@ -234,14 +233,6 @@ class PoolManager:
         # sweep at the flat iteration base and only starts charging for
         # size once size has actually been seen to cost rounds.
         self._congestion_per_token = 0.0
-        # O(1) early-out state for maintain(): after each occupancy scan we
-        # remember how many tokens had been consumed and the smallest
-        # headroom any shard had above its watermark.  Shard occupancy only
-        # *falls* through consumption, so until that many further tokens
-        # are consumed no shard can have crossed — the healthy steady state
-        # skips the O(n) scan entirely.
-        self._consumed_at_scan = -1
-        self._min_margin_at_scan = 0
         self.rebuild_quotas()
 
     # ------------------------------------------------------------------
@@ -256,46 +247,13 @@ class PoolManager:
         return int(source) % self.num_shards
 
     def shard_unused(self) -> np.ndarray:
-        """Unused-token count per shard: one ``bincount`` of the store's dense per-source counts."""
-        counts = self._source_counts()
-        return np.bincount(
-            self._shard_ids, weights=counts, minlength=self.num_shards
-        ).astype(np.int64)
-
-    def _source_counts(self) -> np.ndarray:
-        """Unused tokens per node, length ``n`` (nodes never added as a source hold 0)."""
-        counts, n = self.store.source_count_arrays()[1], self.graph.n
-        return counts if counts.size == n else np.pad(counts[:n], (0, n - min(n, counts.size)))
+        """Unused-token count per shard, kept by the store as it changes: O(shards)."""
+        return self.store.shard_counts()
 
     def depleted_shards(self) -> list[int]:
-        """Shards below their low watermark; a pure read (only sweeps refresh the scan cache)."""
+        """Shards below their low watermark; a pure read."""
         unused = self.shard_unused()
         return [s.shard_id for s in self.shards if unused[s.shard_id] < s.low_watermark]
-
-    def _retired_tokens(self) -> int:
-        """Tokens gone from the pool by any means (consumed or churn-evicted)."""
-        return self.store.tokens_consumed + self.store.tokens_evicted
-
-    def _note_scan(self, unused: np.ndarray) -> None:
-        """Refresh the retired-token early-out after an occupancy scan."""
-        self._consumed_at_scan = self._retired_tokens()
-        self._min_margin_at_scan = min(
-            int(unused[s.shard_id]) - s.low_watermark for s in self.shards
-        )
-
-    def _possibly_depleted(self) -> bool:
-        """Cheap necessary condition for any shard sitting below watermark.
-
-        Occupancy falls only via consumption or churn eviction, so if fewer
-        tokens were retired since the last scan than the smallest shard
-        headroom seen then, every shard is still at or above its watermark.
-        """
-        if self._consumed_at_scan < 0 or self._min_margin_at_scan < 0:
-            return True
-        return (
-            self._retired_tokens() - self._consumed_at_scan
-            >= max(1, self._min_margin_at_scan)
-        )
 
     def rebuild_quotas(self) -> None:
         """Derive base allocations and shard quotas from current degrees.
@@ -308,21 +266,12 @@ class PoolManager:
         step changed the degree profile, so quotas and watermarks track
         the *new* degrees.  Shard
         membership, the refill/served counters, and the congestion price
-        EMA all survive — only the occupancy targets move.  The
-        retired-token early-out is reset: watermarks just changed, so the
-        cached margins are stale.
+        EMA all survive — only the occupancy targets move.
         """
         self.base_counts = token_counts(self.graph.degrees, self.eta, degree_proportional=True)
-        quotas = np.bincount(
-            self._shard_ids, weights=self.base_counts, minlength=self.num_shards
-        ).astype(np.int64)
         for shard in self.shards:
-            shard.quota = int(quotas[shard.shard_id])
-            shard.low_watermark = max(
-                1, int(math.ceil(self.watermark_fraction * int(quotas[shard.shard_id])))
-            )
-        self._consumed_at_scan = -1
-        self._min_margin_at_scan = 0
+            shard.quota = int(self.base_counts[shard.shard_id :: self.num_shards].sum())
+            shard.low_watermark = max(1, int(math.ceil(self.watermark_fraction * shard.quota)))
 
     def outstanding_deficit(self) -> int:
         """Tokens a full watermark sweep would launch *right now*.
@@ -349,7 +298,7 @@ class PoolManager:
         bookkeeping — nothing is charged to the ledger, so admission
         control can price requests for free.
         """
-        _sources, counts = self.refill_plan(list(shard_ids))
+        _sources, counts = self.refill_plan(shard_ids)
         return self._price(int(counts.sum()))
 
     def _price(self, tokens: int) -> int:
@@ -366,21 +315,33 @@ class PoolManager:
     # ------------------------------------------------------------------
     # Background refill
     # ------------------------------------------------------------------
-    def refill_plan(self, shard_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def refill_plan(self, shard_ids) -> tuple[np.ndarray, np.ndarray]:
         """Per-source deficits restoring the given shards to quota.
 
-        Returns parallel ``(sources, counts)`` arrays (ascending source
-        order — deterministic for fixed-seed replay); a source appears only
-        if it currently holds fewer unused tokens than its Phase-1 base
-        allocation.
+        Returns parallel int64 ``(sources, counts)`` arrays (ascending
+        source order — deterministic for fixed-seed replay); a source
+        appears only if it currently holds fewer unused tokens than its
+        Phase-1 base allocation.  Reads only the named shards' sources,
+        O(n·|shards|/num_shards); an id outside ``[0, num_shards)`` raises
+        :class:`~repro.errors.WalkError`.
         """
-        if not shard_ids:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        member = np.zeros(self.num_shards, dtype=bool)
-        member[shard_ids] = True
-        deficit = np.where(member[self._shard_ids], self.base_counts - self._source_counts(), 0)
-        needy = np.nonzero(deficit > 0)[0]
-        return needy, deficit[needy]
+        ids = sorted({int(s) for s in shard_ids})
+        self._check_shard_ids(ids)
+        # Shard s holds s, s + S, ...: one row of S-blocks per block start,
+        # the member columns ascending, so the flattened sources ascend.
+        n, width = self.graph.n, self.num_shards
+        starts = np.arange(0, n, width, dtype=np.int64)
+        sources = (starts[:, None] + np.array(ids, dtype=np.int64)).ravel()
+        sources = sources[sources < n]
+        deficit = self.base_counts[sources] - self.store.counts_for_sources(sources)
+        needy = deficit > 0
+        return sources[needy], deficit[needy]
+
+    def _check_shard_ids(self, shard_ids) -> None:
+        """Raise :class:`~repro.errors.WalkError` naming an id outside ``[0, num_shards)``."""
+        for s in shard_ids:
+            if not 0 <= s < self.num_shards:
+                raise WalkError(f"shard id {s} is not in [0, {self.num_shards})")
 
     def note_demand(self, shard_ids, *, weight: float = 1.0) -> None:
         """Register speculative demand for shards (queued-but-unserviced walks).
@@ -436,9 +397,8 @@ class PoolManager:
 
         A no-op (and zero rounds) when every shard sits at or above its
         watermark — the engine can call this after every request without
-        paying anything in the healthy steady state (an O(1) consumed-token
-        check skips even the occupancy scan until enough tokens have been
-        consumed for some shard to possibly have crossed).
+        paying anything in the healthy steady state: the occupancy check
+        reads one kept count per shard.
 
         With ``round_budget=None`` every depleted shard refills in one
         batched sweep (the PR-3 full-quota behavior).  With a budget the
@@ -459,14 +419,14 @@ class PoolManager:
         ``exclude_shards`` names shards this sweep must not touch even when
         depleted — the serving scheduler's backoff for shards whose refills
         keep stalling on crashed sources.  Excluded depleted shards are
-        reported in ``deferred_shards`` so their deficit stays visible.
+        reported in ``deferred_shards`` so their deficit stays visible.  An
+        excluded id outside ``[0, num_shards)`` raises
+        :class:`~repro.errors.WalkError`, as :meth:`refill_plan` does.
         """
         excluded = frozenset(int(s) for s in exclude_shards) if exclude_shards else frozenset()
+        self._check_shard_ids(excluded)
         try:
-            if not self._possibly_depleted():
-                return EMPTY_REPORT
             unused = self.shard_unused()
-            self._note_scan(unused)
             depleted = [s.shard_id for s in self.shards if unused[s.shard_id] < s.low_watermark]
             skipped = tuple(s for s in depleted if s in excluded)
             depleted = [s for s in depleted if s not in excluded]
@@ -513,7 +473,6 @@ class PoolManager:
         if not ids:
             return EMPTY_REPORT
         unused = self.shard_unused()
-        self._note_scan(unused)
         return self._sweep(network, rng, ids, unused, phase=phase, round_budget=round_budget)
 
     def invalidate(

@@ -44,7 +44,10 @@ per run plus a slice, ascending, filtered by the alive flags.  Small runs
 merge stably with their predecessor (each merge drops retired rows), and a
 run whose rows are all retired leaves the search, so the number of runs
 stays logarithmic over a long session.  Per-source unused counts are a
-dense array indexed by source.
+dense array indexed by source, and beside them the store keeps one unused
+count per shard (source ``v`` is in shard ``v mod num_shards``), updated by
+the same adds, draws and evictions, so a pool's occupancy read costs
+O(shards) however many sources it has.
 
 The one draw rule: a source's unused tokens are its live rows in ascending
 (creation) order, and a draw (:meth:`WalkStore.sample_uniform_token`) is
@@ -173,10 +176,13 @@ class WalkStore:
     The columns are int32 inside and int64 at the API edge (see the
     module's *Widths*).  A held token costs 33 bytes (an int64 id, five
     int32 columns, an alive flag and an int32 run entry) plus the doubling
-    slack, and its path-matrix row when paths are recorded.
+    slack, and its path-matrix row when paths are recorded.  ``num_shards``
+    sets how many per-shard unused counts :meth:`shard_counts` keeps.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, num_shards: int = 1) -> None:
+        if num_shards < 1:
+            raise WalkError(f"num_shards must be >= 1, got {num_shards}")
         cap = _INITIAL_CAPACITY
         self._ids = np.empty(cap, dtype=np.int64)
         self._src = np.empty(cap, dtype=np.int32)
@@ -196,6 +202,9 @@ class WalkStore:
         # Unused counts per source id in [0, _span).
         self._span = 0
         self._counts = np.zeros(0, dtype=np.int64)
+        # Unused counts per shard; source ``v`` counts in ``v % num_shards``.
+        self._num_shards = int(num_shards)
+        self._shard_counts = np.zeros(self._num_shards, dtype=np.int64)
         self._next_token_id = 0
         self.tokens_created = 0
         self.tokens_consumed = 0
@@ -330,7 +339,9 @@ class WalkStore:
 
         run = _Run(base, np.arange(base, base + total, dtype=np.int32), self._src[rows])
         self._grow_sources(run.hi + 1)
-        self._counts[run.keys] += np.diff(run.ptr)
+        added = np.diff(run.ptr)
+        self._counts[run.keys] += added
+        np.add.at(self._shard_counts, run.keys % self._num_shards, added)
         self._push_run(run)
         return ids
 
@@ -359,6 +370,7 @@ class WalkStore:
         self._size = base + 1
         self._grow_sources(record.source + 1)
         self._counts[record.source] += 1
+        self._shard_counts[record.source % self._num_shards] += 1
         self._push_run(
             _Run(base, np.array([base], dtype=np.int32), self._src[base : base + 1])
         )
@@ -375,7 +387,9 @@ class WalkStore:
     def _consume(self, row: int) -> None:
         """Retire live ``row`` as consumed."""
         self._alive[row] = False
-        self._counts[self._src[row]] -= 1
+        source = int(self._src[row])
+        self._counts[source] -= 1
+        self._shard_counts[source % self._num_shards] -= 1
         self.tokens_consumed += 1
         batch = int(self._path_batch[row])
         if batch >= 0:
@@ -438,13 +452,28 @@ class WalkStore:
         """Total unused tokens of ``source`` anywhere in the network."""
         return int(self._counts[source]) if 0 <= source < self._span else 0
 
+    def counts_for_sources(self, sources: np.ndarray) -> np.ndarray:
+        """:meth:`count_for_source` over an int array of sources, as int64."""
+        sources = np.asarray(sources, dtype=np.int64)
+        out = np.zeros(sources.size, dtype=np.int64)
+        known = (sources >= 0) & (sources < self._span)
+        out[known] = self._counts[sources[known]]
+        return out
+
+    def shard_counts(self) -> np.ndarray:
+        """Unused tokens per shard, a fresh int64 copy: O(shards)."""
+        return self._shard_counts.copy()
+
     def source_count_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Parallel ``(sources, unused_counts)`` arrays over every source id.
 
         ``sources`` is ``0, 1, ...`` up to the largest source ever added, so
         ``unused_counts`` is indexable by source id (drained and never-added
         ids report 0; ids past its end hold no tokens).  Both are fresh
-        copies: O(largest source), however few tokens are live.
+        copies: O(largest source), however few tokens are live.  No library
+        code reads it (occupancy comes from :meth:`shard_counts` and
+        :meth:`counts_for_sources`); it stays as a whole-store view for
+        tests and the benchmark's output check.
         """
         counts = self._counts[: self._span].copy()
         return np.arange(counts.size, dtype=np.int64), counts
@@ -563,6 +592,7 @@ class WalkStore:
         sources = self._src[rows].astype(np.int64)
         touched, counts = np.unique(sources, return_counts=True)
         self._counts[touched] -= counts
+        np.subtract.at(self._shard_counts, touched % self._num_shards, counts)
         at = np.searchsorted(np.asarray(self._run_starts), rows, side="right") - 1
         lost = np.bincount(at, minlength=len(self._runs))
         for j in np.flatnonzero(lost)[::-1].tolist():  # descending: deletes keep lower indices

@@ -12,6 +12,7 @@ check at n ∈ {1k, 10k, 50k} is the slow suite's job.
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -228,6 +229,9 @@ class TestBenchHarnessSmoke:
             assert row["completed"] == section["requests"], row  # never dropped
             assert row["recovery_rounds"] > 0, row
             assert row["recovery_speedup"] >= 1.5, row
+        spread = bench_faults.seed_spread([section])
+        assert spread["seeds"] == [section["seed"]]
+        assert [r["completed"] for r in spread["rows"]] == [[section["requests"]]] * len(section["rows"])
 
     def test_committed_fault_recovery_section(self):
         # The PR-6 acceptance bar: on the committed n=10k sweep, under a
@@ -250,6 +254,22 @@ class TestBenchHarnessSmoke:
                 assert row["recovery_rounds"] < row["discard_recovery_rounds"], row
             if row["crash_rate"] == 0.01:
                 assert row["recovery_speedup"] >= 2.0, row
+        # Every seed of the spread block completes every request; its first
+        # seed is the one ``rows`` reports, and each spread is its seeds'.
+        by_seed = section["by_seed"]
+        assert by_seed["seeds"] == bench_faults.FAULT_SEEDS
+        assert by_seed["seeds"][0] == section["seed"]
+        assert [r["crash_rate"] for r in by_seed["rows"]] == [r["crash_rate"] for r in section["rows"]]
+        for row, first in zip(by_seed["rows"], section["rows"]):
+            assert row["completed"] == [section["requests"]] * len(by_seed["seeds"]), row
+            for key in bench_faults.SPREAD_KEYS:
+                if key not in first:
+                    continue
+                values = row[key]
+                assert values[0] == first[key], (key, row)
+                assert row["spread"][key] == {
+                    "median": statistics.median(values), "min": min(values), "max": max(values)
+                }
 
     def test_obs_overhead_harness_live(self):
         # Live tier-1 guard for the PR-9 observability layer: the quick

@@ -28,11 +28,14 @@ import numpy as np
 import pytest
 
 from repro.congest import Network
+from repro.congest.faults import FaultSchedule
+from repro.dynamic import sample_churn_delta
 from repro.engine import MaintenanceReport, WalkEngine
-from repro.engine.pool import default_num_shards
+from repro.engine.pool import PoolManager, default_num_shards
 from repro.errors import WalkError
 from repro.graphs import complete_graph, torus_graph
 from repro.markov import WalkSpectrum
+from repro.serve import TenantRegistry
 from repro.util.rng import make_rng
 from repro.util.stats import chi_square_goodness_of_fit
 from repro.walks import get_more_walks, many_random_walks
@@ -129,21 +132,34 @@ class TestBackgroundRefills:
 
     def test_stats_is_a_pure_read(self, torus_8x8):
         # Every metrics read goes through engine.stats(): reading telemetry
-        # must not rewrite maintain()'s early-out cache, even while a shard
-        # sits below its watermark.
-        engine = WalkEngine(torus_8x8, seed=7, record_paths=False, auto_maintain=False)
-        engine.prepare(length_hint=256)
-        manager = engine.pool
-        watermarks = np.array([s.low_watermark for s in manager.shards])
-        i = 0
-        while (manager.shard_unused() >= watermarks).all():
-            engine.walk(i % torus_8x8.n, 256)
-            i += 1
-            assert i < 200, "stream never depleted any shard"
-        cache = (manager._consumed_at_scan, manager._min_margin_at_scan)
-        stats = engine.stats()
+        # while a shard sits below its watermark must change nothing the
+        # next maintain() decides, draws or charges.
+        def drained():
+            engine = WalkEngine(torus_8x8, seed=7, record_paths=False, auto_maintain=False)
+            engine.prepare(length_hint=256)
+            i = 0
+            while not engine.pool.depleted_shards():
+                engine.walk(i % torus_8x8.n, 256)
+                i += 1
+                assert i < 200, "stream never depleted any shard"
+            return engine
+
+        def after_maintain(engine):
+            report = engine.maintain()
+            store = engine.pool.store
+            return (
+                report,
+                engine.network.ledger.capture(),
+                engine.pool.shard_unused().tolist(),
+                (store.tokens_created, store.tokens_consumed, store.tokens_evicted),
+            )
+
+        read, unread = drained(), drained()
+        stats = read.stats()
         assert stats.shards_below_watermark > 0 and stats.outstanding_deficit > 0
-        assert (manager._consumed_at_scan, manager._min_margin_at_scan) == cache
+        read_after, unread_after = after_maintain(read), after_maintain(unread)
+        assert read_after[0].swept
+        assert read_after == unread_after
 
     def test_request_deltas_plus_maintenance_balance_ledger(self):
         # Background sweeps are charged *between* requests: no request delta
@@ -454,3 +470,121 @@ class TestUniformTokenDraw:
     def test_draw_on_empty_source_returns_none(self):
         store = WalkStore()
         assert store.sample_uniform_token(0, make_rng(0)) is None
+
+
+class TestShardOccupancy:
+    """The store keeps one unused count per shard; refill plans read only their shards."""
+
+    @staticmethod
+    def _drained(graph, seed, *, num_shards=None, walks=40):
+        engine = WalkEngine(
+            graph, seed=seed, record_paths=False, auto_maintain=False, num_shards=num_shards
+        )
+        engine.prepare(length_hint=256)
+        for i in range(walks):
+            engine.walk((7 * i) % graph.n, 256)
+        return engine
+
+    @staticmethod
+    def _full_mask_plan(manager, shard_ids):
+        # Reference: every node's deficit, masked by shard membership, over
+        # the dense per-source counts padded to n (O(n) per plan).
+        n, shards = manager.graph.n, manager.num_shards
+        counts = np.zeros(n, dtype=np.int64)
+        held = manager.store.source_count_arrays()[1][:n]
+        counts[: held.size] = held
+        member = np.zeros(shards, dtype=bool)
+        member[list(shard_ids)] = True
+        shard_of = np.arange(n, dtype=np.int64) % shards
+        deficit = np.where(member[shard_of], manager.base_counts - counts, 0)
+        needy = np.nonzero(deficit > 0)[0]
+        return needy, deficit[needy]
+
+    @pytest.mark.parametrize("num_shards", [None, 7])  # 8 shards of 8 nodes; 7 ragged ones
+    def test_refill_plan_matches_full_mask_formula(self, torus_8x8, num_shards):
+        manager = self._drained(torus_8x8, 7, num_shards=num_shards).pool
+        shards = manager.num_shards
+        rng = make_rng(3)
+        subsets = [[], list(range(shards))[::-1] * 2]
+        subsets += [rng.integers(0, shards, size=int(rng.integers(1, 2 * shards))).tolist()
+                    for _ in range(40)]
+        assert manager.depleted_shards()
+        for ids in subsets:
+            got, want = manager.refill_plan(ids), self._full_mask_plan(manager, ids)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.int64
+                np.testing.assert_array_equal(g, w)
+        assert manager.refill_plan(range(shards))[1].sum() > 0
+
+    def test_shard_ids_outside_range_are_rejected(self, torus_8x8):
+        # Indexing would wrap -1 to the last shard, pricing and refilling
+        # its sources while crediting no shard: every entry point must
+        # name the bad id instead, before anything is charged.
+        engine = self._drained(torus_8x8, 7)
+        manager = engine.pool
+        shards = manager.num_shards
+        assert manager.depleted_shards()
+        before = engine.network.ledger.capture()
+        for bad in (-1, shards):
+            match = f"shard id {bad} is not in"
+            with pytest.raises(WalkError, match=match):
+                manager.refill_plan([0, bad])
+            with pytest.raises(WalkError, match=match):
+                manager.estimate_refill_rounds([bad])
+            with pytest.raises(WalkError, match=match):
+                manager.restore_shards(engine.network, make_rng(0), [bad])
+            with pytest.raises(WalkError, match=match):
+                engine.maintain(exclude_shards=[bad])
+        assert engine.network.ledger.capture() == before
+        assert [s.refills for s in manager.shards] == [0] * shards
+
+    def test_serving_never_copies_the_per_source_counts(self, monkeypatch):
+        # Admission, budgeted maintenance, churn and crash restores and
+        # engine.stats() all read occupancy; none may fall back on the
+        # O(n) whole-store count copy.
+        def refuse(self):
+            raise AssertionError("the serving path copied every per-source count")
+
+        priced = []
+        estimate = PoolManager.estimate_refill_rounds
+
+        def counting(self, shard_ids):
+            priced.append(list(shard_ids))
+            return estimate(self, shard_ids)
+
+        monkeypatch.setattr(WalkStore, "source_count_arrays", refuse)
+        monkeypatch.setattr(PoolManager, "estimate_refill_rounds", counting)
+        graph = torus_graph(8, 8)
+        engine = WalkEngine(graph, seed=3, record_paths=True, auto_maintain=False)
+        engine.prepare(lam=4)
+        tenants = TenantRegistry()
+        tenants.register("bronze", weight=1.0)
+        tenants.register("gold", weight=2.0)
+        sched = engine.scheduler(tenants=tenants, max_batch_walks=8, maintain_round_budget=40)
+
+        def serve(requests):
+            for i in range(requests):
+                sources = [(11 * i + 5 * j) % graph.n for j in range(4)]
+                sched.submit(sources, 64, deadline=2_000, tenant=("bronze", "gold")[i % 2])
+            sched.drain()
+
+        i = 0
+        while not engine.pool.depleted_shards():  # so admission prices a refill
+            engine.walk(i % graph.n, 256)
+            i += 1
+        serve(24)
+        churn = engine.apply_churn(sample_churn_delta(engine.graph, make_rng(1), deletes=3, inserts=3))
+        now = engine.network.rounds
+        schedule = FaultSchedule.sample(
+            engine.graph, crashes=2, start_round=now + 1, end_round=now + 100,
+            recover_after=50, seed=4,
+        )
+        engine.attach_faults(schedule)
+        serve(24)
+        engine.maintain(round_budget=16)
+        assert engine.stats().shard_unused_min is not None
+        assert priced, "no admission priced a shard below its watermark"
+        assert churn.tokens_evicted > 0
+        assert engine.faults.cursor == len(schedule.steps)
+        served = sched.stats()
+        assert served.completed == served.admitted > 0

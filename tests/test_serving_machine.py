@@ -27,7 +27,9 @@ After every step it checks the identities that hold for any RNG stream:
 * heatmap conservation in every phase (located + retired + residual =
   ledger messages), with residual 0 until a fault step fires: stale
   cohort reports and recovery floods leave a known residual after one;
-* live rows = created − consumed − evicted = Σ per-source counts;
+* live rows = created − consumed − evicted = Σ per-source counts, and
+  the pool's per-shard counts bin the per-source counts by ``v mod
+  num_shards``;
 * every ticket is DONE or REJECTED, or still queued or parked.
 
 Tier-1 runs a small derandomized profile; ``pytest -m slow`` a deep one.
@@ -188,10 +190,14 @@ class ServingMachine(RuleBasedStateMachine):
     def tokens_balance(self):
         pool = self.engine.pool
         store = pool.store
-        _sources, counts = store.source_count_arrays()
+        sources, counts = store.source_count_arrays()
         live = store.live_rows().size
         assert live == store.tokens_created - store.tokens_consumed - store.tokens_evicted
         assert live == int(counts.sum()) == pool.unused
+        binned = np.zeros(pool.num_shards, dtype=np.int64)
+        np.add.at(binned, sources % pool.num_shards, counts)
+        assert pool.shard_unused().tolist() == binned.tolist()
+        assert int(pool.shard_unused().sum()) == pool.unused
 
     @invariant()
     def every_ticket_is_accounted_for(self):

@@ -160,6 +160,14 @@ class TestColumnarStore:
                 np.array([0]), np.array([3]), np.array([1]), paths=np.zeros((1, 3), dtype=np.int64)
             )
 
+    def test_shard_counts_default_to_one_shard(self):
+        with pytest.raises(WalkError, match="num_shards"):
+            WalkStore(num_shards=0)
+        store = WalkStore()
+        store.add_batch(np.array([0, 5, 5]), np.array([1, 1, 1]), np.array([1, 4, 6]))
+        assert store.shard_counts().tolist() == [store.total_unused()] == [3]
+        assert store.counts_for_sources(np.array([5, -1, 0, 9, 2])).tolist() == [2, 0, 1, 0, 0]
+
     def test_token_at_matches_tokens_at(self):
         store = WalkStore()
         store.add_batch(

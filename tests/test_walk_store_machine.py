@@ -16,7 +16,9 @@ After every step it checks, for every source:
   ``token_at``);
 * the map from a uniform pick to the token ``sample_uniform_token`` pops;
 * ``count_for_source``;
-* ``total_unused = created − consumed − evicted``.
+* ``total_unused = created − consumed − evicted``;
+* the per-shard counts (``N_SHARDS`` shards, source ``v`` in shard
+  ``v mod N_SHARDS``) bin the per-source counts.
 
 The pick check drains the source, so the checks read from a deep copy and
 leave the store under test as the rules left it.  Tier-1 runs a small
@@ -44,6 +46,7 @@ from repro.util.rng import make_rng
 
 N_NODES = 8
 N_SOURCES = 5
+N_SHARDS = 3
 MAX_LEN = 4
 #: Path columns past a token's length are scratch; the store must never read them.
 JUNK = 10**6
@@ -144,7 +147,7 @@ def _path(draw, source: int, length: int, destination: int, width: int) -> np.nd
 class StoreMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.store = WalkStore()
+        self.store = WalkStore(num_shards=N_SHARDS)
         self.ref = ReferenceStore()
 
     @rule(data=st.data(), size=st.integers(0, 6), with_paths=st.booleans())
@@ -233,6 +236,19 @@ class StoreMachine(RuleBasedStateMachine):
         live = ref.live_rows()
         assert store.total_unused() == ref.created - ref.consumed - ref.evicted == len(live)
         assert store.live_rows().tolist() == live
+
+    @invariant()
+    def shard_counts_bin_source_counts(self):
+        store = self.store
+        want = [0] * N_SHARDS
+        for source in range(N_SOURCES):
+            want[source % N_SHARDS] += self.ref.count(source)
+        assert store.shard_counts().tolist() == want
+        assert sum(want) == store.total_unused()
+        probe = np.arange(-1, N_SOURCES + 2)
+        assert store.counts_for_sources(probe).tolist() == [
+            store.count_for_source(int(v)) for v in probe
+        ]
 
     @invariant()
     def counts_and_order_per_source(self):
