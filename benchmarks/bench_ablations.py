@@ -38,7 +38,7 @@ from repro.walks import (
 def _run_pool_policy(graph, length, lam, counts, seed):
     """Phase 1 with explicit pool sizes, then stitching; returns metrics."""
     net = Network(graph, seed=seed)
-    store = WalkStore()
+    store = WalkStore(net.graph.n)
     rng = derive_rng(seed, "ablation")
     phase1_rounds = perform_short_walks(net, store, lam, rng, counts=counts)
     hub_pool = store.count_for_source(0)
@@ -127,7 +127,7 @@ def test_a2_count_aggregation(benchmark, reporter):
     net_agg = Network(g, seed=0)
     from repro.walks import get_more_walks
 
-    rounds_agg = get_more_walks(net_agg, WalkStore(), 0, count, lam, rng)
+    rounds_agg = get_more_walks(net_agg, WalkStore(g.n), 0, count, lam, rng)
 
     # Naive shipping: every token is its own message (what per-token
     # remaining-length counters would force).
@@ -156,7 +156,7 @@ def test_a2_count_aggregation(benchmark, reporter):
     assert net_raw.ledger.max_congestion > 10
 
     benchmark.pedantic(
-        lambda: get_more_walks(Network(g, seed=1), WalkStore(), 0, count, lam, derive_rng(71, "b")),
+        lambda: get_more_walks(Network(g, seed=1), WalkStore(g.n), 0, count, lam, derive_rng(71, "b")),
         rounds=3,
         iterations=1,
     )

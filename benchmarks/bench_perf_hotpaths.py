@@ -117,7 +117,7 @@ def bench_phase1(n: int, *, seed: int = 42) -> dict:
     counts = token_counts(graph.degrees, 1.0, degree_proportional=True)
 
     def columnar():
-        store = WalkStore()
+        store = WalkStore(graph.n)
         perform_short_walks(
             network, store, LAM, make_rng(seed), counts=counts, record_paths=True
         )

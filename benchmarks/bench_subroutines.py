@@ -43,7 +43,7 @@ def test_e5_phase1_rounds(benchmark, reporter):
     for name, factory in FAMILIES:
         g = factory()
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         counts = token_counts(g.degrees, 1.0, degree_proportional=True)
         rounds = perform_short_walks(net, store, lam, derive_rng(3, name), counts=counts)
         per_lambda = rounds / (2 * lam - 1)
@@ -65,7 +65,7 @@ def test_e5_phase1_rounds(benchmark, reporter):
         net = Network(g, seed=1)
         perform_short_walks(
             net,
-            WalkStore(),
+            WalkStore(net.graph.n),
             lam,
             derive_rng(5, "bench"),
             counts=token_counts(g.degrees, 1.0, degree_proportional=True),
@@ -80,7 +80,7 @@ def test_e5_get_more_walks_rounds(benchmark, reporter):
     for count in [10, 100, 1000, 5000]:
         g = torus_graph(8, 8)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         rounds = get_more_walks(net, store, 0, count, lam, derive_rng(7, count))
         rows.append((count, rounds, net.ledger.max_congestion))
     table = render_table(
@@ -99,7 +99,7 @@ def test_e5_get_more_walks_rounds(benchmark, reporter):
 
     benchmark.pedantic(
         lambda: get_more_walks(
-            Network(torus_graph(8, 8), seed=1), WalkStore(), 0, 1000, lam, derive_rng(9, "b")
+            Network(torus_graph(8, 8), seed=1), WalkStore(64), 0, 1000, lam, derive_rng(9, "b")
         ),
         rounds=3,
         iterations=1,
@@ -111,7 +111,7 @@ def test_e5_sample_destination_rounds(benchmark, reporter):
     for name, factory in FAMILIES:
         g = factory()
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         get_more_walks(net, store, 0, 50, 4, derive_rng(11, name))
         before = net.rounds
         record, _tree = sample_destination(net, store, 0, derive_rng(13, name))
@@ -132,7 +132,7 @@ def test_e5_sample_destination_rounds(benchmark, reporter):
     def run():
         g = torus_graph(8, 8)
         net = Network(g, seed=2)
-        store = WalkStore()
+        store = WalkStore(g.n)
         get_more_walks(net, store, 0, 50, 4, derive_rng(15, "b"))
         sample_destination(net, store, 0, derive_rng(17, "b"))
 

@@ -11,9 +11,9 @@ protocol's accounting discipline becomes a checkable property of the
     fresh phase and leaks rounds out of the family a balance identity or
     telemetry sum is watching.
 ``bulk-only``
-    Token creation goes through ``WalkStore.add_batch`` — a per-record
-    ``add_token`` (or a store-column ``append``) inside a loop is the
-    exact regression the columnar engine removed.  Token *hops* have one
+    Token creation goes through one ``WalkStore.add_batch`` per output — an
+    ``add_batch`` call (or a store-column ``append``) inside a loop is the
+    per-record creation the columnar engine removed.  Token *hops* have one
     loop per charge rule: inside ``src/repro``, ``Graph.step_walk_slots``
     is called only from ``walk_tokens`` (one message per token) and
     ``get_more_walks_batch`` (one message per edge per source).
@@ -199,7 +199,7 @@ class BulkOnlyRule(Rule):
 
     name = "bulk-only"
     description = (
-        "no per-record WalkStore.add_token / store-column append inside "
+        "no WalkStore.add_batch call / store-column append inside "
         "for/while bodies — bulk paths go through add_batch; in src/repro, "
         "step_walk_slots only inside walk_tokens and get_more_walks_batch"
     )
@@ -237,13 +237,13 @@ class BulkOnlyRule(Rule):
                             "step tokens through the loop of their charge rule",
                         )
                     )
-                elif in_loop and attr == "add_token":
+                elif in_loop and attr == "add_batch":
                     findings.append(
                         self.finding(
                             src,
                             node,
-                            "per-record add_token inside a loop: build columns and "
-                            "hand them over in ONE WalkStore.add_batch call",
+                            "add_batch inside a loop creates tokens batch by batch: build "
+                            "the columns and hand them over in ONE WalkStore.add_batch call",
                         )
                     )
                 elif in_loop and attr in ("append", "extend") and looks_like_store(receiver):
@@ -596,7 +596,7 @@ class ObsPassivityRule(Rule):
             "charge",
             "merge_step",
             "add_batch",
-            "add_token",
+            "sample_uniform_token",
             "evict_rows",
             "apply_delta",
             "refresh_topology",

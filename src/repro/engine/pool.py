@@ -203,7 +203,7 @@ class PoolManager:
                 f"watermark_fraction must be in (0, 1], got {watermark_fraction}"
             )
         self.num_shards = int(min(num_shards, n))
-        self.store = WalkStore(num_shards=self.num_shards)
+        self.store = WalkStore(n, num_shards=self.num_shards)
         self.lam = int(lam)
         self.eta = float(eta)
         self.record_paths = bool(record_paths)
@@ -358,10 +358,14 @@ class PoolManager:
         queued walk from a weight-4 tenant exerts 4× the warming pressure
         of a weight-1 tenant's, matching the share of upcoming cohorts
         deficit-round-robin will actually grant it.  Ordering pressure
-        only — budgets and refill amounts never change.
+        only — budgets and refill amounts never change.  An id outside
+        ``[0, num_shards)`` raises :class:`~repro.errors.WalkError`, and no
+        demand is noted.
         """
-        for s in shard_ids:
-            self._prefetch_demand[int(s)] += weight
+        ids = [int(s) for s in shard_ids]
+        self._check_shard_ids(ids)
+        for s in ids:
+            self._prefetch_demand[s] += weight
 
     def maintenance_order(self, shard_ids: list[int], unused: np.ndarray | None = None) -> list[int]:
         """Deadline-driven refill priority: emptiest / most-demanded first.
@@ -371,8 +375,10 @@ class PoolManager:
         demand (:meth:`note_demand`) counting as one token of extra depth —
         breaking ties by historical demand (``tokens_served`` descending),
         then shard id for determinism.  ``unused`` lets a caller that
-        already scanned occupancy skip the rescan.
+        already scanned occupancy skip the rescan.  An id outside
+        ``[0, num_shards)`` raises :class:`~repro.errors.WalkError`.
         """
+        self._check_shard_ids(shard_ids)
         if unused is None:
             unused = self.shard_unused()
         return sorted(

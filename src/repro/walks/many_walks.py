@@ -152,7 +152,7 @@ def _run_many_walks(
             positions=trajectories,
         )
 
-    store = WalkStore()
+    store = WalkStore(graph.n)
     counts = token_counts(graph.degrees, params.eta, degree_proportional=params.degree_proportional)
     perform_short_walks(
         net,

@@ -267,7 +267,7 @@ def _run_single_walk(
             positions=np.asarray(positions_list, dtype=np.int64) if record_paths else None,
         )
 
-    store = WalkStore()
+    store = WalkStore(graph.n)
     counts = token_counts(graph.degrees, params.eta, degree_proportional=params.degree_proportional)
     perform_short_walks(
         net,

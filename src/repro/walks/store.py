@@ -18,24 +18,28 @@ Everything in it corresponds to node-local knowledge:
 Layout
 ------
 The store is **columnar** (struct-of-arrays): token ``source`` / ``length``
-/ ``destination`` / ``token_id`` live in parallel arrays that grow by
-amortized doubling, and recorded hop sequences live in shared
+/ ``destination`` and an alive flag live in parallel arrays that grow by
+amortized doubling.  A token's id is its row: rows are numbered in
+creation order and never reused.  Recorded hop sequences live in shared
 ``(rows, max_len + 1)`` path matrices handed over *wholesale* by
 :func:`~repro.walks.short_walks.perform_short_walks` /
-:func:`~repro.walks.get_more_walks.get_more_walks` via :meth:`add_batch`
-(each token keeps only a ``(batch, row)`` reference).  A run materializes
-Θ(η·m) tokens but the stitching phase pops only ``O(ℓ/λ)`` of them, so
-:class:`TokenRecord` objects are built lazily at the API edge
+:func:`~repro.walks.get_more_walks.get_more_walks` via :meth:`add_batch`.
+The rows of one add are contiguous, so the store keeps one entry per add
+(its first row, its matrix or ``None``, its live count) and finds a row's
+path through its add: the add is one binary search over the first rows,
+and the matrix row is the row's offset from the add's first row.  A run
+materializes Θ(η·m) tokens but the stitching phase pops only ``O(ℓ/λ)`` of
+them, so :class:`TokenRecord` objects are built lazily at the API edge
 (:meth:`tokens_at` / :meth:`token_at` / :meth:`iter_all`) — never during
 Phase 1, which is the paper's hot path.
 
 Widths: the pool lives for the whole session, so each column is as wide
-as its values need.  Node ids, lengths, row numbers and path-matrix
-references are int32 (one CONGEST word each; :meth:`add_batch` rejects
-values that do not fit), token ids stay int64, and the token loops hand
-over int32 path matrices.  Everything the store hands out is int64:
-``TokenRecord.path`` copies, the sources :meth:`evict_rows` returns and
-every row array.
+as its values need.  Node ids, lengths and row numbers are int32 (one
+CONGEST word each; :meth:`add_batch` rejects values that do not fit), and
+the token loops hand over int32 path matrices.  A held token costs 17
+bytes: three int32 columns, its alive flag and its int32 run entry.
+Everything the store hands out is int64: token ids, ``TokenRecord.path``
+copies, the sources :meth:`evict_rows` returns and every row array.
 
 Lookups by source read the source's live rows.  Every add keeps its rows
 stably sorted by source (a *run*: the add's distinct sources, their
@@ -44,10 +48,10 @@ per run plus a slice, ascending, filtered by the alive flags.  Small runs
 merge stably with their predecessor (each merge drops retired rows), and a
 run whose rows are all retired leaves the search, so the number of runs
 stays logarithmic over a long session.  Per-source unused counts are a
-dense array indexed by source, and beside them the store keeps one unused
-count per shard (source ``v`` is in shard ``v mod num_shards``), updated by
-the same adds, draws and evictions, so a pool's occupancy read costs
-O(shards) however many sources it has.
+dense array of ``n`` entries indexed by source, and beside them the store
+keeps one unused count per shard (source ``v`` is in shard
+``v mod num_shards``), updated by the same adds, draws and evictions, so a
+pool's occupancy read costs O(shards) however many sources it has.
 
 The one draw rule: a source's unused tokens are its live rows in ascending
 (creation) order, and a draw (:meth:`WalkStore.sample_uniform_token`) is
@@ -173,39 +177,38 @@ class TokenRecord:
 class WalkStore:
     """All unused short-walk tokens, stored columnar, indexed by source.
 
-    The columns are int32 inside and int64 at the API edge (see the
-    module's *Widths*).  A held token costs 33 bytes (an int64 id, five
-    int32 columns, an alive flag and an int32 run entry) plus the doubling
-    slack, and its path-matrix row when paths are recorded.  ``num_shards``
-    sets how many per-shard unused counts :meth:`shard_counts` keeps.
+    Sources and destinations are nodes of an ``n``-node graph, so they lie
+    in ``[0, n)``.  The columns are int32 inside and int64 at the API edge
+    (see the module's *Widths*).  A held token costs 17 bytes (three int32
+    columns, an alive flag and an int32 run entry) plus the doubling slack,
+    and its path-matrix row when paths are recorded.  ``num_shards`` sets
+    how many per-shard unused counts :meth:`shard_counts` keeps.
     """
 
-    def __init__(self, num_shards: int = 1) -> None:
+    def __init__(self, n: int, num_shards: int = 1) -> None:
         if num_shards < 1:
             raise WalkError(f"num_shards must be >= 1, got {num_shards}")
         cap = _INITIAL_CAPACITY
-        self._ids = np.empty(cap, dtype=np.int64)
         self._src = np.empty(cap, dtype=np.int32)
         self._len = np.empty(cap, dtype=np.int32)
         self._dst = np.empty(cap, dtype=np.int32)
-        self._path_batch = np.empty(cap, dtype=np.int32)  # -1 = no path
-        self._path_row = np.empty(cap, dtype=np.int32)
         self._alive = np.empty(cap, dtype=bool)
         self._size = 0
-        # Shared path matrices; an entry is dropped (set to None) once every
-        # token referencing it has been consumed, so hop memory tracks live
-        # tokens rather than growing for the store's lifetime.
+        # One entry per add, in row order: its first row, its path matrix
+        # and its live count.  The matrix is None when the add recorded no
+        # paths, and is dropped once every token of the add has retired, so
+        # hop memory tracks live tokens rather than growing for the store's
+        # lifetime.
+        self._batch_starts: list[int] = []
         self._path_batches: list[np.ndarray | None] = []
         self._batch_live: list[int] = []
         self._runs: list[_Run] = []
         self._run_starts: list[int] = []  # parallel to _runs, ascending
-        # Unused counts per source id in [0, _span).
-        self._span = 0
-        self._counts = np.zeros(0, dtype=np.int64)
+        # Unused counts per source id in [0, n).
+        self._counts = np.zeros(n, dtype=np.int64)
         # Unused counts per shard; source ``v`` counts in ``v % num_shards``.
         self._num_shards = int(num_shards)
         self._shard_counts = np.zeros(self._num_shards, dtype=np.int64)
-        self._next_token_id = 0
         self.tokens_created = 0
         self.tokens_consumed = 0
         # Tokens invalidated by graph churn rather than consumed by
@@ -216,32 +219,17 @@ class WalkStore:
     # ------------------------------------------------------------------
     # Creation / removal
     # ------------------------------------------------------------------
-    def new_token_id(self) -> int:
-        tid = self._next_token_id
-        self._next_token_id += 1
-        return tid
-
     def _grow_to(self, needed: int) -> None:
-        cap = len(self._ids)
+        cap = self._alive.size
         if needed <= cap:
             return
         while cap < needed:
             cap *= 2
-        for name in ("_ids", "_src", "_len", "_dst", "_path_batch", "_path_row", "_alive"):
+        for name in ("_src", "_len", "_dst", "_alive"):
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
             new[: self._size] = old[: self._size]
             setattr(self, name, new)
-
-    def _grow_sources(self, span: int) -> None:
-        """Extend the dense per-source counts to cover source ids below ``span``."""
-        if span <= self._span:
-            return
-        if span > self._counts.size:
-            counts = np.zeros(max(span, 2 * self._counts.size), dtype=np.int64)
-            counts[: self._span] = self._counts[: self._span]
-            self._counts = counts
-        self._span = span
 
     def _push_run(self, run: _Run) -> None:
         """Append an add's run; merge small runs stably into their predecessor.
@@ -275,6 +263,12 @@ class WalkStore:
             del self._runs[j]
             del self._run_starts[j]
 
+    def _batch_lost(self, b: int, rows: int) -> None:
+        """Add ``b`` lost ``rows`` live rows; once it has none its path matrix is freed."""
+        self._batch_live[b] -= rows
+        if self._batch_live[b] == 0:
+            self._path_batches[b] = None
+
     def add_batch(
         self,
         sources: np.ndarray,
@@ -294,8 +288,9 @@ class WalkStore:
         of the matrix transfers to the store — no per-row copies are made
         until a record is materialized.
 
-        Token IDs are assigned sequentially (equivalent to one
-        :meth:`new_token_id` per token, in order) and returned.
+        A source or a destination outside ``[0, n)`` raises
+        :class:`WalkError`, and nothing is added.  A token's id is its row,
+        so the new ids are the next ``total`` rows, returned as int64.
         """
         src, lng, dst = np.asarray(sources), np.asarray(lengths), np.asarray(destinations)
         if src.ndim != 1 or src.shape != lng.shape or src.shape != dst.shape:
@@ -305,9 +300,10 @@ class WalkStore:
             return np.empty(0, dtype=np.int64)
         if lng.min() < 0:
             raise WalkError("token lengths must be >= 0")
-        if src.min() < 0:
-            raise WalkError("token sources must be >= 0")
         _check_fits(src, lng, dst, rows=self._size + total)
+        n = self._counts.size
+        if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
+            raise WalkError(f"token sources and destinations must be nodes in [0, {n})")
         if paths is not None:
             if paths.ndim != 2 or paths.shape[0] != total:
                 raise WalkError(f"paths must be (total, width), got {paths.shape}")
@@ -319,70 +315,40 @@ class WalkStore:
         base = self._size
         self._grow_to(base + total)
         rows = slice(base, base + total)
-        ids = np.arange(self._next_token_id, self._next_token_id + total, dtype=np.int64)
-        self._ids[rows] = ids
         self._src[rows] = src
         self._len[rows] = lng
         self._dst[rows] = dst
         self._alive[rows] = True
-        if paths is not None:
-            self._path_batch[rows] = len(self._path_batches)
-            self._path_row[rows] = np.arange(total, dtype=np.int32)
-            self._path_batches.append(paths)
-            self._batch_live.append(total)
-        else:
-            self._path_batch[rows] = -1
-            self._path_row[rows] = -1
+        self._batch_starts.append(base)
+        self._path_batches.append(paths)
+        self._batch_live.append(total)
         self._size = base + total
-        self._next_token_id += total
         self.tokens_created += total
 
         run = _Run(base, np.arange(base, base + total, dtype=np.int32), self._src[rows])
-        self._grow_sources(run.hi + 1)
         added = np.diff(run.ptr)
         self._counts[run.keys] += added
         np.add.at(self._shard_counts, run.keys % self._num_shards, added)
         self._push_run(run)
-        return ids
-
-    def add(self, record: TokenRecord) -> None:
-        """Add one token (API edge; bulk producers use :meth:`add_batch`)."""
-        if record.source < 0:
-            raise WalkError("token sources must be >= 0")
-        _check_fits(record.source, record.length, record.destination, rows=self._size + 1)
-        base = self._size
-        self._grow_to(base + 1)
-        self._ids[base] = record.token_id
-        self._src[base] = record.source
-        self._len[base] = record.length
-        self._dst[base] = record.destination
-        self._alive[base] = True
-        if record.path is not None:
-            self._path_batch[base] = len(self._path_batches)
-            self._path_row[base] = 0
-            self._path_batches.append(
-                np.array(record.path, dtype=np.int64).reshape(1, -1)
-            )
-            self._batch_live.append(1)
-        else:
-            self._path_batch[base] = -1
-            self._path_row[base] = -1
-        self._size = base + 1
-        self._grow_sources(record.source + 1)
-        self._counts[record.source] += 1
-        self._shard_counts[record.source % self._num_shards] += 1
-        self._push_run(
-            _Run(base, np.array([base], dtype=np.int32), self._src[base : base + 1])
-        )
-        self.tokens_created += 1
+        return np.arange(base, base + total, dtype=np.int64)
 
     def remove(self, record: TokenRecord) -> None:
-        """Delete a consumed token (Sweep 3 of SAMPLE-DESTINATION)."""
-        rows = self._rows_of(record.source)
-        rows = rows[(self._ids[rows] == record.token_id) & (self._dst[rows] == record.destination)]
-        if not rows.size:
-            raise WalkError(f"token {record.token_id} not stored at node {record.destination}")
-        self._consume(int(rows[0]))
+        """Delete a consumed token (Sweep 3 of SAMPLE-DESTINATION).
+
+        The token's id is its row; the row must be live and hold the
+        record's source and destination, or :class:`WalkError` is raised.
+        """
+        row = record.token_id
+        if not (
+            0 <= row < self._size
+            and self._alive[row]
+            and self._src[row] == record.source
+            and self._dst[row] == record.destination
+        ):
+            raise WalkError(
+                f"token {row} of source {record.source} not stored at node {record.destination}"
+            )
+        self._consume(row)
 
     def _consume(self, row: int) -> None:
         """Retire live ``row`` as consumed."""
@@ -391,11 +357,7 @@ class WalkStore:
         self._counts[source] -= 1
         self._shard_counts[source % self._num_shards] -= 1
         self.tokens_consumed += 1
-        batch = int(self._path_batch[row])
-        if batch >= 0:
-            self._batch_live[batch] -= 1
-            if self._batch_live[batch] == 0:
-                self._path_batches[batch] = None  # free the matrix
+        self._batch_lost(bisect_right(self._batch_starts, row) - 1, 1)
         self._run_lost(bisect_right(self._run_starts, row) - 1, 1)
 
     # ------------------------------------------------------------------
@@ -407,20 +369,21 @@ class WalkStore:
         Runs cover ascending row ranges, so their parts concatenate in
         order.
         """
-        if not 0 <= source < self._span or not self._counts[source]:
+        if not 0 <= source < self._counts.size or not self._counts[source]:
             return _NO_ROWS
         parts = [rows for run in self._runs if (rows := run.rows_of(source)) is not None]
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return rows[self._alive[rows]]
 
     def _materialize(self, row: int) -> TokenRecord:
-        batch = int(self._path_batch[row])
         length = int(self._len[row])
+        b = bisect_right(self._batch_starts, row) - 1
+        matrix = self._path_batches[b]
         path = None
-        if batch >= 0:
-            path = self._path_batches[batch][int(self._path_row[row]), : length + 1].astype(np.int64)
+        if matrix is not None:
+            path = matrix[row - self._batch_starts[b], : length + 1].astype(np.int64)
         return TokenRecord(
-            token_id=int(self._ids[row]),
+            token_id=row,
             source=int(self._src[row]),
             length=length,
             destination=int(self._dst[row]),
@@ -450,13 +413,13 @@ class WalkStore:
 
     def count_for_source(self, source: int) -> int:
         """Total unused tokens of ``source`` anywhere in the network."""
-        return int(self._counts[source]) if 0 <= source < self._span else 0
+        return int(self._counts[source]) if 0 <= source < self._counts.size else 0
 
     def counts_for_sources(self, sources: np.ndarray) -> np.ndarray:
         """:meth:`count_for_source` over an int array of sources, as int64."""
         sources = np.asarray(sources, dtype=np.int64)
         out = np.zeros(sources.size, dtype=np.int64)
-        known = (sources >= 0) & (sources < self._span)
+        known = (sources >= 0) & (sources < self._counts.size)
         out[known] = self._counts[sources[known]]
         return out
 
@@ -467,15 +430,14 @@ class WalkStore:
     def source_count_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Parallel ``(sources, unused_counts)`` arrays over every source id.
 
-        ``sources`` is ``0, 1, ...`` up to the largest source ever added, so
-        ``unused_counts`` is indexable by source id (drained and never-added
-        ids report 0; ids past its end hold no tokens).  Both are fresh
-        copies: O(largest source), however few tokens are live.  No library
+        ``sources`` is ``0, 1, ..., n - 1``, so ``unused_counts`` is
+        indexable by source id (drained and never-added ids report 0).  Both
+        are fresh copies: O(n), however few tokens are live.  No library
         code reads it (occupancy comes from :meth:`shard_counts` and
         :meth:`counts_for_sources`); it stays as a whole-store view for
         tests and the benchmark's output check.
         """
-        counts = self._counts[: self._span].copy()
+        counts = self._counts.copy()
         return np.arange(counts.size, dtype=np.int64), counts
 
     def sample_uniform_token(self, source: int, rng: np.random.Generator) -> TokenRecord | None:
@@ -529,31 +491,29 @@ class WalkStore:
         one of those.  Final positions are exempt: a token *resting* at a
         marked node sampled nothing there.
 
-        Each shared path matrix is scanned once, its live rows gathered in
-        blocks of about :data:`_SCAN_BLOCK` cells and mapped through the
-        mask; a row is invalid when its first marked column lies below its
-        length.  Columns past a row's length are scratch (uninitialised
-        memory in refill batches that stopped early): clipping keeps every
-        index in range, and a scratch column can only move the first mark
-        to a column at or past the length, which never flags.  The
-        temporaries scale with the block, not the pool.  Tokens stored
-        without paths cannot be scanned; callers hold the pool-level policy
-        for those (see :meth:`~repro.engine.pool.PoolManager.invalidate`).
+        Each add that still holds a path matrix is scanned once: its live
+        rows (contiguous, from the add's first row) are gathered in blocks
+        of about :data:`_SCAN_BLOCK` cells and mapped through the mask; a
+        row is invalid when its first marked column lies below its length.
+        Columns past a row's length are scratch (uninitialised memory in
+        refill batches that stopped early): clipping keeps every index in
+        range, and a scratch column can only move the first mark to a
+        column at or past the length, which never flags.  The temporaries
+        scale with the block, not the pool.  Tokens stored without paths
+        cannot be scanned; callers hold the pool-level policy for those
+        (see :meth:`~repro.engine.pool.PoolManager.invalidate`).  Rows come
+        out ascending.
         """
-        size = self._size
-        # Rows of one matrix are contiguous and matrices are numbered in
-        # row order, so the live path rows come out grouped by matrix.
-        rows = np.flatnonzero(self._alive[:size] & (self._path_batch[:size] >= 0))
-        if not rows.size:
-            return rows
-        batch_of = self._path_batch[rows]
-        hits = []
-        for part in np.split(rows, np.flatnonzero(batch_of[1:] != batch_of[:-1]) + 1):
-            matrix = self._path_batches[int(self._path_batch[part[0]])]
+        starts = self._batch_starts
+        hits = [np.empty(0, dtype=np.int64)]
+        for start, end, matrix in zip(starts, starts[1:] + [self._size], self._path_batches):
+            if matrix is None:
+                continue
+            rows = start + np.flatnonzero(self._alive[start:end])
             step = max(1, _SCAN_BLOCK // matrix.shape[1])
-            for lo in range(0, part.size, step):
-                block = part[lo : lo + step]
-                marked = mutated.take(matrix.take(self._path_row[block], axis=0), mode="clip")
+            for lo in range(0, rows.size, step):
+                block = rows[lo : lo + step]
+                marked = mutated.take(matrix.take(block - start, axis=0), mode="clip")
                 first = marked.argmax(axis=1)
                 bad = marked[np.arange(block.size), first] & (first < self._len[block])
                 hits.append(block[bad])
@@ -580,8 +540,8 @@ class WalkStore:
 
         The churn counterpart of :meth:`remove`: counts land in
         ``tokens_evicted`` (not ``tokens_consumed`` — these tokens served
-        nothing), and shared path matrices are freed once their last
-        reference dies.
+        nothing), and an add's path matrix is freed once its last row
+        retires.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
@@ -597,12 +557,9 @@ class WalkStore:
         lost = np.bincount(at, minlength=len(self._runs))
         for j in np.flatnonzero(lost)[::-1].tolist():  # descending: deletes keep lower indices
             self._run_lost(j, int(lost[j]))
-        batches = self._path_batch[rows]
-        batches = batches[batches >= 0]
+        batches = np.searchsorted(np.asarray(self._batch_starts), rows, side="right") - 1
         for b, c in zip(*np.unique(batches, return_counts=True)):
-            self._batch_live[int(b)] -= int(c)
-            if self._batch_live[int(b)] == 0:
-                self._path_batches[int(b)] = None
+            self._batch_lost(int(b), int(c))
         self.tokens_evicted += int(rows.size)
         return sources
 

@@ -175,7 +175,7 @@ class TestGraphDelta:
 
 class TestStoreInvalidation:
     def _store_with_paths(self, paths: list[list[int]], sources=None) -> WalkStore:
-        store = WalkStore()
+        store = WalkStore(10)  # nodes 0-9, as every test's mask
         lengths = np.array([len(p) - 1 for p in paths], dtype=np.int64)
         width = int(lengths.max()) + 1
         matrix = np.zeros((len(paths), width), dtype=np.int64)
@@ -242,14 +242,14 @@ class TestStoreInvalidation:
         from repro.walks.get_more_walks import get_more_walks
 
         g = cycle_graph(12)
-        store = WalkStore()
+        store = WalkStore(g.n)
         for seed in range(8):  # several one-token refills: some retire early
             get_more_walks(Network(g, seed=seed), store, 0, 1, 4, make_rng(seed))
         mutated = np.zeros(g.n, dtype=bool)
         mutated[3] = True
         rows = store.find_invalid_rows(mutated)
         for row in rows.tolist():  # flagged tokens really stepped from node 3
-            token = next(t for t in store.iter_all() if t.token_id == int(store._ids[row]))
+            token = next(t for t in store.iter_all() if t.token_id == row)
             assert 3 in token.path[: token.length].tolist()
 
     def test_evict_frees_path_batches(self):

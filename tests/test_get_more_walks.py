@@ -19,7 +19,7 @@ class TestReservoirLengths:
     def test_lengths_in_range(self):
         g = torus_graph(4, 4)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         lam = 6
         get_more_walks(net, store, 3, 200, lam, make_rng(1))
         lengths = [rec.length for rec in store.iter_all()]
@@ -29,7 +29,7 @@ class TestReservoirLengths:
         # Lemma 2.4: reservoir stopping gives exactly uniform [λ, 2λ-1].
         g = cycle_graph(8)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         lam = 5
         get_more_walks(net, store, 0, 6000, lam, make_rng(2))
         lengths = [rec.length for rec in store.iter_all()]
@@ -40,7 +40,7 @@ class TestReservoirLengths:
     def test_fixed_mode_lengths(self):
         g = cycle_graph(8)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         get_more_walks(net, store, 0, 50, 7, make_rng(3), randomized_lengths=False)
         assert all(rec.length == 7 for rec in store.iter_all())
 
@@ -50,7 +50,7 @@ class TestCost:
         # Count aggregation: 500 tokens from one node, still O(λ) rounds.
         g = star_graph(6)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         lam = 10
         rounds = get_more_walks(net, store, 0, 500, lam, make_rng(4))
         assert rounds <= 2 * lam  # λ prefix + at most λ-1 extension steps
@@ -58,14 +58,14 @@ class TestCost:
     def test_congestion_is_one(self):
         g = star_graph(6)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         get_more_walks(net, store, 0, 300, 8, make_rng(5))
         assert net.ledger.max_congestion == 1
 
     def test_fixed_mode_rounds_exactly_lambda(self):
         g = cycle_graph(10)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         rounds = get_more_walks(net, store, 0, 50, 9, make_rng(6), randomized_lengths=False)
         assert rounds == 9
 
@@ -74,7 +74,7 @@ class TestCorrectness:
     def test_paths_valid_and_end_at_destination(self):
         g = torus_graph(4, 4)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         get_more_walks(net, store, 5, 100, 6, make_rng(7))
         for rec in store.iter_all():
             assert rec.source == 5
@@ -89,7 +89,7 @@ class TestCorrectness:
         # Among walks of realized length t, endpoints follow P^t exactly.
         g = torus_graph(4, 4)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         lam = 3
         get_more_walks(net, store, 0, 9000, lam, make_rng(8))
         spec = WalkSpectrum(g)
@@ -105,14 +105,14 @@ class TestCorrectness:
     def test_no_paths_mode(self):
         g = cycle_graph(6)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         get_more_walks(net, store, 0, 10, 4, make_rng(9), record_paths=False)
         assert all(rec.path is None for rec in store.iter_all())
 
     def test_validation(self):
         g = cycle_graph(6)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         with pytest.raises(WalkError):
             get_more_walks(net, store, 0, 0, 4, make_rng(0))
         with pytest.raises(WalkError):
@@ -121,7 +121,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("source", [6, -1])
     def test_non_node_source_rejected_before_billing(self, source):
         net = Network(cycle_graph(6), seed=0)
-        store = WalkStore()
+        store = WalkStore(net.graph.n)
         with pytest.raises(WalkError, match="sources must be nodes"):
             get_more_walks(net, store, source, 3, 4, make_rng(0))
         with pytest.raises(WalkError, match="sources must be nodes"):
@@ -135,7 +135,7 @@ class TestCorrectness:
     def test_lambda_one(self):
         g = cycle_graph(6)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         get_more_walks(net, store, 0, 20, 1, make_rng(10))
         assert all(rec.length == 1 for rec in store.iter_all())
 
@@ -162,7 +162,7 @@ class TestReservoirDraws:
         # 0 … j, so it draws j + 1 uniforms.
         g = torus_graph(4, 4)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         lam = 6
         rng = CountingRng(8)
         get_more_walks_batch(net, store, np.array([0, 5, 9]), np.array([40, 25, 60]), lam, rng)

@@ -25,7 +25,7 @@ from repro.walks import WalkStore, perform_short_walks, single_random_walk, toke
 from repro.walks.short_walks import walk_tokens
 
 GRAPHS = {"torus6x6": lambda: torus_graph(6, 6), "barbell": lambda: barbell_graph(6, 3)}
-COLUMNS = ("_ids", "_src", "_len", "_dst", "_path_batch", "_path_row", "_alive")
+COLUMNS = ("_src", "_len", "_dst", "_alive")
 
 
 def int64_phase1(network, store, lam, rng, counts):
@@ -41,7 +41,7 @@ class TestPhase1Stream:
     def test_same_generator_state_and_columns_as_the_int64_draw(self, name):
         graph = GRAPHS[name]()
         counts = token_counts(graph.degrees, 3.0, degree_proportional=True)
-        got_store, want_store = WalkStore(), WalkStore()
+        got_store, want_store = WalkStore(graph.n), WalkStore(graph.n)
         got_rng, want_rng = make_rng(5), make_rng(5)
         got_net, want_net = Network(graph), Network(graph)
         perform_short_walks(got_net, got_store, 6, got_rng, counts=counts)
@@ -55,6 +55,8 @@ class TestPhase1Stream:
             assert np.array_equal(got, want), column
         assert got_store._path_batches[0].dtype == np.int32
         assert np.array_equal(got_store._path_batches[0], want_store._path_batches[0])
+        # Each record's path is found through its add: compare them all.
+        assert list(got_store.iter_all()) == list(want_store.iter_all())
         assert got_net.rounds == want_net.rounds
         assert got_net.messages_sent == want_net.messages_sent
 
@@ -62,7 +64,7 @@ class TestPhase1Stream:
 class TestStoreWidth:
     @pytest.mark.parametrize("column", ["sources", "destinations"])
     def test_add_batch_rejects_a_value_past_int32(self, column):
-        store = WalkStore()
+        store = WalkStore(2)
         cols = {"sources": np.array([0, 1]), "lengths": np.array([1, 1]),
                 "destinations": np.array([1, 0])}
         cols[column] = np.array([0, 2**31])
@@ -72,7 +74,7 @@ class TestStoreWidth:
 
     def test_records_and_evictions_hand_out_int64(self):
         graph = torus_graph(6, 6)
-        store = WalkStore()
+        store = WalkStore(graph.n)
         counts = token_counts(graph.degrees, 1.0, degree_proportional=True)
         perform_short_walks(Network(graph), store, 4, make_rng(1), counts=counts)
         record = next(store.iter_all())
@@ -80,23 +82,23 @@ class TestStoreWidth:
         assert all(type(v) is int for v in (record.source, record.length, record.destination))
         assert store.evict_rows(store.live_rows()[:3]).dtype == np.int64
 
-    def test_an_endpoint_store_of_a_million_tokens_retains_under_48_bytes_each(self):
+    def test_an_endpoint_store_of_a_million_tokens_retains_under_28_bytes_each(self):
         total = 1_000_000
         rng = np.random.default_rng(0)
         sources = np.repeat(np.arange(total // 4, dtype=np.int64), 4)
         lengths = rng.integers(8, 16, size=total)
         destinations = rng.integers(0, total // 4, size=total)
-        store = WalkStore()
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            store = WalkStore(total // 4)  # its n per-source counts are held too
             store.add_batch(sources, lengths, destinations)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert store.total_unused() == total
-        assert retained / total < 48
+        assert retained / total < 28
 
 
 class TestPublicDtypes:

@@ -405,7 +405,7 @@ class TestBatchedGetMoreWalks:
         # single-source protocol — identical tokens AND identical charge.
         net_a = Network(torus_8x8, seed=0)
         net_b = Network(torus_8x8, seed=0)
-        store_a, store_b = WalkStore(), WalkStore()
+        store_a, store_b = WalkStore(torus_8x8.n), WalkStore(torus_8x8.n)
         rounds_a = get_more_walks(net_a, store_a, 5, 6, 8, make_rng(99))
         rounds_b = get_more_walks_batch(
             net_b, store_b, np.array([5]), np.array([6]), 8, make_rng(99)
@@ -421,12 +421,12 @@ class TestBatchedGetMoreWalks:
         sources = np.array([0, 9, 33, 48], dtype=np.int64)
         counts = np.array([4, 4, 4, 4], dtype=np.int64)
         net_batch = Network(torus_8x8, seed=0)
-        store_batch = WalkStore()
+        store_batch = WalkStore(torus_8x8.n)
         rounds_batch = get_more_walks_batch(
             net_batch, store_batch, sources, counts, 8, make_rng(7)
         )
         net_serial = Network(torus_8x8, seed=0)
-        store_serial = WalkStore()
+        store_serial = WalkStore(torus_8x8.n)
         rng = make_rng(7)
         rounds_serial = sum(
             get_more_walks(net_serial, store_serial, int(s), int(c), 8, rng)
@@ -441,9 +441,9 @@ class TestBatchedGetMoreWalks:
     def test_batch_validates_inputs(self, torus_8x8):
         net = Network(torus_8x8, seed=0)
         with pytest.raises(WalkError, match="equal length"):
-            get_more_walks_batch(net, WalkStore(), np.array([0, 1]), np.array([1]), 4, make_rng(0))
+            get_more_walks_batch(net, WalkStore(net.graph.n), np.array([0, 1]), np.array([1]), 4, make_rng(0))
         with pytest.raises(WalkError, match=">= 1"):
-            get_more_walks_batch(net, WalkStore(), np.array([0]), np.array([0]), 4, make_rng(0))
+            get_more_walks_batch(net, WalkStore(net.graph.n), np.array([0]), np.array([0]), 4, make_rng(0))
 
 
 class TestUniformTokenDraw:
@@ -451,24 +451,25 @@ class TestUniformTokenDraw:
         # sample_uniform_token must implement Lemma A.2's law: uniform over
         # every unused token of the source, regardless of holder layout.
         net = Network(torus_8x8, seed=0)
-        store = WalkStore()
+        store = WalkStore(net.graph.n)
         get_more_walks(net, store, 3, 12, 4, make_rng(5))
-        ids = [t.token_id for t in store.iter_all()]
+        records = list(store.iter_all())
+        ids = [t.token_id for t in records]
+        columns = [np.array([getattr(t, f) for t in records]) for f in ("source", "length", "destination")]
         rng = make_rng(11)
         counts = dict.fromkeys(ids, 0)
         trials = 3000
         for _ in range(trials):
-            probe = WalkStore()
-            # Rebuild an identical pool cheaply: same records re-added.
-            for t in store.iter_all():
-                probe.add(t)
+            probe = WalkStore(net.graph.n)
+            # Rebuild an identical pool cheaply: same columns, same rows, same ids.
+            probe.add_batch(*columns)
             rec = probe.sample_uniform_token(3, rng)
             counts[rec.token_id] += 1
         expected = {tid: 1.0 / len(ids) for tid in ids}
         assert not chi_square_goodness_of_fit(counts, expected).rejects_at(1e-4)
 
     def test_draw_on_empty_source_returns_none(self):
-        store = WalkStore()
+        store = WalkStore(1)
         assert store.sample_uniform_token(0, make_rng(0)) is None
 
 
@@ -537,6 +538,23 @@ class TestShardOccupancy:
                 engine.maintain(exclude_shards=[bad])
         assert engine.network.ledger.capture() == before
         assert [s.refills for s in manager.shards] == [0] * shards
+
+    def test_demand_and_order_reject_shard_ids_outside_range(self, torus_8x8):
+        # -1 used to credit (and be ordered by) the last shard's demand, and
+        # num_shards raised a bare IndexError.
+        manager = self._drained(torus_8x8, 7).pool
+        shards = manager.num_shards
+        assert shards == 8
+        manager.note_demand([0, 3, 3])
+        demand = manager._prefetch_demand.tolist()
+        for bad, call in (
+            (-1, lambda: manager.note_demand([-1])),
+            (-1, lambda: manager.maintenance_order([-1, 0])),
+            (shards, lambda: manager.note_demand([0, shards])),
+        ):
+            with pytest.raises(WalkError, match=f"shard id {bad} is not in"):
+                call()
+            assert manager._prefetch_demand.tolist() == demand
 
     def test_serving_never_copies_the_per_source_counts(self, monkeypatch):
         # Admission, budgeted maintenance, churn and crash restores and

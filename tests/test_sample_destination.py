@@ -18,42 +18,38 @@ from repro.walks.sample_destination import make_sample_combine, sample_destinati
 from repro.walks.short_walks import perform_short_walks
 
 
-def seeded_store(layout: dict[int, int], source: int = 0) -> WalkStore:
-    """Store with ``layout[holder] = count`` tokens of ``source``."""
-    store = WalkStore()
-    for holder, count in layout.items():
-        for _ in range(count):
-            store.add(
-                TokenRecord(
-                    token_id=store.new_token_id(),
-                    source=source,
-                    length=3,
-                    destination=holder,
-                )
-            )
+def seeded_store(n: int, layout: dict[int, int], source: int = 0) -> WalkStore:
+    """Store over ``n`` nodes with ``layout[holder] = count`` tokens of ``source``.
+
+    One add, holders in ``layout`` order: token ``i`` (row ``i``) is the
+    ``i``-th of that sequence.
+    """
+    holders = np.repeat(list(layout), list(layout.values()))
+    store = WalkStore(n)
+    store.add_batch(np.full(holders.size, source), np.full(holders.size, 3), holders)
     return store
 
 
 def phase1_store(graph) -> WalkStore:
     """Phase 1 on ``graph``, four tokens per node, billed to a throwaway network."""
-    store = WalkStore()
+    store = WalkStore(graph.n)
     perform_short_walks(Network(graph, seed=0), store, 3, make_rng(5), counts=np.full(graph.n, 4))
     return store
 
 
 #: name -> (graph, store of source 0).
 BILL_CASES = {
-    "grid3x3-4:2,7:1": (lambda: grid_graph(3, 3), lambda g: seeded_store({4: 2, 7: 1})),
-    "grid3x3-8:3,4:1": (lambda: grid_graph(3, 3), lambda g: seeded_store({8: 3, 4: 1})),
-    "grid3x3-1:1,5:1": (lambda: grid_graph(3, 3), lambda g: seeded_store({1: 1, 5: 1})),
-    "grid3x3-5:1": (lambda: grid_graph(3, 3), lambda g: seeded_store({5: 1})),
-    "grid3x3-empty": (lambda: grid_graph(3, 3), lambda g: WalkStore()),
-    "path5-2:2,4:1": (lambda: path_graph(5), lambda g: seeded_store({2: 2, 4: 1})),
-    "torus4x4-6:1": (lambda: torus_graph(4, 4), lambda g: seeded_store({6: 1})),
-    "grid4x4-3:5": (lambda: grid_graph(4, 4), lambda g: seeded_store({3: 5})),
+    "grid3x3-4:2,7:1": (lambda: grid_graph(3, 3), lambda g: seeded_store(g.n, {4: 2, 7: 1})),
+    "grid3x3-8:3,4:1": (lambda: grid_graph(3, 3), lambda g: seeded_store(g.n, {8: 3, 4: 1})),
+    "grid3x3-1:1,5:1": (lambda: grid_graph(3, 3), lambda g: seeded_store(g.n, {1: 1, 5: 1})),
+    "grid3x3-5:1": (lambda: grid_graph(3, 3), lambda g: seeded_store(g.n, {5: 1})),
+    "grid3x3-empty": (lambda: grid_graph(3, 3), lambda g: WalkStore(g.n)),
+    "path5-2:2,4:1": (lambda: path_graph(5), lambda g: seeded_store(g.n, {2: 2, 4: 1})),
+    "torus4x4-6:1": (lambda: torus_graph(4, 4), lambda g: seeded_store(g.n, {6: 1})),
+    "grid4x4-3:5": (lambda: grid_graph(4, 4), lambda g: seeded_store(g.n, {3: 5})),
     "grid4x5-7:2,13:1,19:3": (
         lambda: grid_graph(4, 5),
-        lambda g: seeded_store({7: 2, 13: 1, 19: 3}),
+        lambda g: seeded_store(g.n, {7: 2, 13: 1, 19: 3}),
     ),
     "torus6x6-phase1": (lambda: torus_graph(6, 6), phase1_store),
 }
@@ -93,7 +89,7 @@ def observed_bill(name: str) -> tuple[int, int, int, str]:
 class TestSampling:
     def test_returns_existing_token_and_removes_it(self):
         g = grid_graph(3, 3)
-        store = seeded_store({4: 2, 7: 1})
+        store = seeded_store(g.n, {4: 2, 7: 1})
         net = Network(g, seed=0)
         record, tree = sample_destination(net, store, 0, make_rng(1))
         assert record is not None
@@ -104,7 +100,7 @@ class TestSampling:
     def test_none_when_empty(self):
         g = grid_graph(3, 3)
         net = Network(g, seed=0)
-        record, _tree = sample_destination(net, WalkStore(), 0, make_rng(1))
+        record, _tree = sample_destination(net, WalkStore(g.n), 0, make_rng(1))
         assert record is None
 
     def test_uniform_over_tokens_chi_square(self):
@@ -113,7 +109,7 @@ class TestSampling:
         rng = make_rng(42)
         draws = []
         for _ in range(2000):
-            store = seeded_store({8: 3, 4: 1})
+            store = seeded_store(g.n, {8: 3, 4: 1})
             net = Network(g, seed=0)
             record, _ = sample_destination(net, store, 0, rng)
             draws.append(record.destination)
@@ -127,7 +123,7 @@ class TestSampling:
         rng = make_rng(7)
         counts: dict[int, int] = {}
         for _ in range(3000):
-            store = seeded_store({2: 2, 4: 1})
+            store = seeded_store(g.n, {2: 2, 4: 1})
             net = Network(g, seed=0)
             record, _ = sample_destination(net, store, 0, rng)
             counts[record.token_id] = counts.get(record.token_id, 0) + 1
@@ -136,7 +132,7 @@ class TestSampling:
 
     def test_successive_samples_exhaust_store(self):
         g = grid_graph(3, 3)
-        store = seeded_store({1: 1, 5: 1})
+        store = seeded_store(g.n, {1: 1, 5: 1})
         net = Network(g, seed=0)
         rng = make_rng(3)
         first, _ = sample_destination(net, store, 0, rng)
@@ -149,7 +145,7 @@ class TestSampling:
 class TestRounds:
     def test_cost_is_three_sweeps(self):
         g = torus_graph(4, 4)
-        store = seeded_store({6: 1})
+        store = seeded_store(g.n, {6: 1})
         net = Network(g, seed=0)
         before = net.rounds
         sample_destination(net, store, 0, make_rng(1))
@@ -160,7 +156,7 @@ class TestRounds:
     def test_empty_store_skips_delete_sweep(self):
         g = torus_graph(4, 4)
         net = Network(g, seed=0)
-        sample_destination(net, WalkStore(), 0, make_rng(1))
+        sample_destination(net, WalkStore(g.n), 0, make_rng(1))
         ecc = eccentricity(g, 0)
         assert net.rounds <= 2 * ecc + 1
 
@@ -168,7 +164,7 @@ class TestRounds:
         g = grid_graph(4, 4)
         cache: dict = {}
         net = Network(g, seed=0)
-        store = seeded_store({3: 5})
+        store = seeded_store(g.n, {3: 5})
         r1, _ = sample_destination(net, store, 0, make_rng(1), tree_cache=cache)
         rounds_first = net.rounds
         r2, _ = sample_destination(net, store, 0, make_rng(2), tree_cache=cache)
@@ -190,13 +186,13 @@ class TestProtocolEquivalence:
         layout = {7: 2, 13: 1, 19: 3}
 
         net_fast = Network(g, seed=0)
-        store_fast = seeded_store(layout)
+        store_fast = seeded_store(g.n, layout)
         before = net_fast.rounds
         rec_fast, _ = sample_destination(net_fast, store_fast, 0, make_rng(1))
         fast_rounds = net_fast.rounds - before
 
         net_proto = Network(g, seed=0)
-        store_proto = seeded_store(layout)
+        store_proto = seeded_store(g.n, layout)
         rec_proto, proto_rounds = sample_destination_protocol(
             net_proto, store_proto, 0, make_rng(1)
         )
@@ -212,7 +208,7 @@ class TestProtocolEquivalence:
         rng = make_rng(9)
         wins = {8: 0, 4: 0}
         for _ in range(1500):
-            store = seeded_store({8: 3, 4: 1})
+            store = seeded_store(g.n, {8: 3, 4: 1})
             net = Network(g, seed=0)
             rec, _rounds = sample_destination_protocol(net, store, 0, rng)
             wins[rec.destination] += 1
@@ -221,7 +217,7 @@ class TestProtocolEquivalence:
 
     def test_protocol_removes_token(self):
         g = grid_graph(3, 3)
-        store = seeded_store({5: 1})
+        store = seeded_store(g.n, {5: 1})
         net = Network(g, seed=0)
         rec, _ = sample_destination_protocol(net, store, 0, make_rng(2))
         assert rec is not None
@@ -230,7 +226,7 @@ class TestProtocolEquivalence:
     def test_protocol_none_when_empty(self):
         g = grid_graph(3, 3)
         net = Network(g, seed=0)
-        rec, rounds = sample_destination_protocol(net, WalkStore(), 0, make_rng(3))
+        rec, rounds = sample_destination_protocol(net, WalkStore(g.n), 0, make_rng(3))
         assert rec is None
         assert rounds > 0  # sweeps 1–2 still ran
 

@@ -39,7 +39,7 @@ class TestPhase1:
     def test_store_receives_all_tokens(self):
         g = torus_graph(4, 4)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         counts = token_counts(g.degrees, 1.0, degree_proportional=True)
         perform_short_walks(net, store, 5, make_rng(1), counts=counts)
         assert store.tokens_created == int(counts.sum()) == 2 * g.m
@@ -47,7 +47,7 @@ class TestPhase1:
     def test_lengths_in_range(self):
         g = torus_graph(4, 4)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         lam = 6
         perform_short_walks(
             net, store, lam, make_rng(2), counts=np.ones(g.n, dtype=np.int64) * 4
@@ -58,7 +58,7 @@ class TestPhase1:
     def test_lengths_uniform_chi_square(self):
         g = cycle_graph(8)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         lam = 5
         perform_short_walks(
             net, store, lam, make_rng(3), counts=np.full(g.n, 500, dtype=np.int64)
@@ -72,7 +72,7 @@ class TestPhase1:
     def test_fixed_length_mode(self):
         g = cycle_graph(8)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         perform_short_walks(
             net,
             store,
@@ -86,7 +86,7 @@ class TestPhase1:
     def test_paths_are_genuine_walks(self):
         g = torus_graph(4, 4)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         perform_short_walks(
             net, store, 6, make_rng(5), counts=np.ones(g.n, dtype=np.int64) * 2
         )
@@ -100,7 +100,7 @@ class TestPhase1:
     def test_no_paths_when_disabled(self):
         g = cycle_graph(6)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         perform_short_walks(
             net,
             store,
@@ -115,7 +115,7 @@ class TestPhase1:
         # Each iteration is >= 1 round, and there are max-length iterations.
         g = cycle_graph(12)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         lam = 8
         perform_short_walks(
             net, store, lam, make_rng(7), counts=np.ones(g.n, dtype=np.int64)
@@ -127,7 +127,7 @@ class TestPhase1:
         # Many tokens from a single hub node must serialize on its edges.
         g = star_graph(5)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         counts = np.zeros(g.n, dtype=np.int64)
         counts[0] = 40  # hub launches 40 tokens over 4 edges
         perform_short_walks(net, store, 2, make_rng(8), counts=counts)
@@ -141,7 +141,7 @@ class TestPhase1:
         spec = WalkSpectrum(g)
         expected_dist = spec.distribution(0, t)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         counts = np.zeros(g.n, dtype=np.int64)
         counts[0] = 4000
         perform_short_walks(
@@ -156,7 +156,7 @@ class TestPhase1:
     def test_zero_counts_is_noop(self):
         g = cycle_graph(6)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         rounds = perform_short_walks(
             net, store, 4, make_rng(10), counts=np.zeros(g.n, dtype=np.int64)
         )
@@ -165,7 +165,7 @@ class TestPhase1:
     def test_input_validation(self):
         g = cycle_graph(6)
         net = Network(g, seed=0)
-        store = WalkStore()
+        store = WalkStore(g.n)
         with pytest.raises(WalkError):
             perform_short_walks(net, store, 0, make_rng(0), counts=np.ones(g.n, dtype=np.int64))
         with pytest.raises(WalkError):

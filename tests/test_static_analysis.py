@@ -168,11 +168,11 @@ class TestPhaseRegistryRule:
 # Rule 2: bulk-only
 # ----------------------------------------------------------------------
 class TestBulkOnlyRule:
-    def test_true_positive_add_token_in_loop(self, tmp_path):
+    def test_true_positive_add_batch_in_loop(self, tmp_path):
         src = (
             "def refill(store, records):\n"
             "    for r in records:\n"
-            "        store.add_token(r.source, r.length, r.destination)\n"
+            "        store.add_batch([r.source], [r.length], [r.destination])\n"
         )
         report = run_rule(BulkOnlyRule(), tmp_path, src)
         assert len(report.findings) == 1
@@ -193,7 +193,7 @@ class TestBulkOnlyRule:
             "    store.add_batch(*cols)\n"
             "    for c in cols:\n"
             "        out.append(c)\n"  # plain list, not a store column
-            "    store.add_token(1, 2, 3)\n"  # API edge outside any loop
+            "    store.add_batch(*cols)\n"  # after the loop, outside it
         )
         report = run_rule(BulkOnlyRule(), tmp_path, src)
         assert not report.findings
@@ -203,7 +203,7 @@ class TestBulkOnlyRule:
             "def outer(store, records):\n"
             "    for r in records:\n"
             "        def cb():\n"
-            "            store.add_token(r)\n"  # defined in loop, not per-record work
+            "            store.add_batch(*r)\n"  # defined in loop, not per-record work
             "        cb\n"
         )
         report = run_rule(BulkOnlyRule(), tmp_path, src)
@@ -479,6 +479,13 @@ class TestObsPassivityRule:
         assert len(messages) == 3
         assert sum("mutates simulation state" in m for m in messages) == 2
         assert sum("RNG" in m for m in messages) == 1
+
+    def test_true_positive_token_draw_inside_obs(self, tmp_path):
+        # A draw retires a token and advances the session's generator.
+        src = "def hook(store, rng):\n    return store.sample_uniform_token(0, rng)\n"
+        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/obs/peek.py", src)
+        assert len(report.findings) == 1
+        assert "sample_uniform_token() mutates simulation state" in report.findings[0].message
 
     def test_true_negative_mutators_fine_outside_obs_and_passive_obs(self, tmp_path):
         engine_src = (

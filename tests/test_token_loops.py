@@ -134,7 +134,7 @@ def test_get_more_walks_batch_bills_its_recorded_hops(graph, capacity, randomize
     net, log = logged_network(graph, capacity)
     sources = np.arange(8, dtype=np.int64)
     counts = np.array([9, 4, 6, 1, 5, 3, 7, 2], dtype=np.int64)
-    store = WalkStore()
+    store = WalkStore(net.graph.n)
     rounds = get_more_walks_batch(
         net, store, sources, counts, 5, make_rng(13), randomized_lengths=randomized_lengths
     )

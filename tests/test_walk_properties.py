@@ -60,7 +60,7 @@ class TestSubroutineInvariants:
     @settings(max_examples=30, deadline=None)
     def test_phase1_token_conservation(self, g, lam, seed):
         net = Network(g, seed=seed)
-        store = WalkStore()
+        store = WalkStore(net.graph.n)
         counts = token_counts(g.degrees, 1.0, degree_proportional=True)
         perform_short_walks(net, store, lam, make_rng(seed), counts=counts)
         assert store.tokens_created == int(counts.sum())
@@ -70,7 +70,7 @@ class TestSubroutineInvariants:
     @settings(max_examples=30, deadline=None)
     def test_get_more_walks_lengths_always_in_range(self, g, lam, count, seed):
         net = Network(g, seed=seed)
-        store = WalkStore()
+        store = WalkStore(net.graph.n)
         get_more_walks(net, store, 0, count, lam, make_rng(seed))
         lengths = [rec.length for rec in store.iter_all()]
         assert len(lengths) == count
@@ -80,7 +80,7 @@ class TestSubroutineInvariants:
     @settings(max_examples=30, deadline=None)
     def test_sample_until_exhaustion_never_repeats(self, g, seed):
         net = Network(g, seed=seed)
-        store = WalkStore()
+        store = WalkStore(net.graph.n)
         get_more_walks(net, store, 0, 5, 2, make_rng(seed))
         rng = make_rng(seed + 1)
         seen = set()

@@ -12,8 +12,32 @@ from repro.walks import TokenRecord, WalkStore
 from repro.walks.store import _SCAN_BLOCK
 
 
+N = 10  #: nodes of the graph every store below is sized for
+
+
 def record(tid: int, source: int = 0, length: int = 3, destination: int = 2) -> TokenRecord:
     return TokenRecord(token_id=tid, source=source, length=length, destination=destination)
+
+
+def add_tokens(store: WalkStore, sources, destinations, length: int = 3) -> list[TokenRecord]:
+    """One ``add_batch`` of ``(source, destination)`` tokens; their records, in row order."""
+    ids = store.add_batch(np.array(sources), np.full(len(sources), length), np.array(destinations))
+    return [record(int(i), s, length, d) for i, s, d in zip(ids, sources, destinations)]
+
+
+def snapshot(store: WalkStore) -> tuple:
+    """Every counter and column a rejected call must leave as it was."""
+    size = store._size
+    return (
+        store.tokens_created,
+        store.tokens_consumed,
+        store.tokens_evicted,
+        store.shard_counts().tolist(),
+        store.source_count_arrays()[1].tolist(),
+        [getattr(store, c)[:size].tolist() for c in ("_src", "_len", "_dst", "_alive")],
+        list(store._batch_starts),
+        list(store._batch_live),
+    )
 
 
 class TestTokenRecord:
@@ -34,60 +58,73 @@ class TestTokenRecord:
 
 class TestWalkStore:
     def test_add_and_count(self):
-        store = WalkStore()
-        store.add(record(0, source=1, destination=5))
-        store.add(record(1, source=1, destination=5))
-        store.add(record(2, source=1, destination=6))
+        store = WalkStore(N)
+        add_tokens(store, [1, 1, 1], [5, 5, 6])
         assert store.count_for_source(1) == 3
         assert store.count_for_source(9) == 0
         assert len(store.tokens_at(5, 1)) == 2
         assert store.holders_for_source(1) == {5: 2, 6: 1}
 
     def test_remove(self):
-        store = WalkStore()
-        rec = record(7, source=2, destination=3)
-        store.add(rec)
+        store = WalkStore(N)
+        (rec,) = add_tokens(store, [2], [3])
         store.remove(rec)
         assert store.count_for_source(2) == 0
         assert store.tokens_at(3, 2) == []
         assert store.tokens_consumed == 1
 
     def test_remove_missing_raises(self):
-        store = WalkStore()
+        store = WalkStore(N)
         with pytest.raises(WalkError):
             store.remove(record(0))
 
     def test_remove_twice_raises(self):
-        store = WalkStore()
-        rec = record(1)
-        store.add(rec)
+        store = WalkStore(N)
+        (rec,) = add_tokens(store, [0], [2])
         store.remove(rec)
         with pytest.raises(WalkError):
             store.remove(rec)
 
+    def test_remove_rejects_a_record_its_row_does_not_hold(self):
+        store = WalkStore(N)
+        consumed, _live = add_tokens(store, [1, 1], [4, 5])
+        store.remove(consumed)
+        before = snapshot(store)
+        for bad in (
+            consumed,  # row 0 is no longer live
+            record(2, source=1, destination=4),  # past the last row
+            record(-1, source=1, destination=5),  # no row is negative
+            record(1, source=2, destination=5),  # row 1 holds source 1
+            record(1, source=1, destination=4),  # row 1 rests at node 5
+        ):
+            with pytest.raises(WalkError, match="not stored"):
+                store.remove(bad)
+            assert snapshot(store) == before
+
     def test_token_ids_unique(self):
-        store = WalkStore()
-        ids = [store.new_token_id() for _ in range(100)]
-        assert len(set(ids)) == 100
+        # A token's id is its row: ids run on across adds and never repeat.
+        store = WalkStore(N)
+        ids = np.concatenate([store.add_batch(*np.ones((3, k), np.int64)) for k in (1, 64, 35)])
+        assert ids.dtype == np.int64 and ids.tolist() == list(range(100))
+        assert [rec.token_id for rec in store.iter_all()] == store.live_rows().tolist() == ids.tolist()
 
     def test_iter_all_and_len(self):
-        store = WalkStore()
-        for i in range(4):
-            store.add(record(i, source=i % 2))
+        store = WalkStore(N)
+        add_tokens(store, [0, 1, 0, 1], [2, 2, 2, 2])
         assert len(store) == 4
         assert len(list(store.iter_all())) == 4
         assert store.total_unused() == 4
 
     def test_tokens_at_returns_copy(self):
-        store = WalkStore()
-        store.add(record(0, source=1, destination=5))
+        store = WalkStore(N)
+        add_tokens(store, [1], [5])
         bucket = store.tokens_at(5, 1)
         bucket.clear()
         assert store.count_for_source(1) == 1
 
     def test_repr(self):
-        store = WalkStore()
-        store.add(record(0))
+        store = WalkStore(N)
+        add_tokens(store, [0], [2])
         assert "unused=1" in repr(store)
 
 
@@ -129,17 +166,17 @@ class ReferenceStore:
 
 class TestColumnarStore:
     def test_add_batch_assigns_sequential_ids(self):
-        store = WalkStore()
+        store = WalkStore(N)
         ids = store.add_batch(
             np.array([0, 0, 1]), np.array([2, 3, 2]), np.array([4, 5, 4])
         )
-        assert ids.tolist() == [0, 1, 2]
-        # The id counter advanced past the batch.
-        assert store.new_token_id() == 3
-        assert store.tokens_created == 3
+        assert ids.dtype == np.int64 and ids.tolist() == [0, 1, 2]
+        # The next add numbers on from the row count.
+        assert store.add_batch(np.array([2]), np.array([1]), np.array([3])).tolist() == [3]
+        assert store.tokens_created == 4
 
     def test_add_batch_shared_path_matrix(self):
-        store = WalkStore()
+        store = WalkStore(N)
         paths = np.array([[0, 1, 2, 99], [1, 2, 3, 4]])
         store.add_batch(
             np.array([0, 1]), np.array([2, 3]), np.array([2, 4]), paths=paths
@@ -150,7 +187,7 @@ class TestColumnarStore:
         assert recs[1].path.tolist() == [1, 2, 3, 4]
 
     def test_add_batch_validates(self):
-        store = WalkStore()
+        store = WalkStore(N)
         with pytest.raises(WalkError):
             store.add_batch(np.array([0]), np.array([-1]), np.array([1]))
         with pytest.raises(WalkError):
@@ -160,16 +197,29 @@ class TestColumnarStore:
                 np.array([0]), np.array([3]), np.array([1]), paths=np.zeros((1, 3), dtype=np.int64)
             )
 
+    def test_add_batch_rejects_a_node_outside_the_graph(self):
+        store = WalkStore(N)
+        paths = np.zeros((2, 3), np.int64)
+        store.add_batch(np.array([0, 3]), np.array([1, 2]), np.array([1, 9]), paths=paths)
+        before = snapshot(store)
+        for src, dst in (([0, N], [1, 2]), ([-1, 0], [1, 2]), ([0, 1], [N, 2])):
+            with pytest.raises(WalkError, match=f"nodes in \\[0, {N}\\)"):
+                store.add_batch(np.array(src), np.array([1, 1]), np.array(dst))
+            assert snapshot(store) == before
+        assert len(store._path_batches) == 1
+
     def test_shard_counts_default_to_one_shard(self):
         with pytest.raises(WalkError, match="num_shards"):
-            WalkStore(num_shards=0)
-        store = WalkStore()
+            WalkStore(N, num_shards=0)
+        store = WalkStore(N)
         store.add_batch(np.array([0, 5, 5]), np.array([1, 1, 1]), np.array([1, 4, 6]))
         assert store.shard_counts().tolist() == [store.total_unused()] == [3]
-        assert store.counts_for_sources(np.array([5, -1, 0, 9, 2])).tolist() == [2, 0, 1, 0, 0]
+        assert store.counts_for_sources(np.array([5, -1, 0, 9, 2, N])).tolist() == [2, 0, 1, 0, 0, 0]
+        assert store.count_for_source(N) == store.count_for_source(-1) == 0
+        assert store.source_count_arrays()[0].tolist() == list(range(N))
 
     def test_token_at_matches_tokens_at(self):
-        store = WalkStore()
+        store = WalkStore(N)
         store.add_batch(
             np.array([7, 7, 7]), np.array([1, 1, 1]), np.array([3, 3, 9])
         )
@@ -183,7 +233,7 @@ class TestColumnarStore:
 
     def test_counters_consistent_under_interleaved_add_remove(self):
         """Regression: created/consumed/total_unused stay in lockstep."""
-        store = WalkStore()
+        store = WalkStore(N)
         rng = np.random.default_rng(99)
         live = []
         for step in range(400):
@@ -198,14 +248,8 @@ class TestColumnarStore:
                 ).tolist())
                 live.extend(rec for rec in store.iter_all() if rec.token_id in ids)
             else:
-                rec = TokenRecord(
-                    token_id=store.new_token_id(),
-                    source=int(rng.integers(0, 5)),
-                    length=int(rng.integers(0, 4)),
-                    destination=int(rng.integers(0, 6)),
-                )
-                store.add(rec)
-                live.append(rec)
+                source, length, destination = (int(rng.integers(0, k)) for k in (5, 4, 6))
+                live.extend(add_tokens(store, [source], [destination], length))
             assert store.total_unused() == len(live)
             assert store.tokens_created - store.tokens_consumed == len(live)
             assert store.tokens_created == store.tokens_consumed + sum(
@@ -221,19 +265,16 @@ class TestColumnarStore:
         when a bucket empties and refills.
         """
         rng = np.random.default_rng(1234)
-        store, ref = WalkStore(), ReferenceStore()
+        store, ref = WalkStore(N), ReferenceStore()
         live = []
         n_sources, n_holders = 6, 8
         for step in range(600):
             action = rng.random()
             if action < 0.45 or not live:
-                rec = TokenRecord(
-                    token_id=store.new_token_id(),
-                    source=int(rng.integers(0, n_sources)),
-                    length=int(rng.integers(0, 5)),
-                    destination=int(rng.integers(0, n_holders)),
+                source, length, destination = (
+                    int(rng.integers(0, k)) for k in (n_sources, 5, n_holders)
                 )
-                store.add(rec)
+                (rec,) = add_tokens(store, [source], [destination], length)
                 ref.add(rec)
                 live.append(rec)
             elif action < 0.75:
@@ -254,19 +295,16 @@ class TestColumnarStore:
         assert store.tokens_consumed == ref.consumed
 
     def test_bucket_reinsertion_moves_holder_to_end(self):
-        store = WalkStore()
-        a = record(0, source=1, destination=5)
-        b = record(1, source=1, destination=6)
-        store.add(a)
-        store.add(b)
+        store = WalkStore(N)
+        a, _b = add_tokens(store, [1, 1], [5, 6])
         assert list(store.holders_for_source(1)) == [5, 6]
         store.remove(a)  # empties holder 5's bucket
-        store.add(record(2, source=1, destination=5))
+        add_tokens(store, [1], [5])
         # Holder 5 re-enters at the end, like the legacy keyed-dict store.
         assert list(store.holders_for_source(1)) == [6, 5]
 
     def test_grows_past_initial_capacity(self):
-        store = WalkStore()
+        store = WalkStore(N)
         total = 5000
         store.add_batch(
             np.zeros(total, dtype=np.int64),
@@ -280,7 +318,7 @@ class TestColumnarStore:
 
 class TestPathMemoryReclamation:
     def test_batch_matrix_freed_when_all_tokens_consumed(self):
-        store = WalkStore()
+        store = WalkStore(N)
         paths = np.array([[0, 1, 9], [2, 3, 9]])
         store.add_batch(np.array([0, 0]), np.array([1, 1]), np.array([1, 3]), paths=paths)
         recs = list(store.iter_all())
@@ -290,14 +328,41 @@ class TestPathMemoryReclamation:
         assert store._path_batches[0] is None  # hop matrix released
 
     def test_single_add_path_freed_and_not_aliased(self):
-        store = WalkStore()
-        path = np.array([0, 1, 2])
-        rec = TokenRecord(token_id=0, source=0, length=2, destination=2, path=path)
-        store.add(rec)
-        path[0] = 77  # caller mutates its buffer after handing the record over
+        store = WalkStore(N)
+        store.add_batch(np.array([0]), np.array([2]), np.array([2]), paths=np.array([[0, 1, 2]]))
+        rec = store.tokens_at(2, 0)[0]
+        rec.path[0] = 77  # a caller mutates the record it was handed
         assert store.tokens_at(2, 0)[0].path.tolist() == [0, 1, 2]
         store.remove(rec)
         assert store._path_batches[0] is None
+
+    def test_paths_are_found_through_their_add(self):
+        # Adds with and without paths interleave, and evictions retire rows
+        # in between.  Every live record still reads its own matrix row, and
+        # the scan sees only the adds that still hold a matrix.
+        store = WalkStore(N)
+        empty = store.find_invalid_rows(np.ones(N, dtype=bool))
+        assert empty.dtype == np.int64 and empty.size == 0
+        add = store.add_batch
+        add(np.array([0, 1]), np.array([1, 1]), np.array([1, 2]))
+        add(np.array([3, 4, 5]), np.array([1, 2, 1]), np.array([4, 6, 6]),
+            paths=np.array([[3, 4, 0], [4, 5, 6], [5, 6, 0]]))
+        add(np.array([6]), np.array([0]), np.array([6]))
+        add(np.array([7, 8]), np.array([1, 1]), np.array([8, 9]), paths=np.array([[7, 8], [8, 9]]))
+        store.evict_rows(np.array([2, 5]))
+        got = {rec.token_id: None if rec.path is None else rec.path.tolist() for rec in store.iter_all()}
+        assert got == {0: None, 1: None, 3: [4, 5, 6], 4: [5, 6], 6: [7, 8], 7: [8, 9]}
+        mutated = np.zeros(N, dtype=bool)
+        mutated[[0, 1, 4, 5, 6, 8]] = True
+        invalid = store.find_invalid_rows(mutated)
+        assert invalid.dtype == np.int64 and invalid.tolist() == [3, 4, 7]
+        store.evict_rows(invalid)
+        assert [m is None for m in store._path_batches] == [True, True, True, False]
+        assert store.token_at(8, 7, 0).path.tolist() == [7, 8]
+        store.evict_rows(np.array([6]))
+        assert all(m is None for m in store._path_batches)
+        empty = store.find_invalid_rows(mutated)
+        assert empty.dtype == np.int64 and empty.size == 0
 
 
 class TestScanMemory:
@@ -310,7 +375,7 @@ class TestScanMemory:
         rng = np.random.default_rng(0)
         lengths = rng.integers(width // 2, width, rows)
         paths = rng.integers(0, n, (rows, width))
-        store = WalkStore()
+        store = WalkStore(n)
         store.add_batch(paths[:, 0].copy(), lengths, paths[np.arange(rows), lengths], paths=paths)
         mutated = np.zeros(n, dtype=bool)
         mutated[::97] = True
@@ -326,7 +391,7 @@ class TestScanMemory:
 
 class TestTokenRecordEquality:
     def test_fresh_materializations_compare_equal(self):
-        store = WalkStore()
+        store = WalkStore(N)
         paths = np.array([[0, 1, 2]])
         store.add_batch(np.array([0]), np.array([2]), np.array([2]), paths=paths)
         a = store.tokens_at(2, 0)[0]

@@ -147,7 +147,7 @@ def _path(draw, source: int, length: int, destination: int, width: int) -> np.nd
 class StoreMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.store = WalkStore(num_shards=N_SHARDS)
+        self.store = WalkStore(N_NODES, num_shards=N_SHARDS)
         self.ref = ReferenceStore()
 
     @rule(data=st.data(), size=st.integers(0, 6), with_paths=st.booleans())
@@ -171,14 +171,6 @@ class StoreMachine(RuleBasedStateMachine):
         for i in range(size):
             path = None if paths is None else paths[i, : lng[i] + 1].copy()
             self.ref.add(TokenRecord(int(ids[i]), src[i], lng[i], dst[i], path))
-
-    @rule(data=st.data(), source=sources, length=st.integers(0, MAX_LEN), with_path=st.booleans())
-    def add(self, data, source, length, with_path):
-        destination = source if length == 0 else data.draw(nodes)
-        path = _path(data.draw, source, length, destination, length + 1) if with_path else None
-        record = TokenRecord(self.store.new_token_id(), source, length, destination, path)
-        self.store.add(record)
-        self.ref.add(record)
 
     @precondition(lambda self: any(self.ref.alive))
     @rule(data=st.data())
